@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration, 3 format, 4 corruption,
 
 from __future__ import annotations
 
+import functools
 import json
 import statistics
 import sys
@@ -98,8 +99,9 @@ def _normalized_times(ts):
     return (ts - lo) / (hi - lo)
 
 
-def run_fuse(cfg: RunConfig, echo=click.echo):
-    """Fuse all scans; returns (grid, stats rows, snapshot path)."""
+def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
+    """Fuse all scans; returns (grid, stats rows, snapshot path). Warnings
+    about skipped scans go to ``echo``, by default standard error."""
     out_dir = Path(cfg.paths.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.paths.trajectory is None or not Path(cfg.paths.trajectory).exists():

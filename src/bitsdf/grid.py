@@ -13,7 +13,7 @@ serialized record order follows the linear index ix + nx*(iy + ny*iz).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class VoxelGrid:
     # Integration parameters recorded for snapshot provenance.
     h_max: int = 255
     t_occ: int = 2
-    _observed_dirty: bool = field(default=False, repr=False)
 
     @property
     def num_voxels(self) -> int:

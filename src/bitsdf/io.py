@@ -19,6 +19,7 @@ from scipy.spatial.transform import Rotation, Slerp
 from .errors import CorruptionError, FormatError
 from .grid import (
     SIGN_OCCUPIED,
+    VOXEL_DTYPE,
     VoxelGrid,
     from_records,
     observed_array,
@@ -477,9 +478,7 @@ def load_grid(path) -> VoxelGrid:
         raise CorruptionError(
             f"{path}: snapshot payload short ({len(body)} < {n * 8} bytes)"
         )
-    rec = np.frombuffer(body, dtype=np.dtype(
-        [("mask", "<u4"), ("sign", "u1"), ("hits", "u1"), ("reserved", "<u2")]
-    ), count=n)
+    rec = np.frombuffer(body, dtype=VOXEL_DTYPE, count=n)
     return from_records(rec, (nx, ny, nz), voxel_size, (ox, oy, oz), h_max, t_occ)
 
 

@@ -84,6 +84,22 @@ class TestFuse:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["frames"] == 10
 
+    def test_skipped_scan_warns_on_stderr(self, dataset, tmp_path):
+        # scan_5.000000 is 4.1 s from the last pose, past max_time_gap
+        root, cfg_path = dataset
+        scans = tmp_path / "scans"
+        scans.mkdir()
+        first = sorted((root / "scans").iterdir())[0]
+        for name in (first.name, "scan_5.000000.pcd"):
+            (scans / name).write_bytes(first.read_bytes())
+        result = CliRunner().invoke(
+            cli, ["fuse", "--config", str(cfg_path), "--scans", str(scans),
+                  "--output-dir", str(tmp_path / "out"), "--json"]
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["frames"] == 1
+        assert "warning: scan scan_5.000000.pcd" in result.stderr
+
     def test_resolved_config_reproduces_run(self, dataset):
         root, cfg_path = dataset
         resolved = root / "out" / "config.resolved.yaml"

@@ -13,6 +13,7 @@ from bitsdf.integrator import (
     motion_compensate,
 )
 from bitsdf.kernels import build_kernel_bank
+from bitsdf.oracle import brute_force_field, compare
 from bitsdf.transforms import interpolate_pose_yaw, make_pose
 
 
@@ -208,6 +209,17 @@ class TestIntegrateFrame:
             prev = cur
             prev_sign = g.sign.copy()
 
+    def test_voxels_written_counts_changed_masks(self, bank):
+        g = fresh_grid()
+        scan = random_frame(np.random.default_rng(17), n=300)
+        before = g.mask.copy()
+        stats = integrate_frame(g, bank, scan, IntegrationParams())
+        changed = np.count_nonzero(g.mask != before)
+        assert changed > 0
+        assert stats.voxels_written == changed
+        again = integrate_frame(g, bank, scan, IntegrationParams())
+        assert again.voxels_written == 0
+
     def test_bounded_work(self, bank):
         g = fresh_grid()
         scan = random_frame(np.random.default_rng(14), n=50)
@@ -248,3 +260,70 @@ class TestIntegrateFrame:
         g = fresh_grid()
         integrate_frame(g, bank, scan, IntegrationParams())
         assert popcount_array(g.mask)[20, 20, 20] == 0
+
+
+class TestFrameHitAggregation:
+    """Many returns on one voxel in a single frame must leave the hits that
+    one sequential h += h < h_max step per return would."""
+
+    @staticmethod
+    def one_voxel_scan(n):
+        # n returns in voxel (20, 20, 20), split over two azimuth bins
+        pts = 2.05 + np.linspace(-0.04, 0.04, n)[:, None] * [1.0, 0.0, 0.0]
+        return ScanFrame(points=pts, pose=identity_pose())
+
+    @staticmethod
+    def sequential(bank, scan, params, grid):
+        for p in scan.points:
+            integrate_point(grid, bank, p, scan.pose[:3, 3], params)
+        return grid
+
+    @pytest.mark.parametrize("h_max, n, expected", [(3, 10, 3), (255, 300, 255)])
+    def test_saturates(self, bank, h_max, n, expected):
+        params = IntegrationParams(h_max=h_max, t_occ=2)
+        scan = self.one_voxel_scan(n)
+        g = fresh_grid()
+        stats = integrate_frame(g, bank, scan, params)
+        assert stats.points_discarded == 0
+        assert g.hits[20, 20, 20] == expected
+        assert g.sign[20, 20, 20] == SIGN_OCCUPIED
+        ref = self.sequential(bank, scan, params, fresh_grid())
+        assert np.array_equal(g.hits, ref.hits)
+        assert np.array_equal(g.sign, ref.sign)
+        assert np.array_equal(g.mask, ref.mask)
+
+    def test_count_above_h_max_is_kept(self, bank):
+        params = IntegrationParams(h_max=3, t_occ=2)
+        scan = self.one_voxel_scan(10)
+        g, ref = fresh_grid(), fresh_grid()
+        g.hits[20, 20, 20] = ref.hits[20, 20, 20] = 9
+        integrate_frame(g, bank, scan, params)
+        assert g.hits[20, 20, 20] == 9
+        self.sequential(bank, scan, params, ref)
+        assert np.array_equal(g.hits, ref.hits)
+        assert np.array_equal(g.sign, ref.sign)
+
+
+@pytest.mark.parametrize("shadow_model", ["hemisphere", "cone"])
+def test_frame_path_matches_oracle(shadow_model):
+    # One frame of 10k returns on a 32^3 grid, where only 12^3 centre voxels
+    # keep the K^3 block inside: centres repeat many times and hits saturate.
+    # Cone shadows differ in size from bin to bin.
+    rng = np.random.default_rng(43)
+    dims, vs = (32, 32, 32), 0.1
+    sensor = np.array([1.63, 1.58, 1.61])
+    pts = rng.uniform(9 * vs, 23 * vs, size=(10_000, 3))
+    pts = pts[np.linalg.norm(pts - sensor, axis=1) >= vs]
+    pose = make_pose(Rotation.identity(), sensor)
+    bank = build_kernel_bank(size=21, shadow_radius=3, shadow_model=shadow_model)
+    grid = new_grid(dims, vs)
+    params = IntegrationParams(h_max=30, t_occ=2)
+    stats = integrate_frame(grid, bank, ScanFrame(points=pts - sensor, pose=pose),
+                            params)
+    oracle = brute_force_field(pts, pts - sensor, dims, vs, (0, 0, 0),
+                               shadow_radius=3, shadow_model=shadow_model,
+                               h_max=30, t_occ=2)
+    assert 0 < stats.points_discarded < stats.points_in
+    assert oracle.hits.max() == 30
+    diff = compare(grid, oracle)
+    assert diff.empty, diff.to_text()
