@@ -127,6 +127,8 @@ def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
         downsample=cfg.integration.downsample,
         first_return_per_voxel=cfg.integration.first_return_per_voxel,
     )
+    # The header carries the configured thresholds even if no frame is fused.
+    grid.h_max, grid.t_occ = params.h_max, params.t_occ
 
     rows = []
     prev_time = None

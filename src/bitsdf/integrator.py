@@ -181,16 +181,13 @@ def _fuse(grid, bank, pts_map, sensor, params) -> tuple[int, int]:
 
     # Hits: count the frame's shadow hits n per voxel, then add them as n
     # steps of h += h < h_max would: h stays when h >= h_max, else it
-    # becomes min(h + n, h_max). int64 keeps n > 255 from wrapping.
-    used, row = np.unique(bins, return_inverse=True)
-    shadows = [bank.shadow_offsets[b] @ strides for b in used]
-    # Rows are padded with -num_voxels, which lands every pad below index 0.
-    table = np.full((used.size, max(s.size for s in shadows)), -grid.num_voxels)
-    for t, s in zip(table, shadows):
-        t[: s.size] = s
-    idx, n = np.unique(cflat[:, None] + table[row], return_counts=True)
-    keep = idx >= 0
-    idx, n = idx[keep], n[keep]
+    # becomes min(h + n, h_max). int64 keeps n > 255 from wrapping. Each
+    # return covers the ball offsets its bin's row of the shadow table marks.
+    # Unnamed, the (returns, ball) sums are freed before np.unique sorts.
+    idx, n = np.unique(
+        (cflat[:, None] + bank.shadow_ball @ strides)[bank.shadow[bins]],
+        return_counts=True,
+    )
     hits = grid.hits.reshape(-1)
     h = hits[idx].astype(np.int64)
     h = np.where(h >= params.h_max, h, np.minimum(h + n, params.h_max))

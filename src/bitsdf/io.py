@@ -478,6 +478,10 @@ def load_grid(path) -> VoxelGrid:
         raise CorruptionError(
             f"{path}: snapshot payload short ({len(body)} < {n * 8} bytes)"
         )
+    if len(body) > n * 8:
+        raise CorruptionError(
+            f"{path}: {len(body) - n * 8} trailing bytes after the snapshot payload"
+        )
     rec = np.frombuffer(body, dtype=VOXEL_DTYPE, count=n)
     return from_records(rec, (nx, ny, nz), voxel_size, (ox, oy, oz), h_max, t_occ)
 

@@ -1,10 +1,12 @@
 """Precomputed directional kernels.
 
 One shared K^3 distance-mask kernel (the distance encoding depends only on
-the Euclidean offset norm) plus one shadow offset set per azimuth-elevation
-bin. The shadow models the region behind a LiDAR return: a truncated
-hemisphere of radius r_s aligned with the bin direction, or optionally a
-cone. With the default 40x40 binning this yields 1600 shadow sets.
+the Euclidean offset norm) plus one shadow per azimuth-elevation bin. The
+shadow models the region behind a LiDAR return: a truncated hemisphere of
+radius r_s aligned with the bin direction, or optionally a cone. All shadows
+are subsets of one ball of offsets (|o| <= r_s), so the bank stores that ball
+once and a bool table with one row per bin marking its shadow; the default
+40x40 binning gives 1600 rows.
 """
 
 from __future__ import annotations
@@ -87,6 +89,31 @@ def _offset_cube(half_extent: int):
     return offs, np.linalg.norm(offs.astype(np.float64), axis=1)
 
 
+def _shadow_table(dirs, shadow_radius, model, cone_half_angle_deg, half_extent):
+    """The offsets (m, 3) with |o| <= r_s, in lexicographic cube order, and a
+    bool table (len(dirs), m) whose row i marks the shadow behind ``dirs[i]``.
+
+    Hemisphere: o . d >= 0. Cone: additionally within ``cone_half_angle_deg``
+    of the axis. The center offset is always included.
+    """
+    if not 0 <= shadow_radius <= half_extent:
+        raise ConfigurationError(
+            f"shadow radius {shadow_radius} outside [0, {half_extent}]"
+        )
+    offs, norms = _offset_cube(half_extent)
+    inside = norms <= shadow_radius
+    ball, norms = offs[inside], norms[inside]
+    dot = np.asarray(dirs, dtype=np.float64) @ ball.T
+    if model == HEMISPHERE:
+        table = dot >= 0.0
+    elif model == CONE:
+        table = dot >= norms * math.cos(math.radians(cone_half_angle_deg))
+    else:
+        raise ConfigurationError(f"unknown shadow model {model!r}")
+    table[:, norms == 0.0] = True
+    return ball, table
+
+
 def build_shadow_mask(
     direction,
     shadow_radius: float,
@@ -94,29 +121,13 @@ def build_shadow_mask(
     cone_half_angle_deg: float = DEFAULT_CONE_HALF_ANGLE_DEG,
     half_extent: int = DEFAULT_KERNEL_SIZE // 2,
 ) -> np.ndarray:
-    """Offsets (n, 3) behind a return along ``direction``.
-
-    Hemisphere: |o| <= r_s and o . d >= 0. Cone: additionally within
-    ``cone_half_angle_deg`` of the axis. The center offset is always
-    included. Offsets are emitted in lexicographic cube order.
-    """
-    if shadow_radius < 0 or shadow_radius > half_extent:
-        raise ConfigurationError(
-            f"shadow radius {shadow_radius} outside [0, {half_extent}]"
-        )
-    d = np.asarray(direction, dtype=np.float64)
-    offs, norms = _offset_cube(half_extent)
-    dot = offs @ d
-    inside = norms <= shadow_radius
-    if model == HEMISPHERE:
-        keep = inside & (dot >= 0.0)
-    elif model == CONE:
-        cos_half = math.cos(math.radians(cone_half_angle_deg))
-        keep = inside & ((norms == 0.0) | (dot >= norms * cos_half))
-    else:
-        raise ConfigurationError(f"unknown shadow model {model!r}")
-    keep |= norms == 0.0
-    return offs[keep]
+    """Offsets (n, 3) behind a return along ``direction``, in lexicographic
+    cube order (see ``_shadow_table`` for the rule)."""
+    ball, table = _shadow_table(
+        np.reshape(direction, (1, 3)), shadow_radius, model,
+        cone_half_angle_deg, half_extent,
+    )
+    return ball[table[0]]
 
 
 @dataclass
@@ -130,7 +141,8 @@ class KernelBank:
     shadow_model: str
     cone_half_angle_deg: float
     distance_kernel: np.ndarray  # uint32, (K, K, K), index [dx+R, dy+R, dz+R]
-    shadow_offsets: list  # per flat bin b_a * b_el + b_e: (n_i, 3) int64
+    shadow_ball: np.ndarray  # (m, 3) int64: offsets with |o| <= r_s, cube order
+    shadow: np.ndarray  # bool (b_az * b_el, m): row b_a * b_el + b_e marks its shadow
     bin_dirs: np.ndarray  # (b_az * b_el, 3)
 
     @property
@@ -162,24 +174,21 @@ def build_kernel_bank(
     if b_az < 1 or b_el < 1:
         raise ConfigurationError("bin counts must be at least 1")
     half = size // 2
-    offs, norms = _offset_cube(half)
+    _, norms = _offset_cube(half)
     runs = np.ceil(norms).astype(np.int64)
     runs[norms == 0.0] = 0
     runs = np.minimum(runs, 32)
     lut = np.array([run_mask(int(k)) for k in range(33)], dtype=np.uint32)
     distance_kernel = lut[runs].reshape(size, size, size)
 
-    bin_dirs = np.zeros((b_az * b_el, 3))
-    shadow_offsets = []
-    for b_a in range(b_az):
-        for b_e in range(b_el):
-            d = bin_direction(b_a, b_e, b_az, b_el)
-            bin_dirs[b_a * b_el + b_e] = d
-            shadow_offsets.append(
-                build_shadow_mask(
-                    d, shadow_radius, shadow_model, cone_half_angle_deg, half
-                )
-            )
+    bin_dirs = np.array([
+        bin_direction(b_a, b_e, b_az, b_el)
+        for b_a in range(b_az)
+        for b_e in range(b_el)
+    ])
+    shadow_ball, shadow = _shadow_table(
+        bin_dirs, shadow_radius, shadow_model, cone_half_angle_deg, half
+    )
     return KernelBank(
         size=size,
         b_az=b_az,
@@ -188,6 +197,7 @@ def build_kernel_bank(
         shadow_model=shadow_model,
         cone_half_angle_deg=float(cone_half_angle_deg),
         distance_kernel=distance_kernel,
-        shadow_offsets=shadow_offsets,
+        shadow_ball=shadow_ball,
+        shadow=shadow,
         bin_dirs=bin_dirs,
     )

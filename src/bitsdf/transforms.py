@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.transform import Rotation, Slerp
+from scipy.spatial.transform import Rotation
 
 from .errors import ConfigurationError
 
@@ -15,18 +15,6 @@ def make_pose(rotation: Rotation, translation) -> np.ndarray:
     return T
 
 
-def pose_inverse(T: np.ndarray) -> np.ndarray:
-    R = T[:3, :3]
-    out = np.eye(4)
-    out[:3, :3] = R.T
-    out[:3, 3] = -R.T @ T[:3, 3]
-    return out
-
-
-def apply_pose(T: np.ndarray, points: np.ndarray) -> np.ndarray:
-    return points @ T[:3, :3].T + T[:3, 3]
-
-
 def check_rotation(T: np.ndarray, tol: float = 1e-9) -> None:
     """Reject non-rigid transforms: rotation block must be orthonormal with
     determinant +1."""
@@ -35,14 +23,6 @@ def check_rotation(T: np.ndarray, tol: float = 1e-9) -> None:
         raise ConfigurationError("pose rotation is not orthonormal")
     if not np.isclose(np.linalg.det(R), 1.0, atol=tol):
         raise ConfigurationError("pose rotation has determinant != +1")
-
-
-def interpolate_pose(T0: np.ndarray, T1: np.ndarray, t: float) -> np.ndarray:
-    """Lerp translation, slerp rotation, t in [0, 1]."""
-    rots = Rotation.from_matrix(np.stack([T0[:3, :3], T1[:3, :3]]))
-    rot = Slerp([0.0, 1.0], rots)(np.clip(t, 0.0, 1.0))
-    trans = (1.0 - t) * T0[:3, 3] + t * T1[:3, 3]
-    return make_pose(rot, trans)
 
 
 def yaw_of(T: np.ndarray) -> float:

@@ -100,6 +100,22 @@ class TestFuse:
         assert json.loads(result.stdout)["frames"] == 1
         assert "warning: scan scan_5.000000.pcd" in result.stderr
 
+    def test_no_fused_frame_keeps_thresholds(self, dataset, tmp_path):
+        # scan_5.000000 is 4.1 s from the last pose, so no frame is fused
+        root, cfg_path = dataset
+        scans = tmp_path / "scans"
+        scans.mkdir()
+        first = sorted((root / "scans").iterdir())[0]
+        (scans / "scan_5.000000.pcd").write_bytes(first.read_bytes())
+        cfg = load_config(cfg_path)
+        cfg.integration.h_max, cfg.integration.t_occ = 100, 3
+        cfg.paths.scans = str(scans)
+        cfg.paths.output_dir = str(tmp_path / "out")
+        _, rows, snap = run_fuse(cfg, echo=lambda *_: None)
+        assert rows == []
+        grid = bio.load_grid(snap)
+        assert (grid.h_max, grid.t_occ) == (100, 3)
+
     def test_resolved_config_reproduces_run(self, dataset):
         root, cfg_path = dataset
         resolved = root / "out" / "config.resolved.yaml"
@@ -214,6 +230,14 @@ class TestMeshEvalExportInfo:
         bad.write_bytes(b"NOTAMAGIC" + b"\x00" * 64)
         res = run_main("info", bad)
         assert res.returncode == 4
+
+    def test_trailing_bytes_exit_4(self, dataset, tmp_path):
+        root, _ = dataset
+        bad = tmp_path / "bad.dbtsdf"
+        bad.write_bytes((root / "out" / "map.dbtsdf").read_bytes() + b"junk")
+        res = run_main("info", bad)
+        assert res.returncode == 4
+        assert "trailing" in res.stderr
 
 
 class TestBench:

@@ -268,7 +268,15 @@ class TestGridSnapshot:
         p = tmp_path / "g.dbtsdf"
         bio.save_grid(g, p)
         p.write_bytes(p.read_bytes()[:-16])
-        with pytest.raises(CorruptionError):
+        with pytest.raises(CorruptionError, match="payload short"):
+            bio.load_grid(p)
+
+    def test_trailing_bytes(self, tmp_path):
+        g = new_grid((4, 4, 4), 0.1)
+        p = tmp_path / "g.dbtsdf"
+        bio.save_grid(g, p)
+        p.write_bytes(p.read_bytes() + b"junk")
+        with pytest.raises(CorruptionError, match="trailing"):
             bio.load_grid(p)
 
 
@@ -288,7 +296,7 @@ class TestCSVExport:
         from bitsdf.kernels import bin_index
 
         b_a, b_e = bin_index((1, 0, 0), 40, 40)
-        expected = len(bank.shadow_offsets[bank.flat_bin(b_a, b_e)])
+        expected = bank.shadow[bank.flat_bin(b_a, b_e)].sum()
         out = tmp_path / "g.csv"
         assert bio.export_grid_csv(g, out, "occupied_only") == expected
 

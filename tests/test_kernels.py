@@ -116,7 +116,7 @@ class TestKernelBank:
         bank = build_kernel_bank(shadow_radius=3)
         assert bank.distance_kernel.shape == (21, 21, 21)
         assert bank.distance_kernel.size == 9261
-        assert len(bank.shadow_offsets) == 1600
+        assert bank.shadow.shape[0] == 1600
         assert bank.distance_kernel[10, 10, 10] == 0
 
     def test_minimal_bank(self):
@@ -135,16 +135,36 @@ class TestKernelBank:
 
     def test_every_shadow_contains_center(self):
         bank = build_kernel_bank(shadow_radius=2)
-        for offs in bank.shadow_offsets:
-            assert any((o == 0).all() for o in offs)
+        center = np.flatnonzero((bank.shadow_ball == 0).all(axis=1))
+        assert center.size == 1
+        assert bank.shadow[:, center[0]].all()
 
     def test_determinism(self):
         a = build_kernel_bank(size=9, b_az=8, b_el=8, shadow_radius=2)
         b = build_kernel_bank(size=9, b_az=8, b_el=8, shadow_radius=2)
         assert np.array_equal(a.distance_kernel, b.distance_kernel)
         assert np.array_equal(a.bin_dirs, b.bin_dirs)
-        for oa, ob in zip(a.shadow_offsets, b.shadow_offsets):
-            assert np.array_equal(oa, ob)
+        assert np.array_equal(a.shadow_ball, b.shadow_ball)
+        assert np.array_equal(a.shadow, b.shadow)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"shadow_radius": 11}, {"shadow_radius": -1},
+         {"shadow_radius": 2, "shadow_model": "sphere"}],
+    )
+    def test_bad_shadow_parameters_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            build_kernel_bank(**kwargs)
+
+    @pytest.mark.parametrize("model", ["hemisphere", "cone"])
+    @pytest.mark.parametrize("radius", [0, 1, 2.5, 4])
+    def test_table_rows_match_shadow_mask(self, model, radius):
+        bank = build_kernel_bank(size=9, b_az=7, b_el=13, shadow_radius=radius,
+                                 shadow_model=model)
+        assert bank.shadow.shape == (7 * 13, bank.shadow_ball.shape[0])
+        for b, d in enumerate(bank.bin_dirs):
+            expected = build_shadow_mask(d, radius, model, half_extent=4)
+            assert np.array_equal(bank.shadow_ball[bank.shadow[b]], expected)
 
 
 class TestShadowRadiusHeuristic:
