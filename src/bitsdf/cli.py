@@ -111,7 +111,8 @@ def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
     traj = bio.read_trajectory(cfg.paths.trajectory)
     scans = _list_scans(Path(cfg.paths.scans)) if cfg.paths.scans else []
     dims, origin = cfg.resolve_grid()
-    grid = new_grid(dims, cfg.grid.voxel_size, origin, cfg.grid.memory_cap_bytes)
+    grid = new_grid(dims, cfg.grid.voxel_size, origin, cfg.grid.memory_cap_bytes,
+                    h_max=cfg.integration.h_max, t_occ=cfg.integration.t_occ)
     bank = build_kernel_bank(
         size=cfg.kernel.size,
         b_az=cfg.kernel.azimuth_bins,
@@ -121,14 +122,10 @@ def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
         cone_half_angle_deg=cfg.kernel.cone_half_angle_deg,
     )
     params = IntegrationParams(
-        h_max=cfg.integration.h_max,
-        t_occ=cfg.integration.t_occ,
         compensation=cfg.integration.compensation,
         downsample=cfg.integration.downsample,
         first_return_per_voxel=cfg.integration.first_return_per_voxel,
     )
-    # The header carries the configured thresholds even if no frame is fused.
-    grid.h_max, grid.t_occ = params.h_max, params.t_occ
 
     rows = []
     prev_time = None

@@ -48,7 +48,7 @@ class KernelConfig:
 
 @dataclass
 class IntegrationConfig:
-    h_max: int = 255
+    h_max: int = 255  # h_max and t_occ go to new_grid, the rest per scan
     t_occ: int = 2
     compensation: str = "none"
     downsample: int = 1

@@ -36,10 +36,11 @@ VOXEL_DTYPE = np.dtype(
 DEFAULT_MEMORY_CAP = 8 << 30  # bytes of voxel payload
 
 
-@dataclass
+@dataclass(frozen=True)
 class VoxelGrid:
-    """Fixed-size axis-aligned voxel grid; structure is immutable after
-    construction, voxel contents are updated in place by the integrator."""
+    """Fixed-size axis-aligned voxel grid; structure and occupancy rule are
+    fixed at construction, voxel contents are updated in place by the
+    integrator."""
 
     dims: tuple[int, int, int]
     voxel_size: float
@@ -47,9 +48,10 @@ class VoxelGrid:
     mask: np.ndarray  # uint32, shape dims
     sign: np.ndarray  # uint8, shape dims
     hits: np.ndarray  # uint8, shape dims
-    # Integration parameters recorded for snapshot provenance.
-    h_max: int = 255
-    t_occ: int = 2
+    # Occupancy rule, written to the snapshot header: hits saturate at
+    # h_max, and a voxel is occupied once its hits reach t_occ.
+    h_max: int
+    t_occ: int
 
     @property
     def num_voxels(self) -> int:
@@ -62,17 +64,23 @@ def new_grid(
     voxel_size: float,
     origin=(0.0, 0.0, 0.0),
     memory_cap: int = DEFAULT_MEMORY_CAP,
+    h_max: int = 255,
+    t_occ: int = 2,
 ) -> VoxelGrid:
-    """Allocate a fresh grid with every voxel unobserved.
+    """Allocate a fresh grid with every voxel unobserved, whose voxels
+    count at most ``h_max`` hits and turn occupied at ``t_occ``.
 
-    Raises ConfigurationError for degenerate dims/voxel_size and
-    ResourceError when the voxel payload would exceed ``memory_cap``.
+    Raises ConfigurationError for degenerate dims/voxel_size or thresholds
+    outside 1 <= t_occ <= h_max <= 255, and ResourceError when the voxel
+    payload would exceed ``memory_cap``.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise ConfigurationError(f"grid dims must be three positive counts, got {dims}")
     if not voxel_size > 0.0:
         raise ConfigurationError(f"voxel_size must be positive, got {voxel_size}")
+    if not 1 <= t_occ <= h_max <= 255:
+        raise ConfigurationError(f"need 1 <= T ({t_occ}) <= H_max ({h_max}) <= 255")
     payload = dims[0] * dims[1] * dims[2] * BYTES_PER_VOXEL
     if payload > memory_cap:
         raise ResourceError(
@@ -85,6 +93,8 @@ def new_grid(
         mask=np.full(dims, FULL_MASK, dtype=np.uint32),
         sign=np.full(dims, SIGN_FREE, dtype=np.uint8),
         hits=np.zeros(dims, dtype=np.uint8),
+        h_max=int(h_max),
+        t_occ=int(t_occ),
     )
 
 
@@ -108,10 +118,6 @@ def world_to_voxel_array(grid: VoxelGrid, points: np.ndarray) -> np.ndarray:
     return np.floor(
         (points - grid.origin[np.newaxis, :]) / grid.voxel_size
     ).astype(np.int64)
-
-
-def voxel_center(grid: VoxelGrid, ix, iy, iz) -> np.ndarray:
-    return grid.origin + (np.array([ix, iy, iz], dtype=np.float64) + 0.5) * grid.voxel_size
 
 
 def is_run_mask(mask) -> bool:
@@ -192,12 +198,13 @@ def from_records(
         raise CorruptionError(
             f"record count {rec.shape[0]} does not match dims {dims}"
         )
-    g = new_grid(dims, voxel_size, origin)
+    try:
+        g = new_grid(dims, voxel_size, origin, h_max=h_max, t_occ=t_occ)
+    except ConfigurationError as e:
+        raise CorruptionError(f"bad grid header: {e}") from None
     g.mask[...] = rec["mask"].reshape(dims, order="F")
     g.sign[...] = rec["sign"].reshape(dims, order="F")
     g.hits[...] = rec["hits"].reshape(dims, order="F")
-    g.h_max = int(h_max)
-    g.t_occ = int(t_occ)
     return g
 
 

@@ -10,9 +10,9 @@ to the map frame. All returns of the scan are then fused in one pass:
 2. Mask stamp: per return, an in-place bitwise AND of the distance kernel
    onto the K^3 block of masks around its center.
 3. Hits, once per frame: count how many of the frame's shadows cover each
-   voxel, add that count saturating at h_max, exactly as the same number of
-   single increments would, and mark a voxel occupied once its count reaches
-   the occupancy threshold.
+   voxel, add that count saturating at the grid's h_max, exactly as the same
+   number of single increments would, and mark a voxel occupied once its
+   count reaches the grid's t_occ.
 
 AND is commutative and idempotent and the saturating add is monotone, so
 the grid does not depend on the order of the returns. Fusion is
@@ -62,17 +62,13 @@ class ScanFrame:
 
 @dataclass
 class IntegrationParams:
-    h_max: int = 255
-    t_occ: int = 2
+    """Per-scan options; the occupancy thresholds belong to the grid."""
+
     compensation: str = "none"
     downsample: int = 1
     first_return_per_voxel: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.t_occ <= self.h_max <= 255:
-            raise ConfigurationError(
-                f"need 1 <= T ({self.t_occ}) <= H_max ({self.h_max}) <= 255"
-            )
         if self.compensation not in COMPENSATION_MODES:
             raise ConfigurationError(
                 f"compensation must be one of {COMPENSATION_MODES}"
@@ -143,8 +139,6 @@ def _fuse(grid, bank, pts_map, sensor, params) -> tuple[int, int]:
     """Fuse map-frame returns seen from ``sensor``. Returns the number of
     returns inside the bounds and the number of distinct voxels whose mask
     changed."""
-    grid.h_max = params.h_max
-    grid.t_occ = params.t_occ
     r = bank.half_extent
     dims = np.array(grid.dims)
     rays = pts_map - sensor
@@ -190,9 +184,9 @@ def _fuse(grid, bank, pts_map, sensor, params) -> tuple[int, int]:
     )
     hits = grid.hits.reshape(-1)
     h = hits[idx].astype(np.int64)
-    h = np.where(h >= params.h_max, h, np.minimum(h + n, params.h_max))
+    h = np.where(h >= grid.h_max, h, np.minimum(h + n, grid.h_max))
     hits[idx] = h
-    grid.sign.reshape(-1)[idx[h >= params.t_occ]] = SIGN_OCCUPIED
+    grid.sign.reshape(-1)[idx[h >= grid.t_occ]] = SIGN_OCCUPIED
     return n_ok, written
 
 
@@ -218,9 +212,10 @@ def integrate_frame(
     threads: int = 1,
 ) -> FrameStats:
     """Fuse one scan: downsample, deskew, move to the map frame, then fuse
-    every return in one pass (see the module docstring). Fusion runs on
-    one thread; ``threads`` is accepted so that existing configurations
-    keep working, and does not change the work or the result."""
+    every return in one pass (see the module docstring) under the grid's
+    h_max and t_occ. Fusion runs on one thread; ``threads`` is accepted so
+    that existing configurations keep working, and does not change the work
+    or the result."""
     t0 = time.perf_counter()
     stats = FrameStats()
     pts = scan.points

@@ -60,7 +60,6 @@ _TIME_FIELDS = ("time", "t", "timestamp", "stamp")
 
 def _read_pcd(path: Path) -> ScanData:
     raw = path.read_bytes()
-    lines = []
     pos = 0
     header = {}
     while True:
@@ -69,7 +68,6 @@ def _read_pcd(path: Path) -> ScanData:
             raise CorruptionError(f"{path}: PCD header never ends")
         line = raw[pos:nl].decode("ascii", errors="replace").strip()
         pos = nl + 1
-        lines.append(line)
         if line.startswith("#") or not line:
             continue
         key, _, val = line.partition(" ")
@@ -181,66 +179,96 @@ _PLY_TYPE = {"float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8"
 
 
 def _parse_ply_header(raw: bytes, path: Path):
+    """Return (format, elements, body offset). Each element is (name, count,
+    fields) with one (name, PLY type, shape) field per column group; a list
+    property is read as its count followed by three items (triangles)."""
     end = raw.find(b"end_header\n")
     if not raw.startswith(b"ply") or end < 0:
         raise FormatError(f"{path}: not a PLY file")
     body_at = end + len(b"end_header\n")
     text = raw[:end].decode("ascii", errors="replace").splitlines()
     fmt = None
-    elements = []  # (name, count, [(prop_name, type) or ("__list__", ...)])
+    elements = []
     for line in text[1:]:
         tok = line.split()
         if not tok or tok[0] == "comment":
             continue
-        if tok[0] == "format":
-            fmt = tok[1]
-        elif tok[0] == "element":
-            elements.append((tok[1], int(tok[2]), []))
-        elif tok[0] == "property":
-            if not elements:
-                raise FormatError(f"{path}: PLY property before element")
-            if tok[1] == "list":
-                elements[-1][2].append(("__list__", tok[2], tok[3], tok[4]))
-            else:
-                elements[-1][2].append((tok[2], tok[1]))
+        try:
+            if tok[0] == "format":
+                fmt = tok[1]
+            elif tok[0] == "element":
+                elements.append((tok[1], int(tok[2]), []))
+            elif tok[0] == "property":
+                if not elements:
+                    raise FormatError(f"{path}: PLY property before element")
+                if tok[1] == "list":
+                    fields = [(tok[4] + "_count", tok[2], ()), (tok[4], tok[3], (3,))]
+                else:
+                    fields = [(tok[2], tok[1], ())]
+                for _, typ, _ in fields:
+                    if typ not in _PLY_TYPE:
+                        raise FormatError(
+                            f"{path}: unsupported PLY property type {typ!r}")
+                elements[-1][2].extend(fields)
+        except (IndexError, ValueError):
+            raise FormatError(f"{path}: malformed PLY header line {line!r}") from None
     if fmt not in ("ascii", "binary_little_endian"):
         raise FormatError(f"{path}: unsupported PLY format {fmt!r}")
     return fmt, elements, body_at
 
 
-def _read_ply(path: Path) -> ScanData:
-    raw = path.read_bytes()
+def _read_ply_elements(raw: bytes, path: Path, last: str) -> dict:
+    """Decode the PLY body element by element, up to and including ``last``,
+    into structured arrays with the header's fields. Binary bodies are read
+    with np.frombuffer; ASCII values are read as float64."""
     fmt, elements, pos = _parse_ply_header(raw, path)
-    vertex = next((e for e in elements if e[0] == "vertex"), None)
+    if fmt == "ascii":
+        text = raw[pos:].decode("ascii", errors="replace").splitlines()
+        rows, pos = [ln.split() for ln in text if ln.strip()], 0
+    out = {}
+    for name, count, fields in elements:
+        if fmt == "ascii":
+            dtype = np.dtype([(f, "<f8", shape) for f, _, shape in fields])
+            need, have = count, len(rows) - pos
+        else:
+            dtype = np.dtype([(f, _PLY_TYPE[t], shape) for f, t, shape in fields])
+            need, have = count * dtype.itemsize, len(raw) - pos
+        if have < need:
+            raise CorruptionError(
+                f"{path}: PLY body ends inside its {count} {name} entries")
+        if fmt == "ascii":
+            ncols = dtype.itemsize // 8
+            try:
+                table = np.array([r[:ncols] for r in rows[pos : pos + count]],
+                                 dtype=np.float64).reshape(count, ncols)
+                rec = table.view(dtype)[:, 0]
+            except ValueError as e:
+                raise FormatError(f"{path}: malformed ASCII PLY body: {e}") from None
+        else:
+            rec = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
+        pos += need
+        for f, _, shape in fields:
+            if shape and np.any(rec[f + "_count"] != 3):
+                raise FormatError(f"{path}: PLY list {f!r} holds non-triangles")
+        out[name] = rec
+        if name == last:
+            break
+    return out
+
+
+def _ply_columns(rec, names, path: Path) -> np.ndarray:
+    """Stack scalar fields of a decoded PLY element as float64 columns."""
+    for n in names:
+        if n not in (rec.dtype.names or ()):
+            raise FormatError(f"{path}: PLY element lacks {n!r}")
+    return np.stack([rec[n].astype(np.float64) for n in names], axis=1)
+
+
+def _read_ply(path: Path) -> ScanData:
+    vertex = _read_ply_elements(path.read_bytes(), path, "vertex").get("vertex")
     if vertex is None:
         raise FormatError(f"{path}: PLY has no vertex element")
-    _, count, props = vertex
-    if any(p[0] == "__list__" for p in props):
-        raise FormatError(f"{path}: list properties on vertex element unsupported")
-    names = [p[0] for p in props]
-    for axis in "xyz":
-        if axis not in names:
-            raise FormatError(f"{path}: PLY vertex lacks '{axis}'")
-    if fmt == "ascii":
-        body = raw[pos:].decode("ascii", errors="replace").splitlines()
-        rows = []
-        for line in body:
-            if len(rows) == count:
-                break
-            if line.strip():
-                rows.append([float(v) for v in line.split()[: len(names)]])
-        if len(rows) < count:
-            raise CorruptionError(f"{path}: PLY declares {count} vertices, found {len(rows)}")
-        table = np.asarray(rows)
-        pts = np.stack([table[:, names.index(a)] for a in "xyz"], axis=1)
-    else:
-        dtype = np.dtype([(n, _PLY_TYPE[t]) for n, t in props])
-        need = count * dtype.itemsize
-        if len(raw) - pos < need:
-            raise CorruptionError(f"{path}: binary PLY truncated")
-        rec = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
-        pts = np.stack([rec[a].astype(np.float64) for a in "xyz"], axis=1)
-    return _drop_nonfinite(pts)
+    return _drop_nonfinite(_ply_columns(vertex, "xyz", path))
 
 
 # ---------------------------------------------------------------------------
@@ -397,50 +425,20 @@ def _write_obj(mesh: TriangleMesh, path: Path) -> None:
 def read_mesh_ply(path) -> TriangleMesh:
     """Read back a PLY mesh written by write_mesh (vertices + faces)."""
     path = Path(path)
-    raw = path.read_bytes()
-    fmt, elements, pos = _parse_ply_header(raw, path)
-    verts = np.zeros((0, 3))
-    normals = None
+    elements = _read_ply_elements(path.read_bytes(), path, "face")
+    verts, normals = np.zeros((0, 3)), None
     faces = np.zeros((0, 3), dtype=np.int64)
-    if fmt == "ascii":
-        lines = [ln for ln in raw[pos:].decode("ascii").splitlines() if ln.strip()]
-        cursor = 0
-        for name, count, props in elements:
-            block = lines[cursor : cursor + count]
-            cursor += count
-            if name == "vertex":
-                table = np.asarray([[float(v) for v in ln.split()] for ln in block])
-                table = table.reshape(count, -1) if count else np.zeros((0, 3))
-                verts = table[:, :3] if count else verts
-                if count and table.shape[1] >= 6:
-                    normals = table[:, 3:6]
-            elif name == "face" and count:
-                faces = np.asarray(
-                    [[int(v) for v in ln.split()[1:4]] for ln in block], dtype=np.int64
-                )
-    else:
-        for name, count, props in elements:
-            if name == "vertex":
-                dtype = np.dtype([(n, _PLY_TYPE[t]) for n, t in props])
-                need = count * dtype.itemsize
-                if len(raw) - pos < need:
-                    raise CorruptionError(f"{path}: binary PLY truncated")
-                rec = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
-                pos += need
-                verts = np.stack([rec[a].astype(np.float64) for a in "xyz"], axis=1)
-                if "nx" in rec.dtype.names:
-                    verts_n = np.stack(
-                        [rec[a].astype(np.float64) for a in ("nx", "ny", "nz")], axis=1
-                    )
-                    normals = verts_n
-            elif name == "face":
-                face_dtype = np.dtype([("n", "u1"), ("idx", "<i4", (3,))])
-                need = count * face_dtype.itemsize
-                if len(raw) - pos < need:
-                    raise CorruptionError(f"{path}: binary PLY truncated in faces")
-                rec = np.frombuffer(raw, dtype=face_dtype, count=count, offset=pos)
-                pos += need
-                faces = rec["idx"].astype(np.int64)
+    if "vertex" in elements:
+        vertex = elements["vertex"]
+        verts = _ply_columns(vertex, "xyz", path)
+        if "nx" in vertex.dtype.names:
+            normals = _ply_columns(vertex, ("nx", "ny", "nz"), path)
+    if "face" in elements:
+        face = elements["face"]
+        lists = [n for n in face.dtype.names if face.dtype[n].shape]
+        if not lists:
+            raise FormatError(f"{path}: PLY face element has no index list")
+        faces = face[lists[0]].astype(np.int64)
     return TriangleMesh(vertices=verts, triangles=faces, normals=normals)
 
 

@@ -46,7 +46,7 @@ class TestCriterion1OracleEquivalence:
         pts, dirs = random_hits(rng, 10_000, dims, vs)
         grid = new_grid(dims, vs)
         bank = build_kernel_bank(size=21, shadow_radius=3)
-        params = IntegrationParams(t_occ=2)
+        params = IntegrationParams()
         for p, d in zip(pts, dirs):
             integrate_point(grid, bank, p, p - d, params)
         oracle = brute_force_field(pts, dirs, dims, vs, (0, 0, 0),
@@ -121,14 +121,14 @@ def resolution_sweep():
     def fresh(vs):
         dims = tuple(int(np.ceil(e / vs)) + 2 * pad for e in (12.0, 12.0, 3.0))
         origin = tuple(-pad * vs for _ in range(3))
-        return new_grid(dims, vs, origin)
+        return new_grid(dims, vs, origin, t_occ=1)
 
     t0 = time.perf_counter()
     # warm up allocator and code paths so the first timed size is not penalized
     integrate_frame(
         fresh(0.1), bank,
         ScanFrame(points=frames[0].points[:2000], pose=frames[0].pose),
-        IntegrationParams(t_occ=1),
+        IntegrationParams(),
     )
     # interleave repeats across sizes so machine-load drift during the sweep
     # hits every resolution equally
@@ -138,7 +138,7 @@ def resolution_sweep():
         for vs in sizes:
             grid = fresh(vs)
             for f in frames:
-                stats = integrate_frame(grid, bank, f, IntegrationParams(t_occ=1))
+                stats = integrate_frame(grid, bank, f, IntegrationParams())
                 assert stats.points_discarded == 0
                 latencies[vs].append(stats.elapsed_ms)
             grids[vs] = grid
@@ -174,7 +174,7 @@ class TestCriterion6Monotonicity:
         dims, vs = (48, 48, 48), 0.1
         grid = new_grid(dims, vs)
         bank = build_kernel_bank(shadow_radius=3)
-        params = IntegrationParams(t_occ=2)
+        params = IntegrationParams()
         prev = popcount_array(grid.mask)
         prev_occ = grid.sign == SIGN_OCCUPIED
         checks = 0
@@ -200,9 +200,9 @@ class TestCriterion7SceneQuality:
         pad = 11
         dims = (200 + 2 * pad, 200 + 2 * pad, 60 + 2 * pad)
         origin = tuple(-pad * vs for _ in range(3))
-        grid = new_grid(dims, vs, origin)
+        grid = new_grid(dims, vs, origin, t_occ=1)
         bank = build_kernel_bank(shadow_radius=1)
-        params = IntegrationParams(t_occ=1)
+        params = IntegrationParams()
         for sensor in ((2.5, 2.5, 1.5), (7.5, 2.5, 1.5),
                        (2.5, 7.5, 1.5), (7.5, 7.5, 1.5)):
             pts = room_scan(sensor, lo, hi, n_az=360, n_el=160, el_max_deg=85)

@@ -231,6 +231,36 @@ class TestMeshEvalExportInfo:
         res = run_main("info", bad)
         assert res.returncode == 4
 
+    @pytest.mark.parametrize("h_max, t_occ", [(255, 0), (3, 9)])
+    def test_bad_thresholds_exit_4(self, dataset, tmp_path, h_max, t_occ):
+        root, _ = dataset
+        raw = (root / "out" / "map.dbtsdf").read_bytes()
+        bad = tmp_path / "bad.dbtsdf"
+        # h_max and t_occ are bytes 44 and 45 of the header, after the magic
+        bad.write_bytes(raw[:52] + bytes([h_max, t_occ]) + raw[54:])
+        res = run_main("info", bad)
+        assert res.returncode == 4, res.stderr
+
+    @pytest.mark.parametrize("body, code", [
+        # three vertices and a face declared, two vertices present
+        (b"format ascii 1.0\nelement vertex 3\nproperty double x\n"
+         b"property double y\nproperty double z\nelement face 1\n"
+         b"property list uchar int vertex_indices\nend_header\n"
+         b"0 0 0\n1 0 0\n", 4),
+        # a property type the reader does not know
+        (b"format binary_little_endian 1.0\nelement vertex 1\nproperty half x\n"
+         b"property half y\nproperty half z\nend_header\n" + bytes(6), 3),
+        # an element line without a count
+        (b"format ascii 1.0\nelement vertex\nproperty float x\nend_header\n", 3),
+    ])
+    def test_eval_bad_pred_ply(self, tmp_path, body, code):
+        pred = tmp_path / "pred.ply"
+        pred.write_bytes(b"ply\n" + body)
+        gt = tmp_path / "gt.xyz"
+        gt.write_text("0 0 0\n")
+        res = run_main("eval", "--pred", pred, "--gt", gt)
+        assert res.returncode == code, res.stderr
+
     def test_trailing_bytes_exit_4(self, dataset, tmp_path):
         root, _ = dataset
         bad = tmp_path / "bad.dbtsdf"

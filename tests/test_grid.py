@@ -45,6 +45,20 @@ class TestNewGrid:
         with pytest.raises(ResourceError):
             new_grid((100, 100, 100), 0.1, memory_cap=1_000_000)
 
+    def test_threshold_order(self):
+        with pytest.raises(ConfigurationError):
+            new_grid((4, 4, 4), 0.1, h_max=3, t_occ=5)
+
+    def test_zero_threshold_rejected(self):
+        with pytest.raises(ConfigurationError):
+            new_grid((4, 4, 4), 0.1, t_occ=0)
+
+    def test_thresholds_are_fixed(self):
+        g = new_grid((4, 4, 4), 0.1, h_max=3, t_occ=1)
+        assert (g.h_max, g.t_occ) == (3, 1)
+        with pytest.raises(AttributeError):
+            g.t_occ = 2
+
 
 class TestWorldToVoxel:
     def test_origin_corner(self):

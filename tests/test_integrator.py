@@ -26,19 +26,11 @@ def identity_pose():
     return np.eye(4)
 
 
-def fresh_grid(n=41, voxel_size=0.1):
-    return new_grid((n, n, n), voxel_size)
+def fresh_grid(n=41, voxel_size=0.1, h_max=255, t_occ=2):
+    return new_grid((n, n, n), voxel_size, h_max=h_max, t_occ=t_occ)
 
 
 class TestParams:
-    def test_threshold_order(self):
-        with pytest.raises(ConfigurationError):
-            IntegrationParams(h_max=3, t_occ=5)
-
-    def test_zero_threshold_rejected(self):
-        with pytest.raises(ConfigurationError):
-            IntegrationParams(t_occ=0)
-
     def test_bad_mode(self):
         with pytest.raises(ConfigurationError):
             IntegrationParams(compensation="pitch")
@@ -122,7 +114,7 @@ class TestIntegratePoint:
         assert popcount_array(g.mask)[20, 25, 20] == 5
 
     def test_and_idempotence(self, bank):
-        params = IntegrationParams(t_occ=2)
+        params = IntegrationParams()
         p = np.array([2.05, 2.05, 2.05])
         g1 = fresh_grid()
         integrate_point(g1, bank, p, p - [1, 0, 0], params)
@@ -147,9 +139,9 @@ class TestIntegratePoint:
                                IntegrationParams()) == "discarded"
 
     def test_sign_requires_threshold(self, bank):
-        g = fresh_grid()
+        g = fresh_grid(t_occ=2)
         p = np.array([2.05, 2.05, 2.05])
-        params = IntegrationParams(t_occ=2)
+        params = IntegrationParams()
         integrate_point(g, bank, p, p - [1, 0, 0], params)
         assert g.sign[20, 20, 20] != SIGN_OCCUPIED  # one hit < T
         integrate_point(g, bank, p, p - [1, 0, 0], params)
@@ -209,6 +201,15 @@ class TestIntegrateFrame:
             prev = cur
             prev_sign = g.sign.copy()
 
+    def test_thresholds_fixed_across_frames(self, bank):
+        rng = np.random.default_rng(16)
+        g = fresh_grid(h_max=3, t_occ=2)
+        for _ in range(6):
+            integrate_frame(g, bank, random_frame(rng, 100), IntegrationParams())
+        assert (g.h_max, g.t_occ) == (3, 2)
+        assert g.hits.max() == 3
+        assert np.array_equal(g.sign == SIGN_OCCUPIED, g.hits >= 2)
+
     def test_voxels_written_counts_changed_masks(self, bank):
         g = fresh_grid()
         scan = random_frame(np.random.default_rng(17), n=300)
@@ -249,9 +250,9 @@ class TestIntegrateFrame:
     def test_first_return_per_voxel(self, bank):
         p = np.array([[2.05, 2.05, 2.05], [2.06, 2.06, 2.06]])  # same voxel
         scan = ScanFrame(points=p, pose=identity_pose())
-        g = fresh_grid()
+        g = fresh_grid(t_occ=1)
         integrate_frame(g, bank, scan,
-                        IntegrationParams(first_return_per_voxel=True, t_occ=1))
+                        IntegrationParams(first_return_per_voxel=True))
         assert g.hits[20, 20, 20] == 1
 
     def test_transform_applied(self, bank):
@@ -280,22 +281,22 @@ class TestFrameHitAggregation:
 
     @pytest.mark.parametrize("h_max, n, expected", [(3, 10, 3), (255, 300, 255)])
     def test_saturates(self, bank, h_max, n, expected):
-        params = IntegrationParams(h_max=h_max, t_occ=2)
+        params = IntegrationParams()
         scan = self.one_voxel_scan(n)
-        g = fresh_grid()
+        g = fresh_grid(h_max=h_max)
         stats = integrate_frame(g, bank, scan, params)
         assert stats.points_discarded == 0
         assert g.hits[20, 20, 20] == expected
         assert g.sign[20, 20, 20] == SIGN_OCCUPIED
-        ref = self.sequential(bank, scan, params, fresh_grid())
+        ref = self.sequential(bank, scan, params, fresh_grid(h_max=h_max))
         assert np.array_equal(g.hits, ref.hits)
         assert np.array_equal(g.sign, ref.sign)
         assert np.array_equal(g.mask, ref.mask)
 
     def test_count_above_h_max_is_kept(self, bank):
-        params = IntegrationParams(h_max=3, t_occ=2)
+        params = IntegrationParams()
         scan = self.one_voxel_scan(10)
-        g, ref = fresh_grid(), fresh_grid()
+        g, ref = fresh_grid(h_max=3), fresh_grid(h_max=3)
         g.hits[20, 20, 20] = ref.hits[20, 20, 20] = 9
         integrate_frame(g, bank, scan, params)
         assert g.hits[20, 20, 20] == 9
@@ -316,10 +317,9 @@ def test_frame_path_matches_oracle(shadow_model):
     pts = pts[np.linalg.norm(pts - sensor, axis=1) >= vs]
     pose = make_pose(Rotation.identity(), sensor)
     bank = build_kernel_bank(size=21, shadow_radius=3, shadow_model=shadow_model)
-    grid = new_grid(dims, vs)
-    params = IntegrationParams(h_max=30, t_occ=2)
+    grid = new_grid(dims, vs, h_max=30, t_occ=2)
     stats = integrate_frame(grid, bank, ScanFrame(points=pts - sensor, pose=pose),
-                            params)
+                            IntegrationParams())
     oracle = brute_force_field(pts, pts - sensor, dims, vs, (0, 0, 0),
                                shadow_radius=3, shadow_model=shadow_model,
                                h_max=30, t_occ=2)

@@ -128,6 +128,28 @@ class TestPLY:
         with pytest.raises(FormatError):
             bio.read_scan(p)
 
+    def test_truncated_ascii_mesh(self, tmp_path):
+        p = tmp_path / "tr.ply"
+        p.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "element face 1\nproperty list uchar int vertex_indices\n"
+            "end_header\n0 0 0\n1 0 0\n"
+        )
+        with pytest.raises(CorruptionError):
+            bio.read_mesh_ply(p)
+
+    def test_unsupported_binary_type(self, tmp_path):
+        p = tmp_path / "half.ply"
+        p.write_bytes(
+            b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+            b"property half x\nproperty half y\nproperty half z\n"
+            b"end_header\n" + bytes(6)
+        )
+        for read in (bio.read_scan, bio.read_mesh_ply):
+            with pytest.raises(FormatError, match="half"):
+                read(p)
+
     def test_truncated_binary_vertices(self, tmp_path):
         m = cube_mesh()
         p = tmp_path / "tr.ply"
@@ -217,14 +239,13 @@ class TestLookupPose:
 class TestGridSnapshot:
     def _random_grid(self):
         rng = np.random.default_rng(8)
-        g = new_grid((9, 7, 5), 0.2, origin=(-1, 0.5, 2))
+        g = new_grid((9, 7, 5), 0.2, origin=(-1, 0.5, 2), h_max=100, t_occ=3)
         g.mask[...] = np.array(
             [run_mask(k) for k in rng.integers(0, 33, g.num_voxels)],
             dtype=np.uint32,
         ).reshape(g.dims)
         g.hits[...] = rng.integers(0, 256, g.dims)
         g.sign[...] = rng.integers(0, 2, g.dims)
-        g.h_max, g.t_occ = 100, 3
         return g
 
     def test_round_trip(self, tmp_path):
@@ -279,6 +300,16 @@ class TestGridSnapshot:
         with pytest.raises(CorruptionError, match="trailing"):
             bio.load_grid(p)
 
+    @pytest.mark.parametrize("h_max, t_occ", [(255, 0), (3, 9)])
+    def test_thresholds_out_of_order(self, tmp_path, h_max, t_occ):
+        p = tmp_path / "g.dbtsdf"
+        bio.save_grid(new_grid((2, 2, 2), 0.1), p)
+        raw = p.read_bytes()
+        # h_max and t_occ are bytes 44 and 45 of the header, after the magic
+        p.write_bytes(raw[:52] + bytes([h_max, t_occ]) + raw[54:])
+        with pytest.raises(CorruptionError, match="T"):
+            bio.load_grid(p)
+
 
 class TestCSVExport:
     def test_fresh_grid_zero_rows(self, tmp_path):
@@ -288,11 +319,10 @@ class TestCSVExport:
         assert p.read_text().strip() == bio.CSV_HEADER
 
     def test_occupied_rows_match_shadow_size(self, tmp_path):
-        g = new_grid((41, 41, 41), 0.1)
+        g = new_grid((41, 41, 41), 0.1, t_occ=1)
         bank = build_kernel_bank(shadow_radius=3)
         p_map = np.array([2.05, 2.05, 2.05])
-        integrate_point(g, bank, p_map, p_map - [1, 0, 0],
-                        IntegrationParams(t_occ=1))
+        integrate_point(g, bank, p_map, p_map - [1, 0, 0], IntegrationParams())
         from bitsdf.kernels import bin_index
 
         b_a, b_e = bin_index((1, 0, 0), 40, 40)
@@ -301,11 +331,10 @@ class TestCSVExport:
         assert bio.export_grid_csv(g, out, "occupied_only") == expected
 
     def test_round_trip_values(self, tmp_path):
-        g = new_grid((41, 41, 41), 0.1)
+        g = new_grid((41, 41, 41), 0.1, t_occ=1)
         bank = build_kernel_bank(shadow_radius=2)
         p_map = np.array([2.05, 2.05, 2.05])
-        integrate_point(g, bank, p_map, p_map - [1, 0, 0],
-                        IntegrationParams(t_occ=1))
+        integrate_point(g, bank, p_map, p_map - [1, 0, 0], IntegrationParams())
         out = tmp_path / "g.csv"
         n = bio.export_grid_csv(g, out, "observed")
         table = np.genfromtxt(out, delimiter=",", names=True)

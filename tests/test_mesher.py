@@ -78,7 +78,7 @@ class TestExtractMesh:
         pose = np.eye(4)
         pose[:3, 3] = (1.0, 1.0, 2.5)  # sensor above, looking down
         scan = ScanFrame(points=pts - pose[:3, 3], pose=pose)
-        integrate_frame(g, bank, scan, IntegrationParams(t_occ=2))
+        integrate_frame(g, bank, scan, IntegrationParams())
         m = extract_mesh(g)
         assert not m.is_empty
         # keep vertices near the plane interior, away from rim effects

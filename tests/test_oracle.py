@@ -56,7 +56,7 @@ class TestCompare:
         vs = 0.1
         g = new_grid(dims, vs)
         bank = build_kernel_bank(shadow_radius=3)
-        params = IntegrationParams(t_occ=2)
+        params = IntegrationParams()
         pts = rng.uniform(10 * vs + 1e-3, (64 - 11) * vs, size=(n, 3))
         dirs = rng.normal(size=(n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
