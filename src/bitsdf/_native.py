@@ -1,0 +1,101 @@
+"""Build and load the compiled fusion pass in ``_fuse.c``.
+
+The first fusion in a process asks for the library. It is compiled with the
+system C compiler (``cc -O3 -shared -fPIC``) into the package's
+``__pycache__/``, under a name holding the SHA-256 of the source, so a
+library is built once per source and a stale one is never loaded. The file is
+written under a temporary name and renamed into place, so a concurrent
+process sees either no library or a whole one. When compiling or loading
+fails (no compiler, read-only install), one line goes to stderr and fusion
+runs its numpy code, which gives the same grid.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_fuse.c")
+CACHE_DIR = Path(__file__).with_name("__pycache__")
+CC = "cc"
+
+# The loaded bitsdf_fuse: None until the first fusion asks, False when it
+# could not be built or loaded.
+_lib = None
+
+
+def build(source: Path, cache_dir: Path, cc: str) -> Path:
+    """The shared library compiled from ``source``, built into ``cache_dir``
+    unless a library of the same source hash is already there."""
+    text = source.read_bytes()
+    lib = cache_dir / f"_fuse.{hashlib.sha256(text).hexdigest()}.so"
+    if lib.exists():
+        return lib
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix="_fuse.", suffix=".tmp", dir=cache_dir)
+    os.close(fd)
+    try:
+        # The bytes that were hashed are the bytes compiled.
+        subprocess.run(
+            [cc, "-O3", "-shared", "-fPIC", "-x", "c", "-o", tmp, "-"],
+            input=text, capture_output=True, check=True,
+        )
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+def _bind(path: Path):
+    fn = ctypes.CDLL(str(path)).bitsdf_fuse
+
+    def array(dtype, writeable=False):
+        flags = ("C_CONTIGUOUS", "WRITEABLE") if writeable else "C_CONTIGUOUS"
+        return np.ctypeslib.ndpointer(dtype, flags=flags)
+
+    i64 = ctypes.c_int64
+    fn.argtypes = [
+        array(np.uint32, True),  # mask
+        array(np.uint8, True),  # hits
+        array(np.uint8, True),  # sign
+        array(np.uint64, True),  # seen: changed-voxel bitmap
+        array(np.int64),  # dims
+        array(np.uint32),  # distance kernel (K, K, K)
+        i64,  # K
+        array(np.int64),  # center flat indices
+        array(np.int64),  # bins
+        i64,  # returns
+        array(np.bool_),  # shadow table (bins, m)
+        array(np.int64),  # ball flat offsets (m,)
+        i64,  # m
+        i64,  # h_max
+        i64,  # t_occ
+    ]
+    fn.restype = i64
+    return fn
+
+
+def fuse_pass():
+    """The compiled ``bitsdf_fuse``, or None when it is unavailable."""
+    global _lib
+    if _lib is None:
+        try:
+            _lib = _bind(build(SOURCE, CACHE_DIR, CC))
+        except (OSError, subprocess.CalledProcessError) as e:
+            detail = e.stderr.decode(errors="replace") if getattr(e, "stderr", None) else str(e)
+            first = (detail.strip().splitlines() or [type(e).__name__])[0]
+            print(
+                f"warning: cannot build the compiled fusion pass ({first}); "
+                "fusing with numpy, which gives the same grid more slowly",
+                file=sys.stderr,
+            )
+            _lib = False
+    return _lib or None

@@ -197,7 +197,11 @@ def _parse_ply_header(raw: bytes, path: Path):
             if tok[0] == "format":
                 fmt = tok[1]
             elif tok[0] == "element":
-                elements.append((tok[1], int(tok[2]), []))
+                count = int(tok[2])
+                if count < 0:
+                    raise CorruptionError(
+                        f"{path}: negative PLY element count {count} for {tok[1]}")
+                elements.append((tok[1], count, []))
             elif tok[0] == "property":
                 if not elements:
                     raise FormatError(f"{path}: PLY property before element")

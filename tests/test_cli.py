@@ -252,6 +252,10 @@ class TestMeshEvalExportInfo:
          b"property half y\nproperty half z\nend_header\n" + bytes(6), 3),
         # an element line without a count
         (b"format ascii 1.0\nelement vertex\nproperty float x\nend_header\n", 3),
+        # a negative count, over a body of 12 doubles
+        (b"format binary_little_endian 1.0\nelement vertex -1\nproperty double x\n"
+         b"property double y\nproperty double z\nend_header\n"
+         + np.arange(12.0).tobytes(), 4),
     ])
     def test_eval_bad_pred_ply(self, tmp_path, body, code):
         pred = tmp_path / "pred.ply"

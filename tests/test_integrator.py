@@ -1,9 +1,13 @@
+import shutil
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from bitsdf import _native
 from bitsdf.errors import ConfigurationError
-from bitsdf.grid import FULL_MASK, SIGN_OCCUPIED, new_grid, popcount_array
+from bitsdf.grid import FULL_MASK, SIGN_OCCUPIED, new_grid, popcount_array, to_records
 from bitsdf.integrator import (
     FrameStats,
     IntegrationParams,
@@ -28,6 +32,22 @@ def identity_pose():
 
 def fresh_grid(n=41, voxel_size=0.1, h_max=255, t_occ=2):
     return new_grid((n, n, n), voxel_size, h_max=h_max, t_occ=t_occ)
+
+
+def use_path(path, monkeypatch):
+    """Fuse with the compiled pass ("c") or with the numpy code that runs
+    where it cannot be built ("numpy")."""
+    if path == "numpy":
+        monkeypatch.setattr(_native, "_lib", False)
+    elif _native.fuse_pass() is None:
+        if shutil.which(_native.CC):
+            pytest.fail("a C compiler is present but _fuse.c did not build")
+        pytest.skip("no C compiler")
+
+
+@pytest.fixture
+def numpy_path(monkeypatch):
+    use_path("numpy", monkeypatch)
 
 
 class TestParams:
@@ -327,3 +347,116 @@ def test_frame_path_matches_oracle(shadow_model):
     assert oracle.hits.max() == 30
     diff = compare(grid, oracle)
     assert diff.empty, diff.to_text()
+
+
+@pytest.mark.parametrize("path", ["c", "numpy"])
+@pytest.mark.parametrize("size", [1, 3, 41])
+def test_kernel_sizes_match_oracle(size, path, monkeypatch):
+    # Every odd kernel size is fused as the oracle says, up to K = 41 whose
+    # outer offsets lie beyond the 32-cell mask.
+    use_path(path, monkeypatch)
+    rng = np.random.default_rng(44)
+    dims, vs, r = (48, 48, 48), 0.1, size // 2
+    sensor = np.array([2.43, 2.38, 2.41])
+    pts = rng.uniform(19 * vs, 29 * vs, size=(1_000, 3))
+    pts = pts[np.linalg.norm(pts - sensor, axis=1) >= vs]
+    bank = build_kernel_bank(size=size, shadow_radius=min(3, r))
+    grid = new_grid(dims, vs, h_max=30, t_occ=2)
+    scan = ScanFrame(points=pts - sensor, pose=make_pose(Rotation.identity(), sensor))
+    stats = integrate_frame(grid, bank, scan, IntegrationParams())
+    oracle = brute_force_field(pts, pts - sensor, dims, vs, (0, 0, 0),
+                               half_extent=r, shadow_radius=min(3, r),
+                               h_max=30, t_occ=2)
+    assert stats.points_discarded < stats.points_in
+    diff = compare(grid, oracle)
+    assert diff.empty, diff.to_text()
+
+
+class TestNumpyPath:
+    """Frame checks that run on the default path, the compiled pass wherever
+    it builds, repeated on the numpy code that fuses where it does not."""
+
+    @pytest.mark.parametrize("shadow_model", ["hemisphere", "cone"])
+    def test_frame_path_matches_oracle(self, numpy_path, shadow_model):
+        test_frame_path_matches_oracle(shadow_model)
+
+    def test_voxels_written_counts_changed_masks(self, numpy_path, bank):
+        TestIntegrateFrame().test_voxels_written_counts_changed_masks(bank)
+
+    def test_first_return_per_voxel(self, numpy_path, bank):
+        TestIntegrateFrame().test_first_return_per_voxel(bank)
+
+
+class TestFrameHitAggregationNumpy(TestFrameHitAggregation):
+    @pytest.fixture(autouse=True)
+    def _numpy(self, numpy_path):
+        pass
+
+
+def test_compiled_pass_memory(monkeypatch):
+    # No (returns x shadow ball) temporaries: one 5,000-return frame at
+    # shadow radius 10 (4,169 ball offsets) stays far below 32 MiB.
+    use_path("c", monkeypatch)
+    rng = np.random.default_rng(45)
+    sensor = np.array([3.23, 3.18, 3.21])
+    pts = rng.uniform(1.0, 5.4, size=(5_000, 3))
+    pts = pts[np.linalg.norm(pts - sensor, axis=1) >= 0.1]
+    bank = build_kernel_bank(shadow_radius=10)
+    grid = fresh_grid(n=64)
+    scan = ScanFrame(points=pts - sensor, pose=make_pose(Rotation.identity(), sensor))
+    tracemalloc.start()
+    try:
+        stats = integrate_frame(grid, bank, scan, IntegrationParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.points_discarded == 0
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestNativeBuild:
+    def test_missing_compiler_falls_back(self, bank, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(46)
+        scans = [random_frame(rng, 300) for _ in range(2)]
+        ref = fresh_grid()
+        for scan in scans:
+            integrate_frame(ref, bank, scan, IntegrationParams())
+        capsys.readouterr()
+        monkeypatch.setattr(_native, "_lib", None)
+        monkeypatch.setattr(_native, "CACHE_DIR", tmp_path)
+        monkeypatch.setattr(_native, "CC", str(tmp_path / "no-such-cc"))
+        g = fresh_grid()
+        for scan in scans:
+            integrate_frame(g, bank, scan, IntegrationParams())
+        assert _native._lib is False
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert to_records(g).tobytes() == to_records(ref).tobytes()
+
+    def test_cache_keyed_by_source(self, tmp_path, monkeypatch, capsys):
+        cc = _native.CC
+        if shutil.which(cc) is None:
+            pytest.skip("no C compiler")
+        src, cache = tmp_path / "_fuse.c", tmp_path / "cache"
+        src.write_bytes(_native.SOURCE.read_bytes())
+        built = _native.build(src, cache, cc)
+        # Built once per source: the cached library needs no compiler.
+        assert _native.build(src, cache, str(tmp_path / "no-such-cc")) == built
+        # After an edit the cached library is stale and is not loaded.
+        src.write_bytes(src.read_bytes() + b"\n/* edited */\n")
+        monkeypatch.setattr(_native, "_lib", None)
+        monkeypatch.setattr(_native, "SOURCE", src)
+        monkeypatch.setattr(_native, "CACHE_DIR", cache)
+        monkeypatch.setattr(_native, "CC", str(tmp_path / "no-such-cc"))
+        assert _native.fuse_pass() is None
+        assert "no-such-cc" in capsys.readouterr().err
+        rebuilt = _native.build(src, cache, cc)
+        assert rebuilt != built
+        assert sorted(cache.iterdir()) == sorted([built, rebuilt])
+
+    def test_mismatched_bank_rejected(self, monkeypatch):
+        use_path("c", monkeypatch)
+        bank = build_kernel_bank(shadow_radius=3)
+        bank.distance_kernel = bank.distance_kernel[:, :, :5].copy()
+        with pytest.raises(ConfigurationError):
+            integrate_point(fresh_grid(), bank, [2.05] * 3, [1.0, 2.0, 2.0],
+                            IntegrationParams())

@@ -150,6 +150,16 @@ class TestPLY:
             with pytest.raises(FormatError, match="half"):
                 read(p)
 
+    def test_negative_element_count(self, tmp_path):
+        p = tmp_path / "neg.ply"
+        p.write_bytes(
+            b"ply\nformat binary_little_endian 1.0\nelement vertex -1\n"
+            b"property double x\nproperty double y\nproperty double z\n"
+            b"end_header\n" + np.arange(12.0).tobytes()
+        )
+        with pytest.raises(CorruptionError, match="negative"):
+            bio.read_scan(p)
+
     def test_truncated_binary_vertices(self, tmp_path):
         m = cube_mesh()
         p = tmp_path / "tr.ply"
