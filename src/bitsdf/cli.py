@@ -344,7 +344,7 @@ def bench(config_path, voxel_sizes, repeats, out, as_json):
 def info(snapshot, as_json):
     """Print snapshot header and occupancy summary."""
     grid = bio.load_grid(snapshot)
-    observed = int(np.count_nonzero(observed_array(grid)))
+    observed = int(np.count_nonzero(observed_array(grid.mask, grid.hits)))
     occupied = int(np.count_nonzero(grid.sign == 0))
     payload = {
         "dims": list(grid.dims),

@@ -163,9 +163,10 @@ def signed_distance(grid: VoxelGrid, ix, iy, iz):
     return sigma * d * grid.voxel_size
 
 
-def observed_array(grid: VoxelGrid) -> np.ndarray:
-    """Boolean array marking voxels touched by at least one integration."""
-    return ~((grid.mask == FULL_MASK) & (grid.hits == 0))
+def observed_array(mask: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """Boolean array marking voxels touched by at least one integration,
+    from their masks and hit counts (any matching shapes)."""
+    return ~((mask == FULL_MASK) & (hits == 0))
 
 
 def popcount_array(masks: np.ndarray) -> np.ndarray:
@@ -177,7 +178,7 @@ def signed_distance_field(grid: VoxelGrid):
     +32*voxel_size placeholders and must be gated by the observed array."""
     dist = popcount_array(grid.mask).astype(np.float64) * grid.voxel_size
     sigma = np.where(grid.sign == SIGN_OCCUPIED, -1.0, 1.0)
-    return sigma * dist, observed_array(grid)
+    return sigma * dist, observed_array(grid.mask, grid.hits)
 
 
 def to_records(grid: VoxelGrid) -> np.ndarray:

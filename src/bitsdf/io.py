@@ -23,7 +23,6 @@ from .grid import (
     VoxelGrid,
     from_records,
     observed_array,
-    signed_distance_field,
     to_records,
 )
 from .mesher import TriangleMesh
@@ -386,6 +385,20 @@ def write_mesh(mesh: TriangleMesh, path, fmt: str = "ply_binary") -> None:
         raise FormatError(f"unknown mesh format {fmt!r}")
 
 
+# Text writers format at most this many rows per string (the CSV export
+# scans this many voxels per block), so their extra memory does not grow
+# with the row count.
+_ROWS_PER_CHUNK = 8192
+
+
+def _format_rows(row_fmt: str, table: np.ndarray):
+    """Yield ``row_fmt % row`` for every row of a 2-D table, joined over
+    chunks of rows with one ``%`` operation per chunk."""
+    for start in range(0, table.shape[0], _ROWS_PER_CHUNK):
+        chunk = table[start : start + _ROWS_PER_CHUNK]
+        yield row_fmt * chunk.shape[0] % tuple(chunk.ravel().tolist())
+
+
 def _write_ply(mesh: TriangleMesh, path: Path, binary: bool) -> None:
     nv, nf = mesh.vertices.shape[0], mesh.triangles.shape[0]
     with_normals = mesh.normals is not None
@@ -410,20 +423,20 @@ def _write_ply(mesh: TriangleMesh, path: Path, binary: bool) -> None:
                 faces["idx"] = mesh.triangles
                 f.write(faces.tobytes())
         else:
-            np.savetxt(f, verts, fmt="%.17g")
-            for tri in mesh.triangles:
-                f.write(f"3 {tri[0]} {tri[1]} {tri[2]}\n".encode("ascii"))
+            vert_fmt = " ".join(["%.17g"] * verts.shape[1]) + "\n"
+            for text in _format_rows(vert_fmt, verts):
+                f.write(text.encode("ascii"))
+            for text in _format_rows("3 %d %d %d\n", mesh.triangles):
+                f.write(text.encode("ascii"))
 
 
 def _write_obj(mesh: TriangleMesh, path: Path) -> None:
     with open(path, "w") as f:
-        for v in mesh.vertices:
-            f.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        f.writelines(_format_rows("v %.17g %.17g %.17g\n", mesh.vertices))
         if mesh.normals is not None:
-            for n in mesh.normals:
-                f.write(f"vn {n[0]:.17g} {n[1]:.17g} {n[2]:.17g}\n")
-        for tri in mesh.triangles:  # OBJ indices are 1-based
-            f.write(f"f {tri[0] + 1} {tri[1] + 1} {tri[2] + 1}\n")
+            f.writelines(_format_rows("vn %.17g %.17g %.17g\n", mesh.normals))
+        # OBJ indices are 1-based
+        f.writelines(_format_rows("f %d %d %d\n", mesh.triangles + 1))
 
 
 def read_mesh_ply(path) -> TriangleMesh:
@@ -491,25 +504,63 @@ def load_grid(path) -> VoxelGrid:
 CSV_HEADER = "x,y,z,sdf,hits,sign"
 
 
+def _csv_tail(key: int, voxel_size: float) -> str:
+    """The "sdf,hits,sign" end of a CSV row for a key popcount << 16 |
+    sign << 8 | hits, with the arithmetic of signed_distance_field."""
+    pc, sign, hits = key >> 16, (key >> 8) & 0xFF, key & 0xFF
+    sdf = (-1.0 if sign == SIGN_OCCUPIED else 1.0) * (float(pc) * voxel_size)
+    return "%.17g,%d,%d\n" % (sdf, hits, sign)
+
+
 def export_grid_csv(grid: VoxelGrid, path, include: str = "observed") -> int:
-    """Dump selected voxels as CSV rows (voxel centers in meters); returns
-    the row count. include: "observed" or "occupied_only"."""
-    if include == "observed":
-        sel = observed_array(grid)
-    elif include == "occupied_only":
-        sel = grid.sign == SIGN_OCCUPIED
-    else:
+    """Dump selected voxels as CSV rows (voxel centers in meters) in
+    np.nonzero order; returns the row count. include: "observed" or
+    "occupied_only".
+
+    A row has few distinct fields: a center coordinate takes one value per
+    index along its axis, and "sdf,hits,sign" depends only on (popcount,
+    sign, hits). Each distinct field is formatted once ("%.17g" / "%d"),
+    and the grid is scanned in blocks of _ROWS_PER_CHUNK voxels, so extra
+    memory does not grow with the grid or the row count."""
+    if include not in ("observed", "occupied_only"):
         raise FormatError(f"unknown CSV selection {include!r}")
-    field, _ = signed_distance_field(grid)
-    ix, iy, iz = np.nonzero(sel)
-    centers = grid.origin + (np.stack([ix, iy, iz], axis=1) + 0.5) * grid.voxel_size
+    _, ny, nz = grid.dims
+    # Same float operations, in the same order, as origin + (i + 0.5) * size
+    # on the stacked indices, so every string matches a per-row format.
+    axes = [
+        np.array(["%.17g," % c for c in
+                  (grid.origin[a] + (np.arange(n) + 0.5) * grid.voxel_size).tolist()],
+                 dtype=object)
+        for a, n in enumerate(grid.dims)
+    ]
+    mask, sign, hits = (a.reshape(-1) for a in (grid.mask, grid.sign, grid.hits))
+    tails: dict[int, str] = {}
+    rows = 0
     with open(path, "w") as f:
         f.write(CSV_HEADER + "\n")
-        for (x, y, z), sdf, h, s in zip(
-            centers, field[ix, iy, iz], grid.hits[ix, iy, iz], grid.sign[ix, iy, iz]
-        ):
-            f.write(f"{x:.17g},{y:.17g},{z:.17g},{sdf:.17g},{int(h)},{int(s)}\n")
-    return int(ix.size)
+        for start in range(0, mask.size, _ROWS_PER_CHUNK):
+            block = slice(start, start + _ROWS_PER_CHUNK)
+            if include == "observed":
+                sel = observed_array(mask[block], hits[block])
+            else:
+                sel = sign[block] == SIGN_OCCUPIED
+            idx = np.flatnonzero(sel)
+            if idx.size == 0:
+                continue
+            m, s, h = mask[block][idx], sign[block][idx], hits[block][idx]
+            iyz, iz = np.divmod(idx + start, nz)
+            ix, iy = np.divmod(iyz, ny)
+            key = (np.bitwise_count(m).astype(np.int64) << 16) | (
+                s.astype(np.int64) << 8) | h
+            keys, inv = np.unique(key, return_inverse=True)
+            for k in keys.tolist():
+                if k not in tails:
+                    tails[k] = _csv_tail(k, grid.voxel_size)
+            tail = np.array([tails[k] for k in keys.tolist()], dtype=object)
+            table = np.stack([axes[0][ix], axes[1][iy], axes[2][iz], tail[inv]], axis=1)
+            f.write("".join(table.ravel().tolist()))
+            rows += idx.size
+    return rows
 
 
 # ---------------------------------------------------------------------------

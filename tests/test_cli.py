@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,10 +54,17 @@ def dataset(tmp_path_factory):
     return root, cfg_path
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_main(*args):
+    # The child does not inherit pytest's `pythonpath`: put this checkout's
+    # src first on its PYTHONPATH so an uninstalled tree imports bitsdf.
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run(
         [sys.executable, "-m", "bitsdf.cli", *map(str, args)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
 
 

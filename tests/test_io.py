@@ -1,9 +1,20 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bitsdf import io as bio
 from bitsdf.errors import CorruptionError, FormatError
-from bitsdf.grid import SIGN_OCCUPIED, grids_equal, new_grid, run_mask
+from bitsdf.grid import (
+    FULL_MASK,
+    SIGN_OCCUPIED,
+    grids_equal,
+    new_grid,
+    observed_array,
+    run_mask,
+    signed_distance_field,
+)
 from bitsdf.integrator import IntegrationParams, integrate_point
 from bitsdf.kernels import build_kernel_bank
 from bitsdf.mesher import TriangleMesh, vertex_normals
@@ -20,6 +31,54 @@ def cube_mesh():
         dtype=np.int64,
     )
     return TriangleMesh(vertices=v, triangles=f)
+
+
+def random_mesh(rng, nv=9000, nf=17000, normals=True):
+    """More vertices and faces than one formatting chunk, with values that
+    need all 17 significant digits."""
+    v = rng.normal(scale=3.0, size=(nv, 3))
+    n = rng.normal(size=(nv, 3)) if normals else None
+    f = rng.integers(0, nv, size=(nf, 3), dtype=np.int64)
+    return TriangleMesh(vertices=v, triangles=f, normals=n)
+
+
+# Per-row reference writers: the text formats as written one line at a time.
+
+def reference_obj(mesh, path):
+    with open(path, "w") as f:
+        for v in mesh.vertices:
+            f.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        if mesh.normals is not None:
+            for n in mesh.normals:
+                f.write(f"vn {n[0]:.17g} {n[1]:.17g} {n[2]:.17g}\n")
+        for tri in mesh.triangles:
+            f.write(f"f {tri[0] + 1} {tri[1] + 1} {tri[2] + 1}\n")
+
+
+def reference_ply_ascii_body(mesh) -> bytes:
+    verts = mesh.vertices
+    if mesh.normals is not None:
+        verts = np.column_stack([mesh.vertices, mesh.normals])
+    f = io.BytesIO()
+    np.savetxt(f, verts, fmt="%.17g")
+    for tri in mesh.triangles:
+        f.write(f"3 {tri[0]} {tri[1]} {tri[2]}\n".encode("ascii"))
+    return f.getvalue()
+
+
+def reference_csv(grid, path, include):
+    sel = (observed_array(grid.mask, grid.hits) if include == "observed"
+           else grid.sign == SIGN_OCCUPIED)
+    field, _ = signed_distance_field(grid)
+    ix, iy, iz = np.nonzero(sel)
+    centers = grid.origin + (np.stack([ix, iy, iz], axis=1) + 0.5) * grid.voxel_size
+    with open(path, "w") as f:
+        f.write(bio.CSV_HEADER + "\n")
+        for (x, y, z), sdf, h, s in zip(
+            centers, field[ix, iy, iz], grid.hits[ix, iy, iz], grid.sign[ix, iy, iz]
+        ):
+            f.write(f"{x:.17g},{y:.17g},{z:.17g},{sdf:.17g},{int(h)},{int(s)}\n")
+    return int(ix.size)
 
 
 class TestReadScanPCD:
@@ -100,6 +159,17 @@ class TestPLY:
         assert np.array_equal(back.triangles, m.triangles)
         assert np.array_equal(back.normals, m.normals)
 
+    @pytest.mark.parametrize("normals", [False, True])
+    def test_ascii_bytes_match_per_row_writer(self, tmp_path, normals):
+        rng = np.random.default_rng(8)
+        empty = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+        for mesh in (random_mesh(rng, normals=normals), cube_mesh(), empty):
+            p = tmp_path / "m.ply"
+            bio.write_mesh(mesh, p, "ply_ascii")
+            raw = p.read_bytes()
+            body = raw[raw.index(b"end_header\n") + len(b"end_header\n"):]
+            assert body == reference_ply_ascii_body(mesh)
+
     def test_empty_mesh_valid_file(self, tmp_path):
         m = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
         for fmt in ("ply_binary", "ply_ascii"):
@@ -177,6 +247,15 @@ class TestOBJ:
         faces = [ln for ln in lines if ln.startswith("f ")]
         assert faces[0] == "f 1 3 2"
         assert all(int(tok) >= 1 for ln in faces for tok in ln.split()[1:])
+
+    @pytest.mark.parametrize("normals", [False, True])
+    def test_bytes_match_per_row_writer(self, tmp_path, normals):
+        rng = np.random.default_rng(7)
+        for mesh in (random_mesh(rng, normals=normals), cube_mesh()):
+            got, want = tmp_path / "got.obj", tmp_path / "want.obj"
+            bio.write_mesh(mesh, got, "obj")
+            reference_obj(mesh, want)
+            assert got.read_bytes() == want.read_bytes()
 
 
 class TestXYZ:
@@ -358,3 +437,52 @@ class TestCSVExport:
         assert row.shape[0] == 1
         assert row["sdf"][0] == 0.0
         assert row["sign"][0] == SIGN_OCCUPIED
+
+    @pytest.mark.parametrize("voxel_size", [0.05, 0.1, 0.3])
+    def test_bytes_match_per_row_loop(self, tmp_path, voxel_size):
+        # More voxels than one scan block, so rows cross block seams.
+        rng = np.random.default_rng(int(voxel_size * 100))
+        g = new_grid((23, 19, 29), voxel_size, origin=(-1.2345678, -0.987654, -3.21))
+        observed = rng.random(g.dims) < 0.4
+        runs = np.array([run_mask(k) for k in range(33)], dtype=np.uint32)
+        g.mask[observed] = runs[rng.integers(0, 33, observed.sum())]
+        g.hits[observed] = rng.integers(0, 256, observed.sum())
+        g.sign[...] = rng.integers(0, 2, g.dims)
+        # observed with a full mask, or with no hits
+        g.mask[0, 0, :3] = FULL_MASK
+        g.hits[0, 0, :3] = (1, 255, 0)
+        g.mask[0, 0, 2] = 0
+        for include in ("observed", "occupied_only"):
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            n = bio.export_grid_csv(g, got, include)
+            assert n == reference_csv(g, want, include) > 0
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_empty_selection_bytes(self, tmp_path):
+        g = new_grid((5, 6, 7), 0.1, origin=(-0.3, -0.35, -1.05))
+        g.hits[1, 2, 3] = 1  # observed but free: no occupied_only rows
+        for include, rows in (("observed", 1), ("occupied_only", 0)):
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            assert bio.export_grid_csv(g, got, include) == rows
+            reference_csv(g, want, include)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_unknown_selection_rejected(self, tmp_path):
+        with pytest.raises(FormatError):
+            bio.export_grid_csv(new_grid((2, 2, 2), 0.1), tmp_path / "g.csv", "all")
+
+    def test_memory_does_not_scale_with_grid(self, tmp_path):
+        # A dense float64 field of this grid alone would be 64 MB.
+        g = new_grid((200, 200, 200), 0.05, origin=(-5.0, -5.0, -1.0))
+        flat = np.random.default_rng(3).choice(g.num_voxels, 300, replace=False)
+        g.mask.reshape(-1)[flat] = 0
+        g.hits.reshape(-1)[flat] = 2
+        g.sign.reshape(-1)[flat] = SIGN_OCCUPIED
+        tracemalloc.start()
+        try:
+            n = bio.export_grid_csv(g, tmp_path / "g.csv", "observed")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n == 300
+        assert peak < 4 << 20
