@@ -7,8 +7,11 @@ voxel has all mask bits set, sign free, zero hits; that state is treated as
 "unobserved".
 
 Internally the three fields live in separate numpy arrays of shape
-(nx, ny, nz) so the integrator can use whole-array bit operations. The
-serialized record order follows the linear index ix + nx*(iy + ny*iz).
+(nx, ny, nz) so the integrator can use whole-array bit operations. They are
+stored x fastest (Fortran order), the order of the serialized records, whose
+linear index is ix + nx*(iy + ny*iz): saving and loading copy them
+sequentially, and a z-slab of the grid is one contiguous block. A flat view
+is ``a.ravel(order="F")`` or ``a.T.reshape(-1)``; ``a.reshape(-1)`` copies.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ VOXEL_DTYPE = np.dtype(
 
 DEFAULT_MEMORY_CAP = 8 << 30  # bytes of voxel payload
 
+_FIELD_DTYPES = {"mask": np.dtype(np.uint32), "sign": np.dtype(np.uint8),
+                 "hits": np.dtype(np.uint8)}
+
 
 @dataclass(frozen=True)
 class VoxelGrid:
@@ -45,13 +51,26 @@ class VoxelGrid:
     dims: tuple[int, int, int]
     voxel_size: float
     origin: np.ndarray
-    mask: np.ndarray  # uint32, shape dims
-    sign: np.ndarray  # uint8, shape dims
-    hits: np.ndarray  # uint8, shape dims
+    # Each of shape dims, x fastest (order="F").
+    mask: np.ndarray  # uint32
+    sign: np.ndarray  # uint8
+    hits: np.ndarray  # uint8
     # Occupancy rule, written to the snapshot header: hits saturate at
     # h_max, and a voxel is occupied once its hits reach t_occ.
     h_max: int
     t_occ: int
+
+    def __post_init__(self):
+        # The compiled fusion pass and the snapshot code index the arrays
+        # as flat x-fastest buffers, unchecked.
+        for name, dtype in _FIELD_DTYPES.items():
+            a = getattr(self, name)
+            if a.dtype != dtype or a.shape != self.dims or not a.flags.f_contiguous:
+                raise ConfigurationError(
+                    f"grid {name} must be a {dtype} array of shape {self.dims} "
+                    f"in Fortran order (x fastest), got a {a.dtype} array of "
+                    f"shape {a.shape}, Fortran order {a.flags.f_contiguous}"
+                )
 
     @property
     def num_voxels(self) -> int:
@@ -90,9 +109,9 @@ def new_grid(
         dims=dims,
         voxel_size=float(voxel_size),
         origin=np.asarray(origin, dtype=np.float64).copy(),
-        mask=np.full(dims, FULL_MASK, dtype=np.uint32),
-        sign=np.full(dims, SIGN_FREE, dtype=np.uint8),
-        hits=np.zeros(dims, dtype=np.uint8),
+        mask=np.full(dims, FULL_MASK, dtype=np.uint32, order="F"),
+        sign=np.full(dims, SIGN_FREE, dtype=np.uint8, order="F"),
+        hits=np.zeros(dims, dtype=np.uint8, order="F"),
         h_max=int(h_max),
         t_occ=int(t_occ),
     )
@@ -183,7 +202,7 @@ def signed_distance_field(grid: VoxelGrid):
 
 def to_records(grid: VoxelGrid) -> np.ndarray:
     """Flatten to serialized voxel records in linear-index order
-    (ix + nx*(iy + ny*iz))."""
+    (ix + nx*(iy + ny*iz)), which is the arrays' memory order."""
     rec = np.zeros(grid.num_voxels, dtype=VOXEL_DTYPE)
     rec["mask"] = grid.mask.ravel(order="F")
     rec["sign"] = grid.sign.ravel(order="F")

@@ -158,7 +158,8 @@ def _fuse(grid, bank, pts_map, sensor, params) -> tuple[int, int]:
     centers = centers[ok]
     b_a, b_e = bin_index_array(rays[ok], bank.b_az, bank.b_el)
     bins = b_a * bank.b_el + b_e
-    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    # Flat indices in the grid's memory order, x fastest.
+    strides = np.array([1, dims[0], dims[0] * dims[1]])
     cflat = centers @ strides
     # Stamp in voxel order for cache locality; the result does not depend
     # on the order. np.unique's first indices are already in voxel order.
@@ -171,16 +172,18 @@ def _fuse(grid, bank, pts_map, sensor, params) -> tuple[int, int]:
     fuse_pass = _native.fuse_pass()
     if fuse_pass is None:
         return n_ok, _fuse_numpy(grid, bank, centers, bins, cflat, strides)
-    # The C pass indexes these arrays unchecked.
+    # The C pass indexes these arrays unchecked; VoxelGrid checks its own.
     if (bank.distance_kernel.shape != (bank.size,) * 3
             or bank.shadow.shape != (bank.b_az * bank.b_el, len(bank.shadow_ball))
-            or np.abs(bank.shadow_ball).max(initial=0) > r
-            or {grid.mask.shape, grid.hits.shape, grid.sign.shape} != {grid.dims}):
-        raise ConfigurationError("kernel bank or grid arrays do not match their sizes")
+            or np.abs(bank.shadow_ball).max(initial=0) > r):
+        raise ConfigurationError("kernel bank arrays do not match their sizes")
+    # The pass reads C-ordered (nz, ny, nx) arrays: the transposed views of
+    # the x-fastest grid, with the kernel transposed to match.
     seen = np.zeros(grid.num_voxels // 64 + 2, dtype=np.uint64)
     written = fuse_pass(
-        grid.mask, grid.hits, grid.sign, seen, dims,
-        bank.distance_kernel, bank.size, cflat, bins, cflat.size,
+        grid.mask.T, grid.hits.T, grid.sign.T, seen, dims[::-1].copy(),
+        np.ascontiguousarray(bank.distance_kernel.T), bank.size,
+        cflat, bins, cflat.size,
         bank.shadow, bank.shadow_ball @ strides, bank.shadow.shape[1],
         grid.h_max, grid.t_occ,
     )
@@ -212,11 +215,12 @@ def _fuse_numpy(grid, bank, centers, bins, cflat, strides) -> int:
         (cflat[:, None] + bank.shadow_ball @ strides)[bank.shadow[bins]],
         return_counts=True,
     )
-    hits = grid.hits.reshape(-1)
+    # Flat views in memory order (a plain reshape(-1) would write a copy).
+    hits = grid.hits.T.reshape(-1)
     h = hits[idx].astype(np.int64)
     h = np.where(h >= grid.h_max, h, np.minimum(h + n, grid.h_max))
     hits[idx] = h
-    grid.sign.reshape(-1)[idx[h >= grid.t_occ]] = SIGN_OCCUPIED
+    grid.sign.T.reshape(-1)[idx[h >= grid.t_occ]] = SIGN_OCCUPIED
     return written
 
 

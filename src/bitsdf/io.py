@@ -8,6 +8,7 @@ pair round-trips its own output bit-exactly.
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -385,9 +386,8 @@ def write_mesh(mesh: TriangleMesh, path, fmt: str = "ply_binary") -> None:
         raise FormatError(f"unknown mesh format {fmt!r}")
 
 
-# Text writers format at most this many rows per string (the CSV export
-# scans this many voxels per block), so their extra memory does not grow
-# with the row count.
+# Text writers format at most this many rows per string, so their extra
+# memory does not grow with the row count.
 _ROWS_PER_CHUNK = 8192
 
 
@@ -464,50 +464,63 @@ def read_mesh_ply(path) -> TriangleMesh:
 
 def save_grid(grid: VoxelGrid, path) -> None:
     """Write a DBTSDF01 snapshot: magic, header, voxel records in
-    linear-index order."""
+    linear-index order. The file is written under a temporary name in the
+    same directory and renamed into place, so ``path`` holds either its old
+    contents or the whole new snapshot, never part of one."""
     path = Path(path)
     header = _SNAPSHOT_HEADER.pack(
         *grid.dims, grid.voxel_size, *grid.origin, grid.h_max, grid.t_occ
     )
-    with open(path, "wb") as f:
-        f.write(SNAPSHOT_MAGIC)
-        f.write(header)
-        f.write(to_records(grid).tobytes())
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(SNAPSHOT_MAGIC)
+            f.write(header)
+            to_records(grid).tofile(f)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_grid(path) -> VoxelGrid:
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:8] != SNAPSHOT_MAGIC:
-        raise CorruptionError(f"{path}: bad snapshot magic {raw[:8]!r}")
-    if len(raw) < 8 + _SNAPSHOT_HEADER.size:
-        raise CorruptionError(f"{path}: snapshot header truncated")
-    nx, ny, nz, voxel_size, ox, oy, oz, h_max, t_occ = _SNAPSHOT_HEADER.unpack_from(
-        raw, 8
-    )
-    if min(nx, ny, nz) < 1 or voxel_size <= 0:
-        raise CorruptionError(f"{path}: degenerate snapshot header")
-    n = nx * ny * nz
-    body = raw[8 + _SNAPSHOT_HEADER.size :]
-    if len(body) < n * 8:
-        raise CorruptionError(
-            f"{path}: snapshot payload short ({len(body)} < {n * 8} bytes)"
-        )
-    if len(body) > n * 8:
-        raise CorruptionError(
-            f"{path}: {len(body) - n * 8} trailing bytes after the snapshot payload"
-        )
-    rec = np.frombuffer(body, dtype=VOXEL_DTYPE, count=n)
+    with open(path, "rb") as f:
+        head = f.read(8 + _SNAPSHOT_HEADER.size)
+        if head[:8] != SNAPSHOT_MAGIC:
+            raise CorruptionError(f"{path}: bad snapshot magic {head[:8]!r}")
+        if len(head) < 8 + _SNAPSHOT_HEADER.size:
+            raise CorruptionError(f"{path}: snapshot header truncated")
+        nx, ny, nz, voxel_size, ox, oy, oz, h_max, t_occ = (
+            _SNAPSHOT_HEADER.unpack_from(head, 8))
+        if min(nx, ny, nz) < 1 or voxel_size <= 0:
+            raise CorruptionError(f"{path}: degenerate snapshot header")
+        n = nx * ny * nz
+        body = os.fstat(f.fileno()).st_size - len(head)
+        if body < n * 8:
+            raise CorruptionError(
+                f"{path}: snapshot payload short ({body} < {n * 8} bytes)"
+            )
+        if body > n * 8:
+            raise CorruptionError(
+                f"{path}: {body - n * 8} trailing bytes after the snapshot payload"
+            )
+        rec = np.fromfile(f, dtype=VOXEL_DTYPE, count=n)
     return from_records(rec, (nx, ny, nz), voxel_size, (ox, oy, oz), h_max, t_occ)
 
 
 CSV_HEADER = "x,y,z,sdf,hits,sign"
 
 
-def _csv_tail(key: int, voxel_size: float) -> str:
-    """The "sdf,hits,sign" end of a CSV row for a key popcount << 16 |
-    sign << 8 | hits, with the arithmetic of signed_distance_field."""
-    pc, sign, hits = key >> 16, (key >> 8) & 0xFF, key & 0xFF
+# The CSV export copies the x-fastest grid into C order one slab of x
+# planes at a time: at most this many planes, and about this many voxels.
+_SLAB_PLANES = 16
+_SLAB_VOXELS = 1 << 18
+
+
+def _csv_tail(pc: int, sign: int, hits: int, voxel_size: float) -> str:
+    """The "sdf,hits,sign" end of a CSV row, with the arithmetic of
+    signed_distance_field."""
     sdf = (-1.0 if sign == SIGN_OCCUPIED else 1.0) * (float(pc) * voxel_size)
     return "%.17g,%d,%d\n" % (sdf, hits, sign)
 
@@ -519,12 +532,14 @@ def export_grid_csv(grid: VoxelGrid, path, include: str = "observed") -> int:
 
     A row has few distinct fields: a center coordinate takes one value per
     index along its axis, and "sdf,hits,sign" depends only on (popcount,
-    sign, hits). Each distinct field is formatted once ("%.17g" / "%d"),
-    and the grid is scanned in blocks of _ROWS_PER_CHUNK voxels, so extra
-    memory does not grow with the grid or the row count."""
+    sign, hits). Each distinct field is formatted once ("%.17g" / "%d").
+    The grid is scanned in slabs of x planes, each copied into C order so
+    that its selected voxels come out in np.nonzero order, and rows are
+    written _ROWS_PER_CHUNK at a time, so extra memory does not grow with
+    the row count."""
     if include not in ("observed", "occupied_only"):
         raise FormatError(f"unknown CSV selection {include!r}")
-    _, ny, nz = grid.dims
+    nx, ny, nz = grid.dims
     # Same float operations, in the same order, as origin + (i + 0.5) * size
     # on the stacked indices, so every string matches a per-row format.
     axes = [
@@ -533,33 +548,37 @@ def export_grid_csv(grid: VoxelGrid, path, include: str = "observed") -> int:
                  dtype=object)
         for a, n in enumerate(grid.dims)
     ]
-    mask, sign, hits = (a.reshape(-1) for a in (grid.mask, grid.sign, grid.hits))
-    tails: dict[int, str] = {}
+    # Tail of (popcount, sign, hits) at (popcount * 2 + sign) * 256 + hits,
+    # formatted when first used. A sign byte above 1, found only in a
+    # corrupt snapshot, is formatted per row.
+    tails = np.empty(33 * 2 * 256, dtype=object)
+    have = np.zeros(tails.size, dtype=bool)
+    planes = max(1, min(_SLAB_PLANES, _SLAB_VOXELS // (ny * nz)))
     rows = 0
     with open(path, "w") as f:
         f.write(CSV_HEADER + "\n")
-        for start in range(0, mask.size, _ROWS_PER_CHUNK):
-            block = slice(start, start + _ROWS_PER_CHUNK)
+        for x0 in range(0, nx, planes):
+            mask, sign, hits = (np.ascontiguousarray(a[x0 : x0 + planes]).reshape(-1)
+                                for a in (grid.mask, grid.sign, grid.hits))
             if include == "observed":
-                sel = observed_array(mask[block], hits[block])
+                sel = np.flatnonzero(observed_array(mask, hits))
             else:
-                sel = sign[block] == SIGN_OCCUPIED
-            idx = np.flatnonzero(sel)
-            if idx.size == 0:
-                continue
-            m, s, h = mask[block][idx], sign[block][idx], hits[block][idx]
-            iyz, iz = np.divmod(idx + start, nz)
-            ix, iy = np.divmod(iyz, ny)
-            key = (np.bitwise_count(m).astype(np.int64) << 16) | (
-                s.astype(np.int64) << 8) | h
-            keys, inv = np.unique(key, return_inverse=True)
-            for k in keys.tolist():
-                if k not in tails:
-                    tails[k] = _csv_tail(k, grid.voxel_size)
-            tail = np.array([tails[k] for k in keys.tolist()], dtype=object)
-            table = np.stack([axes[0][ix], axes[1][iy], axes[2][iz], tail[inv]], axis=1)
-            f.write("".join(table.ravel().tolist()))
-            rows += idx.size
+                sel = np.flatnonzero(sign == SIGN_OCCUPIED)
+            for start in range(0, sel.size, _ROWS_PER_CHUNK):
+                idx = sel[start : start + _ROWS_PER_CHUNK]
+                pc, s, h = np.bitwise_count(mask[idx]).astype(np.intp), sign[idx], hits[idx]
+                iyz, iz = np.divmod(idx, nz)
+                ix, iy = np.divmod(iyz, ny)
+                key = (pc * 2 + np.minimum(s, 1)) * 256 + h
+                for k in np.unique(key[~have[key]]).tolist():
+                    tails[k] = _csv_tail(k >> 9, (k >> 8) & 1, k & 0xFF, grid.voxel_size)
+                    have[k] = True
+                tail = tails[key]
+                for i in np.flatnonzero(s > 1).tolist():
+                    tail[i] = _csv_tail(int(pc[i]), int(s[i]), int(h[i]), grid.voxel_size)
+                table = np.stack([axes[0][ix + x0], axes[1][iy], axes[2][iz], tail], axis=1)
+                f.write("".join(table.ravel().tolist()))
+            rows += sel.size
     return rows
 
 

@@ -49,9 +49,11 @@ def extract_mesh(grid: VoxelGrid, iso: float = 0.0) -> TriangleMesh:
     field, observed = signed_distance_field(grid)
     inside = (field < iso) | ((field == iso) & (grid.sign == SIGN_OCCUPIED))
 
-    # Cube index and validity per cell (one cell per lower lattice corner).
-    cube = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint8)
-    valid = np.ones((nx - 1, ny - 1, nz - 1), dtype=bool)
+    # Cube index and validity per cell (one cell per lower lattice corner),
+    # x fastest like the grid.
+    cells = (nx - 1, ny - 1, nz - 1)
+    cube = np.zeros(cells, dtype=np.uint8, order="F")
+    valid = np.ones(cells, dtype=bool, order="F")
     for c, (dx, dy, dz) in enumerate(CORNER_OFFSETS):
         sl = (
             slice(dx, nx - 1 + dx),
@@ -62,9 +64,15 @@ def extract_mesh(grid: VoxelGrid, iso: float = 0.0) -> TriangleMesh:
         valid &= observed[sl]
 
     active = valid & (EDGE_TABLE[cube] != 0)
-    cx, cy, cz = np.nonzero(active)
-    if cx.size == 0:
+    # Active cells found in memory order, then put in np.nonzero (C) order,
+    # which fixes the order of the triangles.
+    flat = np.flatnonzero(active.T)
+    if flat.size == 0:
         return empty_mesh()
+    cyz, cx = np.divmod(flat, nx - 1)
+    cz, cy = np.divmod(cyz, ny - 1)
+    order = np.argsort((cx * (ny - 1) + cy) * (nz - 1) + cz)
+    cx, cy, cz = cx[order], cy[order], cz[order]
     rows = TRI_TABLE[cube[cx, cy, cz]]  # (m, 16)
 
     # Gather triangles as canonical lattice-edge keys:

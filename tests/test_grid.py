@@ -9,6 +9,7 @@ from bitsdf.grid import (
     SIGN_FREE,
     SIGN_OCCUPIED,
     VOXEL_DTYPE,
+    VoxelGrid,
     decode_distance,
     from_records,
     grids_equal,
@@ -146,6 +147,41 @@ class TestMemoryBytes:
     def test_matches_record_allocation(self):
         g = new_grid((6, 5, 4), 0.1)
         assert to_records(g).nbytes == memory_bytes(g)
+
+
+class TestLayout:
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (3, 5, 7), (64, 1, 2)])
+    def test_new_grid_is_x_fastest(self, dims):
+        g = new_grid(dims, 0.1)
+        for a in (g.mask, g.sign, g.hits):
+            assert a.shape == dims and a.flags.f_contiguous
+
+    def _fields(self, dims, order="F"):
+        return dict(
+            mask=np.full(dims, FULL_MASK, dtype=np.uint32, order=order),
+            sign=np.full(dims, SIGN_FREE, dtype=np.uint8, order=order),
+            hits=np.zeros(dims, dtype=np.uint8, order=order),
+        )
+
+    def _grid(self, dims, **fields):
+        return VoxelGrid(dims=dims, voxel_size=0.1, origin=np.zeros(3),
+                         h_max=255, t_occ=2, **fields)
+
+    def test_hand_built_grid_accepted(self):
+        g = self._grid((3, 5, 7), **self._fields((3, 5, 7)))
+        assert g.num_voxels == 105
+
+    def test_c_ordered_arrays_rejected(self):
+        with pytest.raises(ConfigurationError, match="Fortran order"):
+            self._grid((3, 5, 7), **self._fields((3, 5, 7), order="C"))
+
+    @pytest.mark.parametrize("name", ["mask", "sign", "hits"])
+    def test_wrong_shape_or_dtype_rejected(self, name):
+        fields = self._fields((3, 5, 7))
+        with pytest.raises(ConfigurationError, match=name):
+            self._grid((3, 5, 7), **dict(fields, **{name: fields[name][:, :, :6]}))
+        with pytest.raises(ConfigurationError, match=name):
+            self._grid((3, 5, 7), **dict(fields, **{name: fields[name].astype(np.int64)}))
 
 
 class TestRecords:

@@ -18,12 +18,26 @@ from bitsdf.integrator import (
 )
 from bitsdf.kernels import build_kernel_bank
 from bitsdf.oracle import brute_force_field, compare
-from bitsdf.transforms import interpolate_pose_yaw, make_pose
+from bitsdf.transforms import make_pose
 
 
 @pytest.fixture(scope="module")
 def bank():
     return build_kernel_bank(shadow_radius=3)
+
+
+def interpolate_pose_yaw(T0, T1, t):
+    """Yaw-only pose interpolation, one pose at a time: translation lerp plus
+    a heading lerp along the shortest arc (ZYX yaw), with the end pose's
+    roll and pitch held fixed."""
+    def yaw_of(T):
+        return Rotation.from_matrix(T[:3, :3]).as_euler("zyx")[0]
+
+    y0, y1 = yaw_of(T0), yaw_of(T1)
+    dy = (y1 - y0 + np.pi) % (2 * np.pi) - np.pi
+    tilt = Rotation.from_euler("z", -y1) * Rotation.from_matrix(T1[:3, :3])
+    rot = Rotation.from_euler("z", y0 + t * dy) * tilt
+    return make_pose(rot, (1.0 - t) * T0[:3, 3] + t * T1[:3, 3])
 
 
 def identity_pose():

@@ -1,4 +1,5 @@
 import io
+import struct
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from bitsdf.errors import CorruptionError, FormatError
 from bitsdf.grid import (
     FULL_MASK,
     SIGN_OCCUPIED,
+    VOXEL_DTYPE,
     grids_equal,
     new_grid,
     observed_array,
@@ -399,6 +401,52 @@ class TestGridSnapshot:
         with pytest.raises(CorruptionError, match="T"):
             bio.load_grid(p)
 
+    @staticmethod
+    def _reference_snapshot(g) -> bytes:
+        """The snapshot as written from C-ordered (z fastest) arrays: the
+        records gathered in linear-index order ix + nx*(iy + ny*iz)."""
+        rec = np.zeros(g.num_voxels, dtype=VOXEL_DTYPE)
+        for name in ("mask", "sign", "hits"):
+            rec[name] = np.ascontiguousarray(getattr(g, name)).ravel(order="F")
+        header = struct.pack("<3I4d2B6x", *g.dims, g.voxel_size, *g.origin,
+                             g.h_max, g.t_occ)
+        return b"DBTSDF01" + header + rec.tobytes()
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (3, 5, 7), (64, 1, 2)])
+    def test_bytes_match_reference_writer(self, tmp_path, dims):
+        rng = np.random.default_rng(sum(dims))
+        g = new_grid(dims, 0.3, origin=(-0.7, 1.25, 3.0), h_max=9, t_occ=4)
+        g.mask[...] = rng.integers(0, 1 << 32, dims, dtype=np.uint32)
+        g.hits[...] = rng.integers(0, 256, dims)
+        g.sign[...] = rng.integers(0, 2, dims)
+        p = tmp_path / "g.dbtsdf"
+        bio.save_grid(g, p)
+        assert p.read_bytes() == self._reference_snapshot(g)
+        loaded = bio.load_grid(p)
+        assert grids_equal(g, loaded)
+        for a in (loaded.mask, loaded.sign, loaded.hits):
+            assert a.flags.f_contiguous
+
+    def test_failed_write_keeps_old_snapshot(self, tmp_path, monkeypatch):
+        p = tmp_path / "g.dbtsdf"
+        bio.save_grid(self._random_grid(), p)
+        old = p.read_bytes()
+
+        class HalfWritten:
+            def __init__(self, rec):
+                self.rec = rec
+
+            def tofile(self, f):
+                f.write(self.rec.tobytes()[: self.rec.nbytes // 2])
+                raise OSError("disk full")
+
+        real = bio.to_records
+        monkeypatch.setattr(bio, "to_records", lambda g: HalfWritten(real(g)))
+        with pytest.raises(OSError, match="disk full"):
+            bio.save_grid(new_grid((4, 4, 4), 0.1), p)
+        assert p.read_bytes() == old
+        assert [q.name for q in tmp_path.iterdir()] == ["g.dbtsdf"]
+
 
 class TestCSVExport:
     def test_fresh_grid_zero_rows(self, tmp_path):
@@ -458,6 +506,16 @@ class TestCSVExport:
             assert n == reference_csv(g, want, include) > 0
             assert got.read_bytes() == want.read_bytes()
 
+    def test_bytes_match_with_corrupt_sign_bytes(self, tmp_path):
+        # A loaded snapshot may hold sign bytes other than 0 and 1.
+        g = new_grid((6, 5, 4), 0.1, origin=(0.05, -0.2, 1.0))
+        g.hits[...] = 1
+        g.mask[...] = run_mask(4)
+        g.sign[...] = np.arange(g.num_voxels).reshape(g.dims) % 4
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        assert bio.export_grid_csv(g, got, "observed") == reference_csv(g, want, "observed")
+        assert got.read_bytes() == want.read_bytes()
+
     def test_empty_selection_bytes(self, tmp_path):
         g = new_grid((5, 6, 7), 0.1, origin=(-0.3, -0.35, -1.05))
         g.hits[1, 2, 3] = 1  # observed but free: no occupied_only rows
@@ -475,9 +533,10 @@ class TestCSVExport:
         # A dense float64 field of this grid alone would be 64 MB.
         g = new_grid((200, 200, 200), 0.05, origin=(-5.0, -5.0, -1.0))
         flat = np.random.default_rng(3).choice(g.num_voxels, 300, replace=False)
-        g.mask.reshape(-1)[flat] = 0
-        g.hits.reshape(-1)[flat] = 2
-        g.sign.reshape(-1)[flat] = SIGN_OCCUPIED
+        voxels = np.unravel_index(flat, g.dims)
+        g.mask[voxels] = 0
+        g.hits[voxels] = 2
+        g.sign[voxels] = SIGN_OCCUPIED
         tracemalloc.start()
         try:
             n = bio.export_grid_csv(g, tmp_path / "g.csv", "observed")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bitsdf.grid import SIGN_OCCUPIED, new_grid, run_mask
+from bitsdf._mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
+from bitsdf.grid import SIGN_OCCUPIED, new_grid, run_mask, signed_distance_field
 from bitsdf.integrator import IntegrationParams, ScanFrame, integrate_frame
 from bitsdf.kernels import build_kernel_bank
 from bitsdf.mesher import TriangleMesh, extract_mesh, vertex_normals
@@ -21,6 +22,39 @@ def sphere_grid(n=20, voxel_size=0.05, radius=0.25):
     g.hits[inside] = 5
     g.hits[~inside] = 1
     return g
+
+
+def reference_mesh(grid, iso=0.0):
+    """Marching cubes over C-ordered (z fastest) copies of the grid, one cell
+    at a time in np.nonzero order, each cell's triangles filed by their slot
+    in the case table, slot by slot: the triangle order the mesher keeps."""
+    field, observed = (np.ascontiguousarray(a) for a in signed_distance_field(grid))
+    occupied = np.ascontiguousarray(grid.sign == SIGN_OCCUPIED)
+    inside = (field < iso) | ((field == iso) & occupied)
+    nx, ny, nz = grid.dims
+    slots = [[] for _ in range(5)]
+    for x, y, z in np.ndindex(nx - 1, ny - 1, nz - 1):
+        corners = [(x + dx, y + dy, z + dz) for dx, dy, dz in CORNER_OFFSETS.tolist()]
+        if not all(observed[c] for c in corners):
+            continue
+        row = TRI_TABLE[sum(int(inside[c]) << i for i, c in enumerate(corners))]
+        for k in range(0, 15, 3):
+            if row[k] >= 0:
+                slots[k // 3].append([
+                    (((x + EDGE_BASE[e, 0]) * ny + y + EDGE_BASE[e, 1]) * nz
+                     + z + EDGE_BASE[e, 2]) * 3 + EDGE_AXIS[e]
+                    for e in row[k : k + 3]
+                ])
+    keys = np.array(sum(slots, []), dtype=np.int64).reshape(-1, 3)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    base = np.stack(np.unravel_index(uniq // 3, grid.dims), axis=1)
+    other = base + np.eye(3, dtype=np.int64)[uniq % 3]
+    v1, v2 = field[tuple(base.T)], field[tuple(other.T)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(np.where(v2 != v1, (iso - v1) / (v2 - v1), 0.0), 0.0, 1.0)
+    p1 = grid.origin + (base + 0.5) * grid.voxel_size
+    p2 = grid.origin + (other + 0.5) * grid.voxel_size
+    return TriangleMesh(p1 + t[:, None] * (p2 - p1), inverse.reshape(-1, 3))
 
 
 def edge_multiset(triangles):
@@ -98,6 +132,20 @@ class TestExtractMesh:
         b = extract_mesh(g)
         assert np.array_equal(a.vertices, b.vertices)
         assert np.array_equal(a.triangles, b.triangles)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference_on_c_ordered_copy(self, seed):
+        rng = np.random.default_rng(seed)
+        g = new_grid((9, 7, 11), 0.1, origin=(-0.35, 0.2, 1.05))
+        runs = np.array([run_mask(k) for k in range(33)], dtype=np.uint32)
+        g.mask[...] = runs[rng.integers(0, 4, g.dims)]
+        g.sign[...] = rng.random(g.dims) < 0.4
+        g.hits[...] = rng.random(g.dims) < 0.9  # unobserved holes
+        for grid in (g, sphere_grid()):
+            m, ref = extract_mesh(grid), reference_mesh(grid)
+            assert m.triangles.shape[0] > 100
+            assert np.array_equal(m.triangles, ref.triangles)
+            assert np.array_equal(m.vertices, ref.vertices)
 
     def test_vertices_on_straddling_edges(self):
         g = sphere_grid()
