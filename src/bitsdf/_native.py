@@ -68,6 +68,8 @@ def _bind(path: Path):
         array(np.uint8, True),  # sign
         array(np.uint64, True),  # seen: changed-voxel bitmap
         array(np.int64),  # dims
+        i64,  # first plane of the band
+        i64,  # end of the band
         array(np.uint32),  # distance kernel (K, K, K)
         i64,  # K
         array(np.int64),  # center flat indices

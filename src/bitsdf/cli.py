@@ -27,7 +27,7 @@ from .errors import (
     ResourceError,
 )
 from .grid import memory_bytes, new_grid, observed_array
-from .integrator import IntegrationParams, ScanFrame, integrate_frame
+from .integrator import IntegrationParams, ScanFrame, check_threads, integrate_frame
 from .kernels import build_kernel_bank
 from .mesher import extract_mesh, vertex_normals
 from .metrics import evaluate, sample_mesh
@@ -63,7 +63,7 @@ def _config_with_overrides(config_path, **overrides) -> RunConfig:
         if key in ("voxel_size",):
             cfg.grid.voxel_size = val
         elif key in ("threads",):
-            cfg.threads = val
+            cfg.threads = check_threads(val)
         elif key in ("downsample", "t_occ", "h_max", "compensation",
                      "first_return_per_voxel"):
             setattr(cfg.integration, key, val)

@@ -15,6 +15,7 @@ import yaml
 
 from .errors import ConfigurationError
 from .grid import DEFAULT_MEMORY_CAP
+from .integrator import check_threads
 from .kernels import (
     DEFAULT_AZIMUTH_BINS,
     DEFAULT_CONE_HALF_ANGLE_DEG,
@@ -113,7 +114,7 @@ def config_from_dict(data: dict) -> RunConfig:
         if section in data and data[section] is not None:
             _apply_section(getattr(cfg, section), data[section], section)
     if "threads" in data:
-        cfg.threads = int(data["threads"])
+        cfg.threads = check_threads(data["threads"])
     unknown = set(data) - {"grid", "kernel", "integration", "paths", "threads"}
     if unknown:
         raise ConfigurationError(f"unknown config sections: {sorted(unknown)}")

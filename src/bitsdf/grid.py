@@ -78,6 +78,24 @@ class VoxelGrid:
         return nx * ny * nz
 
 
+def _check_grid(dims, voxel_size, memory_cap, h_max, t_occ) -> tuple:
+    """``dims`` as a tuple of ints, once the grid they describe passes
+    new_grid's checks."""
+    dims = tuple(int(d) for d in dims)
+    if len(dims) != 3 or any(d < 1 for d in dims):
+        raise ConfigurationError(f"grid dims must be three positive counts, got {dims}")
+    if not voxel_size > 0.0:
+        raise ConfigurationError(f"voxel_size must be positive, got {voxel_size}")
+    if not 1 <= t_occ <= h_max <= 255:
+        raise ConfigurationError(f"need 1 <= T ({t_occ}) <= H_max ({h_max}) <= 255")
+    payload = dims[0] * dims[1] * dims[2] * BYTES_PER_VOXEL
+    if payload > memory_cap:
+        raise ResourceError(
+            f"grid payload {payload} bytes exceeds memory cap {memory_cap}"
+        )
+    return dims
+
+
 def new_grid(
     dims,
     voxel_size: float,
@@ -93,18 +111,7 @@ def new_grid(
     outside 1 <= t_occ <= h_max <= 255, and ResourceError when the voxel
     payload would exceed ``memory_cap``.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise ConfigurationError(f"grid dims must be three positive counts, got {dims}")
-    if not voxel_size > 0.0:
-        raise ConfigurationError(f"voxel_size must be positive, got {voxel_size}")
-    if not 1 <= t_occ <= h_max <= 255:
-        raise ConfigurationError(f"need 1 <= T ({t_occ}) <= H_max ({h_max}) <= 255")
-    payload = dims[0] * dims[1] * dims[2] * BYTES_PER_VOXEL
-    if payload > memory_cap:
-        raise ResourceError(
-            f"grid payload {payload} bytes exceeds memory cap {memory_cap}"
-        )
+    dims = _check_grid(dims, voxel_size, memory_cap, h_max, t_occ)
     return VoxelGrid(
         dims=dims,
         voxel_size=float(voxel_size),
@@ -213,19 +220,29 @@ def to_records(grid: VoxelGrid) -> np.ndarray:
 def from_records(
     rec: np.ndarray, dims, voxel_size, origin, h_max=255, t_occ=2
 ) -> VoxelGrid:
-    dims = tuple(int(d) for d in dims)
+    """The grid whose serialized voxel records are ``rec``, in linear-index
+    order. A header that new_grid would reject raises CorruptionError."""
+    try:
+        dims = _check_grid(dims, voxel_size, DEFAULT_MEMORY_CAP, h_max, t_occ)
+    except ConfigurationError as e:
+        raise CorruptionError(f"bad grid header: {e}") from None
     if rec.shape[0] != dims[0] * dims[1] * dims[2]:
         raise CorruptionError(
             f"record count {rec.shape[0]} does not match dims {dims}"
         )
-    try:
-        g = new_grid(dims, voxel_size, origin, h_max=h_max, t_occ=t_occ)
-    except ConfigurationError as e:
-        raise CorruptionError(f"bad grid header: {e}") from None
-    g.mask[...] = rec["mask"].reshape(dims, order="F")
-    g.sign[...] = rec["sign"].reshape(dims, order="F")
-    g.hits[...] = rec["hits"].reshape(dims, order="F")
-    return g
+    # A contiguous copy of each record field, viewed x fastest.
+    fields = {
+        name: np.ascontiguousarray(rec[name], dtype=dtype).reshape(dims, order="F")
+        for name, dtype in _FIELD_DTYPES.items()
+    }
+    return VoxelGrid(
+        dims=dims,
+        voxel_size=float(voxel_size),
+        origin=np.asarray(origin, dtype=np.float64).copy(),
+        h_max=int(h_max),
+        t_occ=int(t_occ),
+        **fields,
+    )
 
 
 def grids_equal(a: VoxelGrid, b: VoxelGrid) -> bool:

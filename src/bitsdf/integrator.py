@@ -7,7 +7,7 @@ to the map frame. All returns of the scan are then fused in one pass:
    whose K^3 neighborhood leaves the grid, pick each return's
    azimuth-elevation bin from its map-frame ray, and sort the returns by
    center voxel.
-2. One compiled call (``_fuse.c``, built on first use by ``_native``) walks
+2. The compiled pass (``_fuse.c``, built on first use by ``_native``) walks
    the sorted returns once. Per return it ANDs the distance kernel onto
    every word of the K^3 block of masks around the center, marks each voxel
    whose mask that changes in a bitmap of the frame (so ``voxels_written``
@@ -15,18 +15,28 @@ to the map frame. All returns of the scan are then fused in one pass:
    shadow, saturating at the grid's h_max, marking the voxel occupied once
    its count reaches the grid's t_occ.
 
-Where the C file cannot be built, the same work runs in numpy: an in-place
-AND per return, a diff of the frame's bounding box before and after, and
-one batched hit update per frame. It gives the same grid at roughly three
-times the cost per return.
+With ``threads`` above 1 the pass is split by ownership of z planes, the
+slowest axis in memory: the planes are cut into bands that hold about the
+same number of (return, plane) pairs, one per worker, and each worker runs
+the pass over the returns whose blocks reach its band, writing masks, hits,
+signs and changed-voxel bits of its own planes only. The bands are
+disjoint, so the workers need no locks, and each voxel sees the same
+updates in the same order for any thread count. The first band runs on the
+calling thread, the others on threads joined before the frame returns.
+
+Where the C file cannot be built, the same work runs in numpy on one
+thread, whatever ``threads`` says: an in-place AND per return, a diff of the
+frame's bounding box before and after, and one batched hit update per
+frame. It gives the same grid at roughly three times the cost per return.
 
 AND is commutative and idempotent and the saturating add is monotone, so
-the grid does not depend on the order of the returns. Fusion is
-single-threaded.
+the grid does not depend on the order of the returns.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -142,7 +152,15 @@ def motion_compensate(scan: ScanFrame, mode: str) -> ScanFrame:
     )
 
 
-def _fuse(grid, bank, pts_map, sensor, params) -> tuple[int, int]:
+def check_threads(threads) -> int:
+    """``threads`` as a worker count: an integer of at least 1, else
+    ConfigurationError."""
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ConfigurationError(f"threads must be an integer >= 1, got {threads!r}")
+    return int(threads)
+
+
+def _fuse(grid, bank, pts_map, sensor, params, threads=1) -> tuple[int, int]:
     """Fuse map-frame returns seen from ``sensor``. Returns the number of
     returns inside the bounds and the number of distinct voxels whose mask
     changed."""
@@ -179,15 +197,67 @@ def _fuse(grid, bank, pts_map, sensor, params) -> tuple[int, int]:
         raise ConfigurationError("kernel bank arrays do not match their sizes")
     # The pass reads C-ordered (nz, ny, nx) arrays: the transposed views of
     # the x-fastest grid, with the kernel transposed to match.
-    seen = np.zeros(grid.num_voxels // 64 + 2, dtype=np.uint64)
-    written = fuse_pass(
-        grid.mask.T, grid.hits.T, grid.sign.T, seen, dims[::-1].copy(),
-        np.ascontiguousarray(bank.distance_kernel.T), bank.size,
-        cflat, bins, cflat.size,
-        bank.shadow, bank.shadow_ball @ strides, bank.shadow.shape[1],
-        grid.h_max, grid.t_occ,
-    )
-    return n_ok, written
+    grid_args = (grid.mask.T, grid.hits.T, grid.sign.T)
+    dims_zyx = dims[::-1].copy()
+    kernel = np.ascontiguousarray(bank.distance_kernel.T)
+    ball = bank.shadow_ball @ strides
+    plane = strides[2]  # voxels per z plane
+    cuts = _plane_cuts(cflat // plane, grid.dims[2], bank.size,
+                       min(threads, os.cpu_count() or 1, grid.dims[2]))
+    # Each worker owns the planes [p0, p1) and fuses the sorted returns whose
+    # block reaches them: their center planes are in [p0 - r, p1 + r).
+    ends = np.searchsorted(cflat, np.stack([cuts[:-1] - r, cuts[1:] + r]) * plane)
+
+    def fuse_band(p0, p1, i0, i1):
+        seen = np.zeros((p1 - p0) * plane // 64 + 2, dtype=np.uint64)
+        return fuse_pass(
+            *grid_args, seen, dims_zyx, p0, p1, kernel, bank.size,
+            cflat[i0:i1], bins[i0:i1], i1 - i0,
+            bank.shadow, ball, bank.shadow.shape[1], grid.h_max, grid.t_occ,
+        )
+
+    bands = list(zip(cuts[:-1].tolist(), cuts[1:].tolist(), *ends.tolist()))
+    return n_ok, sum(_run_parts(fuse_band, bands))
+
+
+def _plane_cuts(planes, nz, k, workers) -> np.ndarray:
+    """Cuts 0 = c_0 < ... < c_w = nz of the z planes into at most ``workers``
+    bands that hold about the same number of (return, plane) pairs, given the
+    center plane of each return and the kernel size K: a return's block
+    covers the K planes around its center."""
+    if workers == 1:
+        return np.array([0, nz])
+    pairs = np.convolve(np.bincount(planes, minlength=nz), np.ones(k, np.int64),
+                        mode="same")
+    cum = np.cumsum(pairs)
+    inner = np.searchsorted(cum, cum[-1] * np.arange(1, workers) / workers) + 1
+    return np.unique(np.concatenate(([0], inner, [nz])))
+
+
+def _run_parts(fn, parts) -> list:
+    """``fn(*part)`` for every part: the first on the calling thread, each
+    other on a thread of its own, joined before returning. The compiled pass
+    releases the GIL (ctypes.CDLL), so the parts run in parallel."""
+    results = [None] * len(parts)
+    errors = []
+
+    def run(i):
+        try:
+            results[i] = fn(*parts[i])
+        except BaseException as e:  # re-raised on the calling thread
+            errors.append(e)
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(parts))]
+    for w in workers:
+        w.start()
+    try:
+        results[0] = fn(*parts[0])
+    finally:
+        for w in workers:
+            w.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _fuse_numpy(grid, bank, centers, bins, cflat, strides) -> int:
@@ -247,9 +317,11 @@ def integrate_frame(
 ) -> FrameStats:
     """Fuse one scan: downsample, deskew, move to the map frame, then fuse
     every return in one pass (see the module docstring) under the grid's
-    h_max and t_occ. Fusion runs on one thread; ``threads`` is accepted so
-    that existing configurations keep working, and does not change the work
-    or the result."""
+    h_max and t_occ. The compiled pass runs on min(threads, CPU count,
+    z planes) workers that each own a band of z planes; the numpy fallback
+    runs on one. The grid and the stats do not depend on ``threads``, which
+    must be an integer of at least 1 (ConfigurationError otherwise)."""
+    threads = check_threads(threads)
     t0 = time.perf_counter()
     stats = FrameStats()
     pts = scan.points
@@ -267,7 +339,8 @@ def integrate_frame(
 
     pts_map = scan.points @ scan.pose[:3, :3].T + scan.pose[:3, 3]
     stats.points_in = pts_map.shape[0]
-    applied, stats.voxels_written = _fuse(grid, bank, pts_map, scan.pose[:3, 3], params)
+    applied, stats.voxels_written = _fuse(grid, bank, pts_map, scan.pose[:3, 3],
+                                          params, threads)
     stats.points_discarded = stats.points_in - applied
     stats.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return stats

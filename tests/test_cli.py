@@ -158,6 +158,24 @@ class TestFuse:
         res = run_main("fuse", "--config", bad)
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("source, value", [
+        ("yaml", "abc"), ("yaml", "0"), ("yaml", "2.7"),
+        ("option", "0"), ("option", "-3"),
+    ])
+    def test_bad_threads_exit_2(self, dataset, tmp_path, source, value):
+        root, cfg_path = dataset
+        args = ["--output-dir", tmp_path / "out"]
+        if source == "yaml":
+            cfg = tmp_path / "run.yaml"
+            cfg.write_text(cfg_path.read_text() + f"threads: {value}\n")
+        else:
+            cfg = cfg_path
+            args += ["--threads", value]
+        res = run_main("fuse", "--config", cfg, *args)
+        assert res.returncode == 2
+        assert "threads must be an integer >= 1" in res.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_trajectory_exit_3(self, dataset, tmp_path):
         root, cfg_path = dataset
         bad = tmp_path / "poses.txt"

@@ -52,6 +52,16 @@ class TestShadowRadius:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("text", ["abc", "0", "-3", "2.7", "true", "'2'"])
+    def test_bad_threads(self, tmp_path, text):
+        p = tmp_path / "c.yaml"
+        p.write_text(f"threads: {text}\n")
+        with pytest.raises(ConfigurationError, match="threads"):
+            load_config(p)
+
+    def test_threads(self):
+        assert config_from_dict({"threads": 3}).threads == 3
+
     def test_unknown_key(self):
         with pytest.raises(ConfigurationError, match="grid.voxel"):
             config_from_dict({"grid": {"voxel": 0.1}})

@@ -1,3 +1,4 @@
+import os
 import shutil
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from bitsdf import _native
+from bitsdf import _native, integrator
 from bitsdf.errors import ConfigurationError
 from bitsdf.grid import FULL_MASK, SIGN_OCCUPIED, new_grid, popcount_array, to_records
 from bitsdf.integrator import (
@@ -212,14 +213,24 @@ class TestIntegrateFrame:
 
     def test_thread_count_invariance(self, bank):
         scan = random_frame(np.random.default_rng(12), n=500)
-        grids = []
+        grids, stats = [], []
         for threads in (1, 4):
             g = fresh_grid()
-            integrate_frame(g, bank, scan, IntegrationParams(), threads=threads)
+            st = integrate_frame(g, bank, scan, IntegrationParams(), threads=threads)
             grids.append(g)
+            stats.append((st.points_in, st.points_discarded, st.voxels_written))
         assert np.array_equal(grids[0].mask, grids[1].mask)
         assert np.array_equal(grids[0].hits, grids[1].hits)
         assert np.array_equal(grids[0].sign, grids[1].sign)
+        assert stats[0] == stats[1]
+
+    @pytest.mark.parametrize("threads", [0, -3, 2.7, "2", True, None])
+    def test_bad_thread_count_rejected(self, bank, threads):
+        g = fresh_grid()
+        with pytest.raises(ConfigurationError, match="threads"):
+            integrate_frame(g, bank, random_frame(np.random.default_rng(12), 10),
+                            IntegrationParams(), threads=threads)
+        assert np.all(g.mask == FULL_MASK)
 
     def test_monotone_distances_across_frames(self, bank):
         rng = np.random.default_rng(13)
@@ -426,6 +437,93 @@ def test_compiled_pass_memory(monkeypatch):
         tracemalloc.stop()
     assert stats.points_discarded == 0
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def band_pass(grid, bank, centers, bins, p0, p1):
+    """One call of the compiled pass on the z planes [p0, p1) of ``grid``
+    over every return, prepared as integrator._fuse prepares it; returns
+    the pass's changed-voxel count."""
+    strides = np.array([1, grid.dims[0], grid.dims[0] * grid.dims[1]])
+    cflat = centers @ strides
+    order = np.argsort(cflat)
+    seen = np.zeros((p1 - p0) * strides[2] // 64 + 2, dtype=np.uint64)
+    return _native.fuse_pass()(
+        grid.mask.T, grid.hits.T, grid.sign.T, seen, np.array(grid.dims[::-1]),
+        p0, p1, np.ascontiguousarray(bank.distance_kernel.T), bank.size,
+        cflat[order], bins[order], len(order), bank.shadow,
+        bank.shadow_ball @ strides, bank.shadow.shape[1], grid.h_max, grid.t_occ,
+    )
+
+
+class TestPlaneSplit:
+    """The compiled pass split into bands of z planes, one per worker."""
+
+    # nx * ny = 1,073: band edges fall inside the 64-voxel words of the
+    # changed-voxel bitmap.
+    DIMS = (37, 29, 47)
+
+    @pytest.fixture(autouse=True)
+    def _compiled(self, monkeypatch):
+        use_path("c", monkeypatch)
+
+    def test_band_writes_only_its_planes(self, bank):
+        rng = np.random.default_rng(60)
+        r = bank.half_extent
+        centers = rng.integers(r, np.array(self.DIMS) - r, size=(300, 3))
+        bins = rng.integers(0, bank.shadow.shape[0], size=300)
+        whole = new_grid(self.DIMS, 0.1, h_max=4, t_occ=2)
+        written = band_pass(whole, bank, centers, bins, 0, self.DIMS[2])
+        cut = 23
+        split = new_grid(self.DIMS, 0.1, h_max=4, t_occ=2)
+        fresh = to_records(split).reshape(self.DIMS[::-1])
+        low = band_pass(split, bank, centers, bins, 0, cut)
+        assert to_records(split).reshape(self.DIMS[::-1])[cut:].tobytes() == (
+            fresh[cut:].tobytes())
+        high = band_pass(split, bank, centers, bins, cut, self.DIMS[2])
+        assert to_records(split).tobytes() == to_records(whole).tobytes()
+        assert low > 0 and high > 0
+        assert low + high == written
+
+    @pytest.mark.parametrize("frame", ["random", "floor"])
+    def test_split_matches_one_thread_and_numpy(self, bank, monkeypatch, frame):
+        # More workers than this host may have cores: the parts are set by
+        # the thread count and the planes, not by the machine.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        rng = np.random.default_rng(61)
+        nx, ny, nz = self.DIMS
+        lo = np.array([1.0, 1.0, 1.0])
+        hi = np.array([nx, ny, nz]) * 0.1 - 1.0
+        pts = rng.uniform(lo, hi, size=(600, 3))
+        if frame == "floor":
+            # Every center on one plane: each band cut splits every block.
+            pts[:, 2] = 2.35
+        sensor = np.array([1.9, 1.5, 2.0])
+        scans = [ScanFrame(points=pts[i::2] - sensor,
+                           pose=make_pose(Rotation.identity(), sensor))
+                 for i in range(2)]
+        run_parts, parts = integrator._run_parts, []
+
+        def counting(fn, bands):
+            parts.append(len(bands))
+            return run_parts(fn, bands)
+
+        monkeypatch.setattr(integrator, "_run_parts", counting)
+
+        def fused(threads):
+            g = new_grid(self.DIMS, 0.1, h_max=3, t_occ=2)
+            stats = [integrate_frame(g, bank, scan, IntegrationParams(), threads=threads)
+                     for scan in scans]
+            return (to_records(g).tobytes(),
+                    [(st.points_in, st.points_discarded, st.voxels_written)
+                     for st in stats])
+
+        results = {threads: fused(threads) for threads in (1, 2, 3, 8)}
+        assert parts == [1, 1, 2, 2, 3, 3, 8, 8]
+        monkeypatch.setattr(_native, "_lib", False)
+        results["numpy"] = fused(3)
+        assert all(st[2] > 0 for st in results[1][1])
+        for key, result in results.items():
+            assert result == results[1], key
 
 
 class TestNativeBuild:
