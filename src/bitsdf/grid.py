@@ -185,8 +185,17 @@ def signed_distance(grid: VoxelGrid, ix, iy, iz):
     if not is_observed(grid, ix, iy, iz):
         return None
     d = decode_distance(grid.mask[ix, iy, iz])
-    sigma = -1.0 if grid.sign[ix, iy, iz] == SIGN_OCCUPIED else 1.0
-    return sigma * d * grid.voxel_size
+    return float(signed_distances(d, grid.sign[ix, iy, iz], grid.voxel_size))
+
+
+def signed_distances(popcounts, signs, voxel_size: float):
+    """Signed distance in meters of voxels with the given mask population
+    counts and sign bytes (any matching shapes): the popcount times the
+    voxel size, negated on occupied voxels. Every signed distance the
+    program reports or meshes is computed here, so all of them agree to the
+    bit."""
+    sigma = np.where(np.asarray(signs) == SIGN_OCCUPIED, -1.0, 1.0)
+    return sigma * (np.asarray(popcounts, dtype=np.float64) * voxel_size)
 
 
 def observed_array(mask: np.ndarray, hits: np.ndarray) -> np.ndarray:
@@ -197,14 +206,6 @@ def observed_array(mask: np.ndarray, hits: np.ndarray) -> np.ndarray:
 
 def popcount_array(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks).astype(np.int32)
-
-
-def signed_distance_field(grid: VoxelGrid):
-    """Dense (field, observed) pair; field entries for unobserved voxels are
-    +32*voxel_size placeholders and must be gated by the observed array."""
-    dist = popcount_array(grid.mask).astype(np.float64) * grid.voxel_size
-    sigma = np.where(grid.sign == SIGN_OCCUPIED, -1.0, 1.0)
-    return sigma * dist, observed_array(grid.mask, grid.hits)
 
 
 def to_records(grid: VoxelGrid) -> np.ndarray:

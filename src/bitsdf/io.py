@@ -24,6 +24,7 @@ from .grid import (
     VoxelGrid,
     from_records,
     observed_array,
+    signed_distances,
     to_records,
 )
 from .mesher import TriangleMesh
@@ -512,17 +513,16 @@ def load_grid(path) -> VoxelGrid:
 CSV_HEADER = "x,y,z,sdf,hits,sign"
 
 
-# The CSV export copies the x-fastest grid into C order one slab of x
-# planes at a time: at most this many planes, and about this many voxels.
-_SLAB_PLANES = 16
+# The CSV export selects voxels one slab of x planes, of about this many
+# voxels, at a time.
 _SLAB_VOXELS = 1 << 18
 
 
-def _csv_tail(pc: int, sign: int, hits: int, voxel_size: float) -> str:
-    """The "sdf,hits,sign" end of a CSV row, with the arithmetic of
-    signed_distance_field."""
-    sdf = (-1.0 if sign == SIGN_OCCUPIED else 1.0) * (float(pc) * voxel_size)
-    return "%.17g,%d,%d\n" % (sdf, hits, sign)
+def _csv_tails(pc, sign, hits, voxel_size: float) -> list:
+    """The "sdf,hits,sign" ends of the CSV rows of voxels with these
+    popcounts, sign bytes and hit counts (equal-length int arrays)."""
+    sdf = signed_distances(pc, sign, voxel_size)
+    return ["%.17g,%d,%d\n" % row for row in zip(sdf.tolist(), hits.tolist(), sign.tolist())]
 
 
 def export_grid_csv(grid: VoxelGrid, path, include: str = "observed") -> int:
@@ -533,8 +533,9 @@ def export_grid_csv(grid: VoxelGrid, path, include: str = "observed") -> int:
     A row has few distinct fields: a center coordinate takes one value per
     index along its axis, and "sdf,hits,sign" depends only on (popcount,
     sign, hits). Each distinct field is formatted once ("%.17g" / "%d").
-    The grid is scanned in slabs of x planes, each copied into C order so
-    that its selected voxels come out in np.nonzero order, and rows are
+    The grid is scanned in slabs of x planes; only a slab's selection mask
+    is copied into C order, so that its selected voxels come out in
+    np.nonzero order, and their fields are gathered from the grid. Rows are
     written _ROWS_PER_CHUNK at a time, so extra memory does not grow with
     the row count."""
     if include not in ("observed", "occupied_only"):
@@ -553,29 +554,30 @@ def export_grid_csv(grid: VoxelGrid, path, include: str = "observed") -> int:
     # corrupt snapshot, is formatted per row.
     tails = np.empty(33 * 2 * 256, dtype=object)
     have = np.zeros(tails.size, dtype=bool)
-    planes = max(1, min(_SLAB_PLANES, _SLAB_VOXELS // (ny * nz)))
+    planes = max(1, _SLAB_VOXELS // (ny * nz))
+    mask, sign, hits = (a.ravel(order="F") for a in (grid.mask, grid.sign, grid.hits))
     rows = 0
     with open(path, "w") as f:
         f.write(CSV_HEADER + "\n")
         for x0 in range(0, nx, planes):
-            mask, sign, hits = (np.ascontiguousarray(a[x0 : x0 + planes]).reshape(-1)
-                                for a in (grid.mask, grid.sign, grid.hits))
             if include == "observed":
-                sel = np.flatnonzero(observed_array(mask, hits))
+                chosen = observed_array(grid.mask[x0 : x0 + planes], grid.hits[x0 : x0 + planes])
             else:
-                sel = np.flatnonzero(sign == SIGN_OCCUPIED)
+                chosen = grid.sign[x0 : x0 + planes] == SIGN_OCCUPIED
+            sel = np.flatnonzero(chosen)  # C order: np.nonzero order of the slab
             for start in range(0, sel.size, _ROWS_PER_CHUNK):
-                idx = sel[start : start + _ROWS_PER_CHUNK]
-                pc, s, h = np.bitwise_count(mask[idx]).astype(np.intp), sign[idx], hits[idx]
-                iyz, iz = np.divmod(idx, nz)
+                iyz, iz = np.divmod(sel[start : start + _ROWS_PER_CHUNK], nz)
                 ix, iy = np.divmod(iyz, ny)
+                i = ix + x0 + nx * (iy + ny * iz)  # the voxels' x-fastest flat index
+                pc = np.bitwise_count(mask[i]).astype(np.intp)
+                s, h = sign[i], hits[i]
                 key = (pc * 2 + np.minimum(s, 1)) * 256 + h
-                for k in np.unique(key[~have[key]]).tolist():
-                    tails[k] = _csv_tail(k >> 9, (k >> 8) & 1, k & 0xFF, grid.voxel_size)
-                    have[k] = True
+                new = np.unique(key[~have[key]])
+                tails[new] = _csv_tails(new >> 9, (new >> 8) & 1, new & 0xFF, grid.voxel_size)
+                have[new] = True
                 tail = tails[key]
-                for i in np.flatnonzero(s > 1).tolist():
-                    tail[i] = _csv_tail(int(pc[i]), int(s[i]), int(h[i]), grid.voxel_size)
+                bad = np.flatnonzero(s > 1)
+                tail[bad] = _csv_tails(pc[bad], s[bad], h[bad], grid.voxel_size)
                 table = np.stack([axes[0][ix + x0], axes[1][iy], axes[2][iz], tail], axis=1)
                 f.write("".join(table.ravel().tolist()))
             rows += sel.size

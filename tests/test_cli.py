@@ -229,6 +229,15 @@ class TestMeshEvalExportInfo:
         res = run_main("eval", "--pred", empty, "--gt", gt)
         assert res.returncode == 5
 
+    @pytest.mark.parametrize("iso", ["nan", "inf", "-inf"])
+    def test_mesh_non_finite_iso_exit_2(self, dataset, tmp_path, iso):
+        root, _ = dataset
+        out = tmp_path / "m.ply"
+        res = run_main("mesh", root / "out" / "map.dbtsdf", "-o", out, "--iso", iso)
+        assert res.returncode == 2
+        assert "iso must be finite" in res.stderr
+        assert not out.exists()
+
     def test_export(self, dataset, tmp_path):
         root, _ = dataset
         out = tmp_path / "grid.csv"

@@ -15,7 +15,6 @@ from bitsdf.grid import (
     new_grid,
     observed_array,
     run_mask,
-    signed_distance_field,
 )
 from bitsdf.integrator import IntegrationParams, integrate_point
 from bitsdf.kernels import build_kernel_bank
@@ -66,6 +65,14 @@ def reference_ply_ascii_body(mesh) -> bytes:
     for tri in mesh.triangles:
         f.write(f"3 {tri[0]} {tri[1]} {tri[2]}\n".encode("ascii"))
     return f.getvalue()
+
+
+def signed_distance_field(grid):
+    """Dense (field, observed) pair: sigma * (popcount * voxel_size), sigma
+    -1.0 on occupied voxels and 1.0 elsewhere."""
+    dist = np.bitwise_count(grid.mask).astype(np.float64) * grid.voxel_size
+    sigma = np.where(grid.sign == SIGN_OCCUPIED, -1.0, 1.0)
+    return sigma * dist, observed_array(grid.mask, grid.hits)
 
 
 def reference_csv(grid, path, include):

@@ -1,11 +1,24 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bitsdf import mesher
 from bitsdf._mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
-from bitsdf.grid import SIGN_OCCUPIED, new_grid, run_mask, signed_distance_field
+from bitsdf.errors import ConfigurationError
+from bitsdf.grid import SIGN_OCCUPIED, memory_bytes, new_grid, observed_array, run_mask
 from bitsdf.integrator import IntegrationParams, ScanFrame, integrate_frame
 from bitsdf.kernels import build_kernel_bank
 from bitsdf.mesher import TriangleMesh, extract_mesh, vertex_normals
+
+
+def signed_distance_field(grid):
+    """Dense (field, observed) pair: sigma * (popcount * voxel_size), sigma
+    -1.0 on occupied voxels and 1.0 elsewhere."""
+    dist = np.bitwise_count(grid.mask).astype(np.float64) * grid.voxel_size
+    sigma = np.where(grid.sign == SIGN_OCCUPIED, -1.0, 1.0)
+    return sigma * dist, observed_array(grid.mask, grid.hits)
 
 
 def sphere_grid(n=20, voxel_size=0.05, radius=0.25):
@@ -134,18 +147,53 @@ class TestExtractMesh:
         assert np.array_equal(a.triangles, b.triangles)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_reference_on_c_ordered_copy(self, seed):
+    def test_matches_reference_on_c_ordered_copy(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
-        g = new_grid((9, 7, 11), 0.1, origin=(-0.35, 0.2, 1.05))
         runs = np.array([run_mask(k) for k in range(33)], dtype=np.uint32)
-        g.mask[...] = runs[rng.integers(0, 4, g.dims)]
-        g.sign[...] = rng.random(g.dims) < 0.4
-        g.hits[...] = rng.random(g.dims) < 0.9  # unobserved holes
-        for grid in (g, sphere_grid()):
-            m, ref = extract_mesh(grid), reference_mesh(grid)
-            assert m.triangles.shape[0] > 100
-            assert np.array_equal(m.triangles, ref.triangles)
-            assert np.array_equal(m.vertices, ref.vertices)
+        grids = []
+        for dims in ((9, 7, 11), (23, 19, 2)):
+            g = new_grid(dims, 0.1, origin=(-0.35, 0.2, 1.05))
+            g.mask[...] = runs[rng.integers(0, 4, g.dims)]
+            g.sign[...] = rng.random(g.dims) < 0.4
+            g.hits[...] = rng.random(g.dims) < 0.9  # unobserved holes
+            grids.append(g)
+        # At iso 0, field == iso on free and occupied voxels of zero distance.
+        field, observed = signed_distance_field(grids[0])
+        assert np.any(observed & (field == 0.0) & (grids[0].sign == SIGN_OCCUPIED))
+        assert np.any(observed & (field == 0.0) & (grids[0].sign != SIGN_OCCUPIED))
+        # Iso 0 and +-1 voxel meet field values exactly; +-2.5 voxels do not.
+        default_slab = mesher._SLAB_VOXELS
+        for grid in grids + [sphere_grid()]:
+            nx, ny, _ = grid.dims
+            for iso in np.array([0.0, 1.0, -1.0, 2.5, -2.5]) * grid.voxel_size:
+                ref = reference_mesh(grid, iso)
+                # Slabs of one and two cell planes cross seams.
+                for slab in (nx * ny, 2 * nx * ny, default_slab):
+                    monkeypatch.setattr(mesher, "_SLAB_VOXELS", slab)
+                    m = extract_mesh(grid, iso)
+                    assert m.triangles.shape[0] > 100
+                    assert np.array_equal(m.triangles, ref.triangles)
+                    assert np.array_equal(m.vertices, ref.vertices)
+
+    @pytest.mark.parametrize("iso", [math.nan, math.inf, -math.inf])
+    def test_non_finite_iso_rejected(self, iso):
+        with pytest.raises(ConfigurationError, match="iso"):
+            extract_mesh(sphere_grid(), iso)
+
+    def test_memory_bounded_by_slab_and_surface(self):
+        # 4.1 M voxels, observed only in a 24^3 patch holding a sphere.
+        g = new_grid((160, 160, 160), 0.05)
+        s = sphere_grid(n=24)
+        patch = (slice(60, 84),) * 3
+        g.mask[patch], g.sign[patch], g.hits[patch] = s.mask, s.sign, s.hits
+        tracemalloc.start()
+        try:
+            m = extract_mesh(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.triangles.shape[0] > 500
+        assert peak < memory_bytes(g) / 4
 
     def test_vertices_on_straddling_edges(self):
         g = sphere_grid()
@@ -159,7 +207,27 @@ class TestExtractMesh:
         assert np.all(on_center.sum(axis=1) >= 2)
 
 
+def test_only_uniform_cubes_have_no_triangles():
+    assert [c for c in range(256) if TRI_TABLE[c, 0] < 0] == [0, 255]
+
+
 class TestVertexNormals:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_add_at_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        meshes = [extract_mesh(sphere_grid()),
+                  TriangleMesh(rng.normal(size=(500, 3)),
+                               rng.integers(0, 500, size=(3000, 3)))]
+        for m in meshes:
+            v, f = m.vertices, m.triangles
+            face_n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+            acc = np.zeros_like(v)
+            for j in range(3):
+                np.add.at(acc, f[:, j], face_n)
+            norms = np.linalg.norm(acc, axis=1)
+            acc[norms > 0] /= norms[norms > 0, None]
+            assert vertex_normals(m).normals.tobytes() == acc.tobytes()
+
     def test_single_triangle_plane(self):
         m = TriangleMesh(
             vertices=np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]),
