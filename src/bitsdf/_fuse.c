@@ -1,16 +1,31 @@
-/* One frame of bitmask fusion in one pass over its returns.
+/* One frame of bitmask fusion over a band of z planes.
  *
  * Built and loaded by bitsdf/_native.py; integrator._fuse prepares the
  * arguments, and its numpy code does the same work where this cannot be
- * built. Arrays are C-ordered: voxel (x, y, z) of a grid with dims
- * (nx, ny, nz) is word x * ny * nz + y * nz + z, so a band of x planes is
- * one contiguous range of words. The caller guarantees that every return's
- * K^3 block lies inside the grid.
+ * built. The grid stores voxel (x, y, z) of dims (nx, ny, nz) at word
+ * x + nx * (y + ny * z), x fastest, and the pass gets that memory as the
+ * C-ordered (nz, ny, nx) arrays it is, with the K^3 kernel transposed to
+ * match. So a z plane of the grid is nx * ny contiguous words, a row runs
+ * along x, and a band of z planes is one contiguous range of words. The
+ * caller guarantees that every return's K^3 block lies inside the grid.
+ *
+ * The mask stamp runs plane by plane: for each plane of the band it ANDs
+ * the kernel's slice onto the block rows of every return whose block
+ * reaches that plane, so the working set is one plane plus the kernel. A
+ * row is stamped in chunks of at most 32 words, with AVX-512F where the
+ * CPU has it (chosen at run time) and with a loop the compiler vectorizes
+ * elsewhere; both give the same words and the same changed bits.
  */
 #include <stdint.h>
+#include <string.h>
+
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define HAVE_AVX512 1
+#include <immintrin.h>
+#endif
 
 /* Set the bits of voxels v .. v + 31 whose bit is set in `changed` in the
- * frame's bitmap (one bit per voxel, in 64-bit words). */
+ * plane's bitmap (one bit per voxel, in 64-bit words). */
 static inline void mark(uint64_t *seen, int64_t v, uint32_t changed)
 {
     uint64_t *w = seen + (v >> 6);
@@ -19,48 +34,98 @@ static inline void mark(uint64_t *seen, int64_t v, uint32_t changed)
     w[1] |= s > 32 ? (uint64_t)changed >> (64 - s) : 0;
 }
 
+typedef uint32_t (*stamp_fn)(uint32_t *, const uint32_t *, int64_t);
+
+/* AND `len` <= 32 kernel words onto a row; bit x of the result is set when
+ * word x changed. */
+static inline __attribute__((always_inline)) uint32_t
+stamp_portable(uint32_t *restrict row, const uint32_t *restrict kern, int64_t len)
+{
+    static const uint32_t bit[32] = {
+        1u << 0, 1u << 1, 1u << 2, 1u << 3, 1u << 4, 1u << 5, 1u << 6, 1u << 7,
+        1u << 8, 1u << 9, 1u << 10, 1u << 11, 1u << 12, 1u << 13, 1u << 14,
+        1u << 15, 1u << 16, 1u << 17, 1u << 18, 1u << 19, 1u << 20, 1u << 21,
+        1u << 22, 1u << 23, 1u << 24, 1u << 25, 1u << 26, 1u << 27, 1u << 28,
+        1u << 29, 1u << 30, 1u << 31,
+    };
+    uint32_t changed = 0;
+    for (int64_t x = 0; x < len; x++) {
+        uint32_t old = row[x], now = old & kern[x];
+        row[x] = now;
+        changed |= bit[x] & -(uint32_t)(now != old);
+    }
+    return changed;
+}
+
+#ifdef HAVE_AVX512
+/* The same with two masked 16-lane vectors: masked-off lanes are neither
+ * read nor written, and only the lanes that change are stored. */
+static inline __attribute__((always_inline, target("avx512f"))) uint32_t
+stamp_avx512(uint32_t *row, const uint32_t *kern, int64_t len)
+{
+    const __mmask16 lo = len >= 16 ? 0xFFFF : (__mmask16)((1u << len) - 1);
+    __m512i old = _mm512_maskz_loadu_epi32(lo, row);
+    __m512i cut = _mm512_andnot_si512(_mm512_maskz_loadu_epi32(lo, kern), old);
+    /* A lane changes when the AND clears one of its bits. */
+    __mmask16 changed = _mm512_mask_test_epi32_mask(lo, cut, cut);
+    _mm512_mask_storeu_epi32(row, changed, _mm512_xor_si512(old, cut));
+    if (len <= 16)
+        return changed;
+    const __mmask16 hi = (__mmask16)((1u << (len - 16)) - 1);
+    old = _mm512_maskz_loadu_epi32(hi, row + 16);
+    cut = _mm512_andnot_si512(_mm512_maskz_loadu_epi32(hi, kern + 16), old);
+    const __mmask16 changed_hi = _mm512_mask_test_epi32_mask(hi, cut, cut);
+    _mm512_mask_storeu_epi32(row + 16, changed_hi, _mm512_xor_si512(old, cut));
+    return (uint32_t)changed | (uint32_t)changed_hi << 16;
+}
+#endif
+
 static inline __attribute__((always_inline)) int64_t
 fuse(uint32_t *restrict mask, uint8_t *restrict hits, uint8_t *restrict sign,
      uint64_t *restrict seen, const int64_t *dims, int64_t p0, int64_t p1,
      const uint32_t *restrict kernel, const int64_t k,
      const int64_t *cflat, const int64_t *bins, int64_t n,
      const uint8_t *shadow, const int64_t *ball, int64_t m,
-     int64_t h_max, int64_t t_occ)
+     int64_t h_max, int64_t t_occ, const stamp_fn stamp)
 {
-    const int64_t sy = dims[2], sx = dims[1] * dims[2], r = k / 2;
-    /* The band's voxels are lo .. hi - 1; its bitmap starts at voxel lo. */
-    const int64_t lo = p0 * sx, hi = p1 * sx, words = (p1 - p0) * sx / 64 + 2;
-    uint32_t bit[32];
+    const int64_t sy = dims[2], sz = dims[1] * dims[2], r = k / 2;
+    const int64_t lo = p0 * sz, hi = p1 * sz, words = sz / 64 + 2;
     int64_t written = 0;
+    /* The returns whose block reaches plane z, with center planes
+     * z - r .. z + r, are the sorted returns a .. b - 1. */
+    int64_t a = 0, b = 0;
 
-    for (int z = 0; z < 32; z++)
-        bit[z] = (uint32_t)1 << z;
-    for (int64_t i = 0; i < n; i++) {
-        /* AND every word of the block's planes in the band, and mark the
-         * words it changed. */
-        const int64_t corner = cflat[i] - r * (sx + sy + 1);
-        const int64_t plane = corner / sx;
-        const int64_t x0 = p0 > plane ? p0 - plane : 0;
-        const int64_t x1 = p1 - plane < k ? p1 - plane : k;
-        const uint32_t *krow = kernel + x0 * k * k;
-        for (int64_t x = x0; x < x1; x++) {
+    for (int64_t z = p0; z < p1; z++) {
+        while (a < n && cflat[a] < (z - r) * sz)
+            a++;
+        while (b < n && cflat[b] < (z + r + 1) * sz)
+            b++;
+        if (a == b)
+            continue;
+        uint32_t *plane = mask + z * sz;
+        int64_t c = z - r; /* center plane of return i */
+        for (int64_t i = a; i < b; i++) {
+            while (cflat[i] >= (c + 1) * sz)
+                c++;
+            /* The block's first word in the plane, and the kernel slice
+             * that lies on this plane. */
+            const int64_t corner = cflat[i] - c * sz - r * (sy + 1);
+            const uint32_t *krow = kernel + (z - c + r) * k * k;
             for (int64_t y = 0; y < k; y++, krow += k) {
-                const int64_t v = corner + x * sx + y * sy;
-                for (int64_t z0 = 0; z0 < k; z0 += 32) {
-                    const int64_t len = k - z0 < 32 ? k - z0 : 32;
-                    uint32_t *row = mask + v + z0;
-                    const uint32_t *kz = krow + z0;
-                    uint32_t changed = 0;
-                    for (int64_t z = 0; z < len; z++) {
-                        uint32_t old = row[z], now = old & kz[z];
-                        row[z] = now;
-                        changed |= bit[z] & -(uint32_t)(now != old);
-                    }
-                    mark(seen, v + z0 - lo, changed);
+                const int64_t v = corner + y * sy;
+                for (int64_t x0 = 0; x0 < k; x0 += 32) {
+                    const int64_t len = k - x0 < 32 ? k - x0 : 32;
+                    mark(seen, v + x0, stamp(plane + v + x0, krow + x0, len));
                 }
             }
         }
-        /* One hit per shadow voxel in the band, saturating at h_max. */
+        /* Count the plane's changed voxels and clear its bitmap. */
+        for (int64_t w = 0; w < words; w++)
+            written += __builtin_popcountll(seen[w]);
+        memset(seen, 0, (size_t)words * sizeof *seen);
+    }
+    /* One hit per shadow voxel in the band, saturating at h_max. */
+    for (int64_t i = 0; i < n; i++) {
         const uint8_t *in_shadow = shadow + bins[i] * m;
         for (int64_t j = 0; j < m; j++) {
             const int64_t v = cflat[i] + ball[j];
@@ -73,37 +138,77 @@ fuse(uint32_t *restrict mask, uint8_t *restrict hits, uint8_t *restrict sign,
                 sign[v] = 0;
         }
     }
-    for (int64_t w = 0; w < words; w++)
-        written += __builtin_popcountll(seen[w]);
     return written;
 }
 
-/* Fuse n returns with center voxels cflat (sorted for locality; the grid
- * does not depend on the order) and shadow bins `bins` into the band of
- * planes p0 <= x < p1 (0 and nx for the whole grid), writing no voxel
- * outside it, so calls on disjoint bands can run at the same time:
+#define FUSE_ARGS                                                             \
+    uint32_t *mask, uint8_t *hits, uint8_t *sign, uint64_t *seen,             \
+        const int64_t *dims, int64_t p0, int64_t p1, const uint32_t *kernel,  \
+        int64_t k, const int64_t *cflat, const int64_t *bins, int64_t n,      \
+        const uint8_t *shadow, const int64_t *ball, int64_t m, int64_t h_max, \
+        int64_t t_occ
+
+/* The default kernel size gets its own copy, whose row loops the compiler
+ * unrolls. */
+#define FUSE_CALL(stamp)                                                      \
+    (k == 21 ? fuse(mask, hits, sign, seen, dims, p0, p1, kernel, 21, cflat,  \
+                    bins, n, shadow, ball, m, h_max, t_occ, stamp)           \
+             : fuse(mask, hits, sign, seen, dims, p0, p1, kernel, k, cflat,   \
+                    bins, n, shadow, ball, m, h_max, t_occ, stamp))
+
+/* Fuse n returns with center voxels cflat (sorted ascending; the grid does
+ * not depend on the order) and shadow bins `bins` into the band of planes
+ * p0 <= z < p1 (0 and nz for the whole grid), writing no voxel outside it,
+ * so calls on disjoint bands can run at the same time:
  *
  * - AND the K^3 distance kernel onto every word of each return's block;
- * - set the bit of each voxel whose mask this changes in `seen`, zeroed by
- *   the caller ((p1 - p0) * ny * nz / 64 + 2 words, bit 0 for the band's
- *   first voxel);
+ * - set the bit of each voxel whose mask this changes in `seen`, one
+ *   plane's bitmap (ny * nx / 64 + 2 words), zeroed by the caller and left
+ *   zeroed after each plane is counted;
  * - for each of the m flat offsets in `ball` that row bins[i] of `shadow`
  *   (one byte per offset) marks, add one hit unless the count is at h_max,
  *   and mark the voxel occupied (sign 0) once its count reaches t_occ.
  *
- * Returns the number of distinct voxels of the band whose mask changed. */
-int64_t bitsdf_fuse(uint32_t *mask, uint8_t *hits, uint8_t *sign, uint64_t *seen,
-                    const int64_t *dims, int64_t p0, int64_t p1,
-                    const uint32_t *kernel, int64_t k,
-                    const int64_t *cflat, const int64_t *bins, int64_t n,
-                    const uint8_t *shadow, const int64_t *ball, int64_t m,
-                    int64_t h_max, int64_t t_occ)
+ * Returns the number of distinct voxels of the band whose mask changed.
+ * bitsdf_fuse stamps rows with AVX-512F where the CPU has it (see
+ * bitsdf_fuse_path); bitsdf_fuse_portable never does. */
+int64_t bitsdf_fuse_portable(FUSE_ARGS)
 {
-    /* The default kernel size gets its own copy, whose row loops the
-     * compiler unrolls. */
-    if (k == 21)
-        return fuse(mask, hits, sign, seen, dims, p0, p1, kernel, 21, cflat,
-                    bins, n, shadow, ball, m, h_max, t_occ);
-    return fuse(mask, hits, sign, seen, dims, p0, p1, kernel, k, cflat, bins,
-                n, shadow, ball, m, h_max, t_occ);
+    return FUSE_CALL(stamp_portable);
+}
+
+#ifdef HAVE_AVX512
+/* Every AVX-512 CPU also has POPCNT, which counts the bitmap. */
+__attribute__((target("avx512f,popcnt"))) static int64_t fuse_avx512(FUSE_ARGS)
+{
+    return FUSE_CALL(stamp_avx512);
+}
+
+static int cpu_has_avx512(void)
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("popcnt");
+}
+#endif
+
+/* The row stamp bitsdf_fuse runs on this CPU: "avx512" or "portable". */
+const char *bitsdf_fuse_path(void)
+{
+#ifdef HAVE_AVX512
+    if (cpu_has_avx512())
+        return "avx512";
+#endif
+    return "portable";
+}
+
+int64_t bitsdf_fuse(FUSE_ARGS)
+{
+#ifdef HAVE_AVX512
+    if (cpu_has_avx512())
+        return fuse_avx512(mask, hits, sign, seen, dims, p0, p1, kernel, k,
+                           cflat, bins, n, shadow, ball, m, h_max, t_occ);
+#endif
+    return bitsdf_fuse_portable(mask, hits, sign, seen, dims, p0, p1, kernel,
+                                k, cflat, bins, n, shadow, ball, m, h_max,
+                                t_occ);
 }

@@ -18,6 +18,8 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +28,21 @@ SOURCE = Path(__file__).with_name("_fuse.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 CC = "cc"
 
-# The loaded bitsdf_fuse: None until the first fusion asks, False when it
-# could not be built or loaded.
+# The loaded Library: None until the first fusion asks, False when it could
+# not be built or loaded.
 _lib = None
+
+
+@dataclass(frozen=True)
+class Library:
+    """The entry points of the compiled pass. ``fuse`` stamps rows with
+    AVX-512F where the CPU has it and ``fuse_portable`` never does; they
+    take the same arguments and give the same grid. ``path`` names the stamp
+    that ``fuse`` runs here: "avx512" or "portable"."""
+
+    fuse: Callable
+    fuse_portable: Callable
+    path: str
 
 
 def build(source: Path, cache_dir: Path, cc: str) -> Path:
@@ -54,19 +68,19 @@ def build(source: Path, cache_dir: Path, cc: str) -> Path:
     return lib
 
 
-def _bind(path: Path):
-    fn = ctypes.CDLL(str(path)).bitsdf_fuse
+def _bind(path: Path) -> Library:
+    lib = ctypes.CDLL(str(path))
 
     def array(dtype, writeable=False):
         flags = ("C_CONTIGUOUS", "WRITEABLE") if writeable else "C_CONTIGUOUS"
         return np.ctypeslib.ndpointer(dtype, flags=flags)
 
     i64 = ctypes.c_int64
-    fn.argtypes = [
+    argtypes = [
         array(np.uint32, True),  # mask
         array(np.uint8, True),  # hits
         array(np.uint8, True),  # sign
-        array(np.uint64, True),  # seen: changed-voxel bitmap
+        array(np.uint64, True),  # seen: one plane's changed-voxel bitmap
         array(np.int64),  # dims
         i64,  # first plane of the band
         i64,  # end of the band
@@ -81,12 +95,17 @@ def _bind(path: Path):
         i64,  # h_max
         i64,  # t_occ
     ]
-    fn.restype = i64
-    return fn
+    for fn in (lib.bitsdf_fuse, lib.bitsdf_fuse_portable):
+        fn.argtypes = argtypes
+        fn.restype = i64
+    lib.bitsdf_fuse_path.argtypes = []
+    lib.bitsdf_fuse_path.restype = ctypes.c_char_p
+    return Library(lib.bitsdf_fuse, lib.bitsdf_fuse_portable,
+                   lib.bitsdf_fuse_path().decode())
 
 
-def fuse_pass():
-    """The compiled ``bitsdf_fuse``, or None when it is unavailable."""
+def library() -> Library | None:
+    """The compiled pass, or None when it is unavailable."""
     global _lib
     if _lib is None:
         try:

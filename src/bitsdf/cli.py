@@ -27,7 +27,13 @@ from .errors import (
     ResourceError,
 )
 from .grid import memory_bytes, new_grid, observed_array
-from .integrator import IntegrationParams, ScanFrame, check_threads, integrate_frame
+from .integrator import (
+    IntegrationParams,
+    ScanFrame,
+    check_threads,
+    fusion_path,
+    integrate_frame,
+)
 from .kernels import build_kernel_bank
 from .mesher import extract_mesh, vertex_normals
 from .metrics import evaluate, sample_mesh
@@ -161,15 +167,18 @@ def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
         stats = integrate_frame(grid, bank, scan, params, threads=cfg.threads)
         rows.append(
             (frame_idx, stats.points_in, stats.points_discarded,
-             stats.voxels_written, stats.elapsed_ms)
+             stats.voxels_written, stats.elapsed_ms, stats.prepare_ms,
+             stats.pass_ms)
         )
 
     snapshot = out_dir / "map.dbtsdf"
     bio.save_grid(grid, snapshot)
     with open(out_dir / "frame_stats.csv", "w") as f:
-        f.write("frame,points_in,points_discarded,voxels_written,elapsed_ms\n")
+        f.write("frame,points_in,points_discarded,voxels_written,elapsed_ms,"
+                "prepare_ms,pass_ms\n")
         for row in rows:
-            f.write(f"{row[0]},{row[1]},{row[2]},{row[3]},{row[4]:.3f}\n")
+            f.write(f"{row[0]},{row[1]},{row[2]},{row[3]},{row[4]:.3f},"
+                    f"{row[5]:.3f},{row[6]:.3f}\n")
     save_config(cfg, out_dir / "config.resolved.yaml")
     return grid, rows, snapshot
 
@@ -201,6 +210,7 @@ def fuse(config_path, as_json, **overrides):
         ),
         "snapshot": str(snapshot),
         "memory_bytes": memory_bytes(grid),
+        "fusion_path": fusion_path(),
     }
     if as_json:
         click.echo(json.dumps(summary, indent=2))

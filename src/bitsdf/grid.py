@@ -139,13 +139,6 @@ def world_to_voxel(grid: VoxelGrid, p):
     return None
 
 
-def world_to_voxel_array(grid: VoxelGrid, points: np.ndarray) -> np.ndarray:
-    """Vectorized floor indexing; no bounds check (callers filter)."""
-    return np.floor(
-        (points - grid.origin[np.newaxis, :]) / grid.voxel_size
-    ).astype(np.int64)
-
-
 def is_run_mask(mask) -> bool:
     """True iff mask is a contiguous low-bit run (including 0 and all-ones)."""
     m = int(mask) & FULL_MASK

@@ -3,17 +3,21 @@
 Per scan: optional downsampling and motion compensation, then the transform
 to the map frame. All returns of the scan are then fused in one pass:
 
-1. Prepare, vectorized: drop returns closer than one voxel to the sensor or
-   whose K^3 neighborhood leaves the grid, pick each return's
-   azimuth-elevation bin from its map-frame ray, and sort the returns by
-   center voxel.
-2. The compiled pass (``_fuse.c``, built on first use by ``_native``) walks
-   the sorted returns once. Per return it ANDs the distance kernel onto
-   every word of the K^3 block of masks around the center, marks each voxel
-   whose mask that changes in a bitmap of the frame (so ``voxels_written``
-   counts distinct voxels), and adds one hit to each voxel of the return's
-   shadow, saturating at the grid's h_max, marking the voxel occupied once
-   its count reaches the grid's t_occ.
+1. Prepare, vectorized on the x, y and z components of the returns: drop
+   returns closer than one voxel to the sensor or whose K^3 neighborhood
+   leaves the grid, sort the rest by center voxel, and pick each kept
+   return's azimuth-elevation bin from its map-frame ray.
+2. The compiled pass (``_fuse.c``, built on first use by ``_native``) stamps
+   the masks plane by plane. For each z plane it ANDs the kernel's slice
+   onto every word of the block rows of the returns whose K^3 block reaches
+   that plane (a contiguous run of the sorted returns), so its working set
+   is one plane and the kernel. It marks each voxel whose mask that changes
+   in a bitmap of the plane, counted and cleared once the plane is done (so
+   ``voxels_written`` counts distinct voxels). Rows are stamped with
+   AVX-512F where the CPU has it, chosen at run time, and with a portable
+   loop elsewhere; both give the same grid. Then it adds one hit to each
+   voxel of each return's shadow, saturating at the grid's h_max, marking
+   the voxel occupied once its count reaches the grid's t_occ.
 
 With ``threads`` above 1 the pass is split by ownership of z planes, the
 slowest axis in memory: the planes are cut into bands that hold about the
@@ -45,7 +49,7 @@ from scipy.spatial.transform import Rotation, Slerp
 
 from . import _native
 from .errors import ConfigurationError
-from .grid import SIGN_OCCUPIED, VoxelGrid, world_to_voxel_array
+from .grid import SIGN_OCCUPIED, VoxelGrid
 from .kernels import KernelBank, bin_index_array
 from .transforms import check_rotation
 
@@ -100,12 +104,17 @@ class FrameStats:
     dropped by the sensor-distance and bounds checks (not those dropped by
     ``first_return_per_voxel``). ``voxels_written`` is the number of distinct
     voxels whose distance mask changed in the frame; a voxel that several
-    returns lower counts once."""
+    returns lower counts once. ``elapsed_ms`` is the whole frame's time;
+    ``prepare_ms`` that of the vectorized prepare (bounds, sort, bins), and
+    ``pass_ms`` that of the stamp: the slowest band's call of the compiled
+    pass, or the numpy code where it cannot be built."""
 
     points_in: int = 0
     points_discarded: int = 0
     voxels_written: int = 0
     elapsed_ms: float = 0.0
+    prepare_ms: float = 0.0
+    pass_ms: float = 0.0
 
 
 def _scan_times(scan: ScanFrame) -> np.ndarray:
@@ -152,6 +161,13 @@ def motion_compensate(scan: ScanFrame, mode: str) -> ScanFrame:
     )
 
 
+def fusion_path() -> str:
+    """The path that fuses frames in this process: "avx512" or "portable"
+    (the compiled pass, named by its row stamp) or "numpy"."""
+    lib = _native.library()
+    return lib.path if lib else "numpy"
+
+
 def check_threads(threads) -> int:
     """``threads`` as a worker count: an integer of at least 1, else
     ConfigurationError."""
@@ -160,36 +176,67 @@ def check_threads(threads) -> int:
     return int(threads)
 
 
-def _fuse(grid, bank, pts_map, sensor, params, threads=1) -> tuple[int, int]:
-    """Fuse map-frame returns seen from ``sensor``. Returns the number of
-    returns inside the bounds and the number of distinct voxels whose mask
-    changed."""
-    r = bank.half_extent
-    dims = np.array(grid.dims)
-    rays = pts_map - sensor
-    centers = world_to_voxel_array(grid, pts_map)
-    ok = np.linalg.norm(rays, axis=1) >= grid.voxel_size
-    ok &= np.all((centers >= r) & (centers <= dims - 1 - r), axis=1)
-    n_ok = int(np.count_nonzero(ok))
-    if n_ok == 0:
-        return 0, 0
-    centers = centers[ok]
-    b_a, b_e = bin_index_array(rays[ok], bank.b_az, bank.b_el)
-    bins = b_a * bank.b_el + b_e
-    # Flat indices in the grid's memory order, x fastest.
-    strides = np.array([1, dims[0], dims[0] * dims[1]])
-    cflat = centers @ strides
+def _prepare(grid, bank, pts_map, sensor, first_return_per_voxel):
+    """The returns of ``pts_map`` (map frame, seen from ``sensor``) that
+    fusion applies: at least one voxel from the sensor, with the K^3 block
+    around their center voxel inside the grid. Returns how many there are,
+    and the flat center index (x fastest) and shadow bin of each one to
+    stamp, sorted by center; with ``first_return_per_voxel``, only the first
+    return of each center voxel is stamped.
+
+    Each axis is handled on its own components: the ray, the floored
+    center voxel (checked against the bounds before the cast) and the
+    norm, computed once and reused for the elevation bin. Bins are computed
+    only for the returns kept, after sorting."""
+    r, vs = bank.half_extent, grid.voxel_size
+    rx, ry, rz = (pts_map[:, a] - sensor[a] for a in range(3))
+    cells = [np.floor((pts_map[:, a] - grid.origin[a]) / vs) for a in range(3)]
+    # The sum in np.linalg.norm's order, so the same bits.
+    norms = np.sqrt(rx * rx + ry * ry + rz * rz)
+    ok = norms >= vs
+    for c, n in zip(cells, grid.dims):
+        ok &= (c >= r) & (c <= n - 1 - r)
+    keep = np.flatnonzero(ok)
+    nx, ny, _ = grid.dims
+    cx, cy, cz = (c[keep].astype(np.int64) for c in cells)
+    cflat = cx + nx * (cy + ny * cz)
     # Stamp in voxel order for cache locality; the result does not depend
     # on the order. np.unique's first indices are already in voxel order.
-    if params.first_return_per_voxel:
+    if first_return_per_voxel:
         _, order = np.unique(cflat, return_index=True)
     else:
         order = np.argsort(cflat, kind="stable")
-    centers, bins, cflat = centers[order], bins[order], cflat[order]
+    cflat, stamped = cflat[order], keep[order]
+    b_a, b_e = bin_index_array(rx[stamped], ry[stamped], rz[stamped],
+                               norms[stamped], bank.b_az, bank.b_el)
+    return len(keep), cflat, b_a * bank.b_el + b_e
 
-    fuse_pass = _native.fuse_pass()
-    if fuse_pass is None:
-        return n_ok, _fuse_numpy(grid, bank, centers, bins, cflat, strides)
+
+def _fuse(grid, bank, pts_map, sensor, params, stats, threads=1) -> int:
+    """Fuse map-frame returns seen from ``sensor``, setting ``stats``'
+    voxels_written, prepare_ms and pass_ms. Returns the number of returns
+    inside the bounds."""
+    t0 = time.perf_counter()
+    n_ok, cflat, bins = _prepare(grid, bank, pts_map, sensor,
+                                 params.first_return_per_voxel)
+    t1 = time.perf_counter()
+    stats.prepare_ms = (t1 - t0) * 1e3
+    if n_ok == 0:
+        return 0
+    lib = _native.library()
+    if lib is None:
+        stats.voxels_written = _fuse_numpy(grid, bank, cflat, bins)
+        stats.pass_ms = (time.perf_counter() - t1) * 1e3
+    else:
+        stats.voxels_written, stats.pass_ms = _fuse_compiled(
+            grid, bank, lib.fuse, cflat, bins, threads)
+    return n_ok
+
+
+def _fuse_compiled(grid, bank, fuse_pass, cflat, bins, threads) -> tuple[int, float]:
+    """Run the compiled ``fuse_pass`` over the sorted returns on bands of z
+    planes. Returns the changed-voxel count and the slowest band's ms."""
+    r = bank.half_extent
     # The C pass indexes these arrays unchecked; VoxelGrid checks its own.
     if (bank.distance_kernel.shape != (bank.size,) * 3
             or bank.shadow.shape != (bank.b_az * bank.b_el, len(bank.shadow_ball))
@@ -198,26 +245,30 @@ def _fuse(grid, bank, pts_map, sensor, params, threads=1) -> tuple[int, int]:
     # The pass reads C-ordered (nz, ny, nx) arrays: the transposed views of
     # the x-fastest grid, with the kernel transposed to match.
     grid_args = (grid.mask.T, grid.hits.T, grid.sign.T)
-    dims_zyx = dims[::-1].copy()
+    nx, ny, nz = grid.dims
+    dims_zyx = np.array([nz, ny, nx])
     kernel = np.ascontiguousarray(bank.distance_kernel.T)
-    ball = bank.shadow_ball @ strides
-    plane = strides[2]  # voxels per z plane
-    cuts = _plane_cuts(cflat // plane, grid.dims[2], bank.size,
-                       min(threads, os.cpu_count() or 1, grid.dims[2]))
+    plane = nx * ny  # voxels per z plane
+    ball = bank.shadow_ball @ np.array([1, nx, plane])
+    cuts = _plane_cuts(cflat // plane, nz, bank.size,
+                       min(threads, os.cpu_count() or 1, nz))
     # Each worker owns the planes [p0, p1) and fuses the sorted returns whose
     # block reaches them: their center planes are in [p0 - r, p1 + r).
     ends = np.searchsorted(cflat, np.stack([cuts[:-1] - r, cuts[1:] + r]) * plane)
 
     def fuse_band(p0, p1, i0, i1):
-        seen = np.zeros((p1 - p0) * plane // 64 + 2, dtype=np.uint64)
-        return fuse_pass(
+        seen = np.zeros(plane // 64 + 2, dtype=np.uint64)  # one plane's bits
+        t = time.perf_counter()
+        written = fuse_pass(
             *grid_args, seen, dims_zyx, p0, p1, kernel, bank.size,
             cflat[i0:i1], bins[i0:i1], i1 - i0,
             bank.shadow, ball, bank.shadow.shape[1], grid.h_max, grid.t_occ,
         )
+        return written, time.perf_counter() - t
 
     bands = list(zip(cuts[:-1].tolist(), cuts[1:].tolist(), *ends.tolist()))
-    return n_ok, sum(_run_parts(fuse_band, bands))
+    results = _run_parts(fuse_band, bands)
+    return sum(w for w, _ in results), max(t for _, t in results) * 1e3
 
 
 def _plane_cuts(planes, nz, k, workers) -> np.ndarray:
@@ -260,10 +311,13 @@ def _run_parts(fn, parts) -> list:
     return results
 
 
-def _fuse_numpy(grid, bank, centers, bins, cflat, strides) -> int:
+def _fuse_numpy(grid, bank, cflat, bins) -> int:
     """The work of ``_fuse.c`` in numpy, for platforms where it cannot be
     built: the mask stamp, the changed-voxel count and the hits."""
     r = bank.half_extent
+    nx, ny, _ = grid.dims
+    centers = np.stack([cflat % nx, cflat // nx % ny, cflat // (nx * ny)], axis=1)
+    strides = np.array([1, nx, nx * ny])
     # Mask stamp: an in-place AND of the distance kernel onto each return's
     # K^3 block; the frame's bounding box is compared before and after.
     mask, kernel = grid.mask, bank.distance_kernel
@@ -304,7 +358,7 @@ def integrate_point(
     """Fuse one map-frame return; returns "applied" or "discarded"."""
     p_map = np.asarray(p_map, dtype=np.float64).reshape(1, 3)
     sensor_pos = np.asarray(sensor_pos, dtype=np.float64)
-    applied, _ = _fuse(grid, bank, p_map, sensor_pos, params)
+    applied = _fuse(grid, bank, p_map, sensor_pos, params, FrameStats())
     return "applied" if applied else "discarded"
 
 
@@ -339,8 +393,7 @@ def integrate_frame(
 
     pts_map = scan.points @ scan.pose[:3, :3].T + scan.pose[:3, 3]
     stats.points_in = pts_map.shape[0]
-    applied, stats.voxels_written = _fuse(grid, bank, pts_map, scan.pose[:3, 3],
-                                          params, threads)
+    applied = _fuse(grid, bank, pts_map, scan.pose[:3, 3], params, stats, threads)
     stats.points_discarded = stats.points_in - applied
     stats.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return stats

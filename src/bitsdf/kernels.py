@@ -48,12 +48,12 @@ def bin_index(p, b_az: int, b_el: int) -> tuple[int, int]:
     return min(max(b_a, 0), b_az - 1), min(max(b_e, 0), b_el - 1)
 
 
-def bin_index_array(dirs: np.ndarray, b_az: int, b_el: int):
-    """Vectorized bin_index over an (n, 3) array of nonzero vectors."""
-    norms = np.linalg.norm(dirs, axis=1)
-    az = np.arctan2(dirs[:, 1], dirs[:, 0])
+def bin_index_array(dx, dy, dz, norms, b_az: int, b_el: int):
+    """Vectorized bin_index over the components of nonzero vectors and
+    their Euclidean norms (arrays of one shape)."""
+    az = np.arctan2(dy, dx)
     az = np.where(az < 0.0, az + TWO_PI, az)
-    el = np.arcsin(np.clip(dirs[:, 2] / norms, -1.0, 1.0))
+    el = np.arcsin(np.clip(dz / norms, -1.0, 1.0))
     b_a = np.clip((az / TWO_PI * b_az).astype(np.int64), 0, b_az - 1)
     b_e = np.clip(((el + np.pi / 2) / np.pi * b_el).astype(np.int64), 0, b_el - 1)
     return b_a, b_e

@@ -77,10 +77,16 @@ class TestFuse:
         assert result.exit_code == 0, result.output
         summary = json.loads(result.output)
         assert summary["frames"] == 10
+        assert summary["fusion_path"] in ("avx512", "portable", "numpy")
         assert (root / "out" / "map.dbtsdf").exists()
         stats = (root / "out" / "frame_stats.csv").read_text().splitlines()
-        assert stats[0] == "frame,points_in,points_discarded,voxels_written,elapsed_ms"
+        assert stats[0] == ("frame,points_in,points_discarded,voxels_written,"
+                            "elapsed_ms,prepare_ms,pass_ms")
         assert len(stats) == 11
+        # The pass and the prepare are parts of the frame's time.
+        for line in stats[1:]:
+            elapsed, prepare, pass_ms = map(float, line.split(",")[4:])
+            assert 0 < prepare + pass_ms <= elapsed
 
     @pytest.mark.parametrize("mode", ["yaw", "se3"])
     def test_compensation_fuses_every_frame(self, dataset, tmp_path, mode):

@@ -1,5 +1,6 @@
 import os
 import shutil
+import subprocess
 import tracemalloc
 
 import numpy as np
@@ -50,14 +51,20 @@ def fresh_grid(n=41, voxel_size=0.1, h_max=255, t_occ=2):
 
 
 def use_path(path, monkeypatch):
-    """Fuse with the compiled pass ("c") or with the numpy code that runs
-    where it cannot be built ("numpy")."""
+    """Fuse with the compiled pass ("c", whose row stamp is AVX-512F where
+    the CPU has it), with its portable row stamp forced ("portable"), or
+    with the numpy code that runs where it cannot be built ("numpy")."""
     if path == "numpy":
         monkeypatch.setattr(_native, "_lib", False)
-    elif _native.fuse_pass() is None:
+        return
+    lib = _native.library()
+    if lib is None:
         if shutil.which(_native.CC):
             pytest.fail("a C compiler is present but _fuse.c did not build")
         pytest.skip("no C compiler")
+    if path == "portable":
+        monkeypatch.setattr(_native, "_lib", _native.Library(
+            lib.fuse_portable, lib.fuse_portable, "portable"))
 
 
 @pytest.fixture
@@ -439,15 +446,15 @@ def test_compiled_pass_memory(monkeypatch):
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def band_pass(grid, bank, centers, bins, p0, p1):
-    """One call of the compiled pass on the z planes [p0, p1) of ``grid``
-    over every return, prepared as integrator._fuse prepares it; returns
-    the pass's changed-voxel count."""
+def band_pass(grid, bank, centers, bins, p0, p1, entry="fuse"):
+    """One call of the compiled pass (``entry`` of _native.Library) on the
+    z planes [p0, p1) of ``grid`` over every return, prepared as
+    integrator._fuse prepares it; returns the pass's changed-voxel count."""
     strides = np.array([1, grid.dims[0], grid.dims[0] * grid.dims[1]])
     cflat = centers @ strides
     order = np.argsort(cflat)
-    seen = np.zeros((p1 - p0) * strides[2] // 64 + 2, dtype=np.uint64)
-    return _native.fuse_pass()(
+    seen = np.zeros(strides[2] // 64 + 2, dtype=np.uint64)
+    return getattr(_native.library(), entry)(
         grid.mask.T, grid.hits.T, grid.sign.T, seen, np.array(grid.dims[::-1]),
         p0, p1, np.ascontiguousarray(bank.distance_kernel.T), bank.size,
         cflat[order], bins[order], len(order), bank.shadow,
@@ -526,6 +533,136 @@ class TestPlaneSplit:
             assert result == results[1], key
 
 
+class TestRowStamps:
+    """The compiled pass's AVX-512 and portable row stamps against each
+    other and against the numpy code, on the plane-split grid, whose z
+    plane (1,073 voxels) is not a whole number of 64-voxel bitmap words.
+    Kernels above 21 grow the grid by the difference so their blocks fit;
+    K = 35 stamps its rows in two chunks (32 + 3 words)."""
+
+    @staticmethod
+    def frames(k, kind):
+        dims = np.array(TestPlaneSplit.DIMS) + max(0, k - 21)
+        rng = np.random.default_rng(70 + k)
+        vs, r = 0.1, k // 2
+        # Centers fill the voxels whose block fits, plus a margin of
+        # returns that are discarded.
+        pts = rng.uniform((r - 2) * vs, (dims - r + 2) * vs, size=(400, 3))
+        if kind == "plane":
+            # Every center on one z plane, at the grid's last valid one.
+            pts[:, 2] = (dims[2] - 1 - r + 0.5) * vs
+        sensor = dims * vs / 2 + 0.013
+        pose = make_pose(Rotation.identity(), sensor)
+        return tuple(dims), [ScanFrame(points=pts[i::2] - sensor, pose=pose)
+                             for i in range(2)]
+
+    @pytest.mark.parametrize("kind", ["random", "plane"])
+    @pytest.mark.parametrize("shadow_model", ["hemisphere", "cone"])
+    @pytest.mark.parametrize("k", [7, 21, 35])
+    def test_paths_agree(self, monkeypatch, k, shadow_model, kind):
+        bank = build_kernel_bank(size=k, shadow_radius=3, shadow_model=shadow_model)
+        dims, scans = self.frames(k, kind)
+        results = {}
+        for path, threads in (("c", 2), ("portable", 2), ("portable", 1), ("numpy", 1)):
+            with monkeypatch.context() as m:
+                use_path(path, m)
+                ran = integrator.fusion_path()
+                g = new_grid(dims, 0.1, h_max=3, t_occ=2)
+                stats = [integrate_frame(g, bank, scan, IntegrationParams(),
+                                         threads=threads)
+                         for scan in scans]
+            results[ran, threads] = (
+                to_records(g).tobytes(),
+                [(st.points_in, st.points_discarded, st.voxels_written)
+                 for st in stats])
+        print(f"compiled pass on this host: {_native.library().path}")
+        assert all(0 < st[1] < st[0] and st[2] > 0
+                   for st in results["portable", 1][1])
+        for key, result in results.items():
+            assert result == results["portable", 1], key
+
+
+def prepare_reference(grid, bank, pts_map, sensor, first_return_per_voxel):
+    """The prepare as it was written on (n, 3) arrays: flat centers and bins
+    of the returns to stamp, sorted by center, and the count kept."""
+    r = bank.half_extent
+    dims = np.array(grid.dims)
+    rays = pts_map - sensor
+    centers = np.floor((pts_map - grid.origin[np.newaxis, :])
+                       / grid.voxel_size).astype(np.int64)
+    ok = np.linalg.norm(rays, axis=1) >= grid.voxel_size
+    ok &= np.all((centers >= r) & (centers <= dims - 1 - r), axis=1)
+    centers, dirs = centers[ok], rays[ok]
+    az = np.arctan2(dirs[:, 1], dirs[:, 0])
+    az = np.where(az < 0.0, az + 2.0 * np.pi, az)
+    el = np.arcsin(np.clip(dirs[:, 2] / np.linalg.norm(dirs, axis=1), -1.0, 1.0))
+    b_a = np.clip((az / (2.0 * np.pi) * bank.b_az).astype(np.int64), 0, bank.b_az - 1)
+    b_e = np.clip(((el + np.pi / 2) / np.pi * bank.b_el).astype(np.int64),
+                  0, bank.b_el - 1)
+    bins = b_a * bank.b_el + b_e
+    cflat = centers @ np.array([1, dims[0], dims[0] * dims[1]])
+    if first_return_per_voxel:
+        _, order = np.unique(cflat, return_index=True)
+    else:
+        order = np.argsort(cflat, kind="stable")
+    return int(np.count_nonzero(ok)), cflat[order], bins[order]
+
+
+class TestPrepare:
+    """integrator._prepare, on per-axis components, keeps, orders and bins
+    returns exactly as the (n, 3) formulas do."""
+
+    VS = 0.125  # a power of two: voxel faces and ray lengths are exact
+
+    @pytest.fixture
+    def grid(self):
+        return new_grid((40, 36, 30), self.VS, origin=(-1.5, -0.75, -2.0))
+
+    @staticmethod
+    def inputs(grid, rng):
+        vs, lo = TestPrepare.VS, grid.origin
+        hi = lo + np.array(grid.dims) * vs
+        sensor = lo + np.array([19.3, 17.6, 14.2]) * vs
+        parts = [rng.uniform(lo - vs, hi + vs, size=(3000, 3))]
+        # On voxel faces, including the first and last faces a center may
+        # take (r and dims - 1 - r) and those just outside.
+        faces = rng.integers(-1, np.array(grid.dims) + 1, size=(600, 3))
+        parts.append(lo + faces * vs)
+        # Rays exactly one voxel long (kept), and just shorter (dropped).
+        units = np.eye(3)[rng.integers(0, 3, size=300)] * rng.choice([-1, 1], (300, 1))
+        parts += [sensor + units * vs, sensor + units * np.nextafter(vs, 0)]
+        # Rays along +z and -z: the elevation bins at the poles.
+        d = rng.uniform(0.2, 1.6, size=(200, 1))
+        parts += [sensor + d * [0, 0, 1], sensor - d * [0, 0, 1]]
+        return np.concatenate(parts), sensor
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_matches_n3_formulas(self, grid, bank, first):
+        rng = np.random.default_rng(80)
+        pts, sensor = self.inputs(grid, rng)
+        n_ok, cflat, bins = integrator._prepare(grid, bank, pts, sensor, first)
+        ref = prepare_reference(grid, bank, pts, sensor, first)
+        assert n_ok == ref[0]
+        assert np.array_equal(cflat, ref[1])
+        assert np.array_equal(bins, ref[2])
+        # Every kind of input reaches the checks it is meant for.
+        assert 0 < n_ok < len(pts)
+        assert {0, bank.b_el - 1} <= set((bins % bank.b_el).tolist())
+
+    def test_edge_cases_decided(self, grid, bank):
+        r, vs = bank.half_extent, self.VS
+        center = np.array([r, r + 1, grid.dims[2] - 1 - r])
+        p = grid.origin + center * vs  # on the faces of a valid center
+        sensor = p - [vs, 0, 0]  # exactly one voxel away
+        pts = np.array([p, p - [vs / 2, 0, 0], p + [0, 0, vs]])
+        n_ok, cflat, bins = integrator._prepare(grid, bank, pts, sensor, False)
+        # The second is closer than one voxel, the third one plane too high.
+        assert n_ok == 1
+        nx, ny, _ = grid.dims
+        assert cflat.tolist() == [center[0] + nx * (center[1] + ny * center[2])]
+        assert bins.tolist() == [bank.flat_bin(0, bank.b_el // 2)]
+
+
 class TestNativeBuild:
     def test_missing_compiler_falls_back(self, bank, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(46)
@@ -559,11 +696,22 @@ class TestNativeBuild:
         monkeypatch.setattr(_native, "SOURCE", src)
         monkeypatch.setattr(_native, "CACHE_DIR", cache)
         monkeypatch.setattr(_native, "CC", str(tmp_path / "no-such-cc"))
-        assert _native.fuse_pass() is None
+        assert _native.library() is None
         assert "no-such-cc" in capsys.readouterr().err
         rebuilt = _native.build(src, cache, cc)
         assert rebuilt != built
         assert sorted(cache.iterdir()) == sorted([built, rebuilt])
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        cc = _native.CC
+        if shutil.which(cc) is None:
+            pytest.skip("no C compiler")
+        result = subprocess.run(
+            [cc, "-O3", "-Wall", "-Wextra", "-Werror", "-c", "-o",
+             str(tmp_path / "_fuse.o"), str(_native.SOURCE)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_mismatched_bank_rejected(self, monkeypatch):
         use_path("c", monkeypatch)

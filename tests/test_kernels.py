@@ -32,7 +32,7 @@ class TestBinIndex:
     def test_array_matches_scalar(self):
         rng = np.random.default_rng(3)
         dirs = rng.normal(size=(200, 3))
-        b_a, b_e = bin_index_array(dirs, 40, 40)
+        b_a, b_e = bin_index_array(*dirs.T, np.linalg.norm(dirs, axis=1), 40, 40)
         for d, a, e in zip(dirs, b_a, b_e):
             assert bin_index(d, 40, 40) == (a, e)
 
