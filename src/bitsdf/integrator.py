@@ -31,7 +31,7 @@ calling thread, the others on threads joined before the frame returns.
 Where the C file cannot be built, the same work runs in numpy on one
 thread, whatever ``threads`` says: an in-place AND per return, a diff of the
 frame's bounding box before and after, and one batched hit update per
-frame. It gives the same grid at roughly three times the cost per return.
+frame. It gives the same grid at more than ten times the cost per return.
 
 AND is commutative and idempotent and the saturating add is monotone, so
 the grid does not depend on the order of the returns.
