@@ -12,9 +12,9 @@
  * The mask stamp runs plane by plane: for each plane of the band it ANDs
  * the kernel's slice onto the block rows of every return whose block
  * reaches that plane, so the working set is one plane plus the kernel. A
- * row is stamped in chunks of at most 32 words, with AVX-512F where the
- * CPU has it (chosen at run time) and with a loop the compiler vectorizes
- * elsewhere; both give the same words and the same changed bits.
+ * row is stamped in chunks of at most 32 words, with AVX-512F or with a
+ * loop the compiler vectorizes: each has its own entry point, the caller
+ * picks one per process, and both give the same words and changed bits.
  */
 #include <stdint.h>
 #include <string.h>
@@ -170,8 +170,9 @@ fuse(uint32_t *restrict mask, uint8_t *restrict hits, uint8_t *restrict sign,
  *   and mark the voxel occupied (sign 0) once its count reaches t_occ.
  *
  * Returns the number of distinct voxels of the band whose mask changed.
- * bitsdf_fuse stamps rows with AVX-512F where the CPU has it (see
- * bitsdf_fuse_path); bitsdf_fuse_portable never does. */
+ * bitsdf_fuse_portable stamps rows with a loop the compiler vectorizes, and
+ * bitsdf_fuse_avx512 with AVX-512F; it may run only where bitsdf_has_avx512
+ * says so. */
 int64_t bitsdf_fuse_portable(FUSE_ARGS)
 {
     return FUSE_CALL(stamp_portable);
@@ -179,36 +180,15 @@ int64_t bitsdf_fuse_portable(FUSE_ARGS)
 
 #ifdef HAVE_AVX512
 /* Every AVX-512 CPU also has POPCNT, which counts the bitmap. */
-__attribute__((target("avx512f,popcnt"))) static int64_t fuse_avx512(FUSE_ARGS)
+__attribute__((target("avx512f,popcnt"))) int64_t bitsdf_fuse_avx512(FUSE_ARGS)
 {
     return FUSE_CALL(stamp_avx512);
 }
 
-static int cpu_has_avx512(void)
+/* 1 when this CPU can run bitsdf_fuse_avx512, else 0. */
+int bitsdf_has_avx512(void)
 {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("popcnt");
 }
 #endif
-
-/* The row stamp bitsdf_fuse runs on this CPU: "avx512" or "portable". */
-const char *bitsdf_fuse_path(void)
-{
-#ifdef HAVE_AVX512
-    if (cpu_has_avx512())
-        return "avx512";
-#endif
-    return "portable";
-}
-
-int64_t bitsdf_fuse(FUSE_ARGS)
-{
-#ifdef HAVE_AVX512
-    if (cpu_has_avx512())
-        return fuse_avx512(mask, hits, sign, seen, dims, p0, p1, kernel, k,
-                           cflat, bins, n, shadow, ball, m, h_max, t_occ);
-#endif
-    return bitsdf_fuse_portable(mask, hits, sign, seen, dims, p0, p1, kernel,
-                                k, cflat, bins, n, shadow, ball, m, h_max,
-                                t_occ);
-}

@@ -35,10 +35,11 @@ _lib = None
 
 @dataclass(frozen=True)
 class Library:
-    """The entry points of the compiled pass. ``fuse`` stamps rows with
-    AVX-512F where the CPU has it and ``fuse_portable`` never does; they
-    take the same arguments and give the same grid. ``path`` names the stamp
-    that ``fuse`` runs here: "avx512" or "portable"."""
+    """The entry points of the compiled pass, picked once per process when
+    the library is loaded. ``fuse`` stamps rows with AVX-512F where the CPU
+    has it and ``fuse_portable`` never does; they take the same arguments
+    and give the same grid. ``path`` names the stamp that ``fuse`` runs
+    here: "avx512" or "portable"."""
 
     fuse: Callable
     fuse_portable: Callable
@@ -95,13 +96,15 @@ def _bind(path: Path) -> Library:
         i64,  # h_max
         i64,  # t_occ
     ]
-    for fn in (lib.bitsdf_fuse, lib.bitsdf_fuse_portable):
+    # The AVX-512F entry point exists where the compiler targets x86; it is
+    # bound only when this CPU runs it.
+    fuse, path = lib.bitsdf_fuse_portable, "portable"
+    if hasattr(lib, "bitsdf_has_avx512") and lib.bitsdf_has_avx512():
+        fuse, path = lib.bitsdf_fuse_avx512, "avx512"
+    for fn in (fuse, lib.bitsdf_fuse_portable):
         fn.argtypes = argtypes
         fn.restype = i64
-    lib.bitsdf_fuse_path.argtypes = []
-    lib.bitsdf_fuse_path.restype = ctypes.c_char_p
-    return Library(lib.bitsdf_fuse, lib.bitsdf_fuse_portable,
-                   lib.bitsdf_fuse_path().decode())
+    return Library(fuse, lib.bitsdf_fuse_portable, path)
 
 
 def library() -> Library | None:

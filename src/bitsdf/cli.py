@@ -26,7 +26,7 @@ from .errors import (
     FormatError,
     ResourceError,
 )
-from .grid import memory_bytes, new_grid, observed_array
+from .grid import SIGN_OCCUPIED, memory_bytes, new_grid, observed_array
 from .integrator import (
     IntegrationParams,
     ScanFrame,
@@ -61,22 +61,24 @@ def cli():
     """CPU bitmask-TSDF mapping toolkit."""
 
 
-def _config_with_overrides(config_path, **overrides) -> RunConfig:
+# The config section of each `fuse` override but --threads; the option
+# names the key.
+_OVERRIDE_SECTIONS = {
+    "voxel_size": "grid",
+    "downsample": "integration", "t_occ": "integration",
+    "h_max": "integration", "compensation": "integration",
+    "shadow_radius": "kernel", "shadow_model": "kernel",
+    "scans": "paths", "trajectory": "paths", "output_dir": "paths",
+}
+
+
+def _config_with_overrides(config_path, threads=None, **overrides) -> RunConfig:
     cfg = load_config(config_path)
+    if threads is not None:
+        cfg.threads = check_threads(threads)
     for key, val in overrides.items():
-        if val is None:
-            continue
-        if key in ("voxel_size",):
-            cfg.grid.voxel_size = val
-        elif key in ("threads",):
-            cfg.threads = check_threads(val)
-        elif key in ("downsample", "t_occ", "h_max", "compensation",
-                     "first_return_per_voxel"):
-            setattr(cfg.integration, key, val)
-        elif key in ("shadow_radius", "shadow_model", "cone_half_angle_deg"):
-            setattr(cfg.kernel, key, val)
-        elif key in ("scans", "trajectory", "output_dir"):
-            setattr(cfg.paths, key, str(val))
+        if val is not None:
+            setattr(getattr(cfg, _OVERRIDE_SECTIONS[key]), key, val)
     return cfg
 
 
@@ -297,7 +299,10 @@ def export(snapshot, out, include, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def bench(config_path, voxel_sizes, repeats, out, as_json):
     """Fuse the same scans at several resolutions and report frame latency."""
-    sizes = [float(s) for s in voxel_sizes.split(",") if s.strip()]
+    try:
+        sizes = [float(s) for s in voxel_sizes.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigurationError(f"bad --voxel-sizes {voxel_sizes!r}") from None
     if not sizes:
         raise ConfigurationError("no voxel sizes given")
     if repeats < 2:
@@ -305,13 +310,10 @@ def bench(config_path, voxel_sizes, repeats, out, as_json):
     base = load_config(config_path)
     results = []
     for size in sizes:
-        cfg = RunConfig(
-            grid=replace(base.grid, voxel_size=size),
-            kernel=replace(base.kernel),
-            integration=replace(base.integration),
+        cfg = replace(
+            base, grid=replace(base.grid, voxel_size=size),
             paths=replace(base.paths,
                           output_dir=str(Path(base.paths.output_dir) / f"vs_{size}")),
-            threads=base.threads,
         )
         latencies = []
         mem = 0
@@ -355,7 +357,7 @@ def info(snapshot, as_json):
     """Print snapshot header and occupancy summary."""
     grid = bio.load_grid(snapshot)
     observed = int(np.count_nonzero(observed_array(grid.mask, grid.hits)))
-    occupied = int(np.count_nonzero(grid.sign == 0))
+    occupied = int(np.count_nonzero(grid.sign == SIGN_OCCUPIED))
     payload = {
         "dims": list(grid.dims),
         "voxel_size": grid.voxel_size,

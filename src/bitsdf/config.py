@@ -1,4 +1,5 @@
-"""Run configuration: YAML-backed, every key overridable from the CLI.
+"""Run configuration: YAML-backed, with the keys of the ``fuse`` options
+overridable from the CLI.
 
 A grid is specified either directly (dims + origin) or via world bounds, in
 which case the dimensions are rounded up and padded by the kernel half-extent
@@ -8,7 +9,7 @@ so returns near the bounds keep their full neighborhood in range.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -101,10 +102,33 @@ class RunConfig:
         return tuple(dims), tuple(origin)
 
 
-def _apply_section(obj, data: dict, section: str):
+# The YAML values of each type name in a config field's annotation.
+_ACCEPTS = {"int": int, "float": (int, float), "bool": bool, "str": str,
+            "list": list, "None": type(None)}
+
+
+def _fits(val, annotation: str) -> bool:
+    """Whether ``val`` is of a type the annotation names: a bool is not a
+    number, and a list holds numbers."""
+    return any(
+        isinstance(val, _ACCEPTS[name])
+        and (name == "bool" or not isinstance(val, bool))
+        and (name != "list" or all(_fits(v, "float") for v in val))
+        for name in annotation.split(" | ")
+    )
+
+
+def _apply_section(obj, data, section: str):
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"config section {section} must be a mapping")
+    annotations = {f.name: f.type for f in fields(obj)}
     for key, val in data.items():
-        if not hasattr(obj, key):
+        if key not in annotations:
             raise ConfigurationError(f"unknown config key {section}.{key}")
+        if not _fits(val, annotations[key]):
+            raise ConfigurationError(
+                f"config key {section}.{key} must be {annotations[key]}, got {val!r}"
+            )
         setattr(obj, key, val)
 
 

@@ -129,26 +129,16 @@ def memory_bytes(grid: VoxelGrid) -> int:
     return grid.num_voxels * BYTES_PER_VOXEL
 
 
-def world_to_voxel(grid: VoxelGrid, p):
-    """Map a world point to integer voxel indices; None when out of bounds."""
-    idx = np.floor((np.asarray(p, dtype=np.float64) - grid.origin) / grid.voxel_size)
-    ix, iy, iz = (int(v) for v in idx)
-    nx, ny, nz = grid.dims
-    if 0 <= ix < nx and 0 <= iy < ny and 0 <= iz < nz:
-        return ix, iy, iz
-    return None
-
-
 def is_run_mask(mask) -> bool:
     """True iff mask is a contiguous low-bit run (including 0 and all-ones)."""
     m = int(mask) & FULL_MASK
     return (m & (m + 1)) & FULL_MASK == 0
 
 
-def decode_distance(mask, checked: bool = True) -> int:
+def decode_distance(mask) -> int:
     """Population count of a run mask = truncated distance in voxel cells."""
     m = int(mask) & FULL_MASK
-    if checked and not is_run_mask(m):
+    if not is_run_mask(m):
         raise CorruptionError(f"distance mask {m:#010x} is not a low-bit run")
     return m.bit_count()
 
@@ -160,12 +150,6 @@ def run_mask(k: int) -> int:
     return FULL_MASK >> (32 - k) if k > 0 else 0
 
 
-def is_observed(grid: VoxelGrid, ix, iy, iz) -> bool:
-    return not (
-        grid.mask[ix, iy, iz] == FULL_MASK and grid.hits[ix, iy, iz] == 0
-    )
-
-
 def signed_distance(grid: VoxelGrid, ix, iy, iz):
     """Signed distance in meters at a voxel, or None when unobserved.
 
@@ -175,7 +159,7 @@ def signed_distance(grid: VoxelGrid, ix, iy, iz):
     nx, ny, nz = grid.dims
     if not (0 <= ix < nx and 0 <= iy < ny and 0 <= iz < nz):
         raise IndexError(f"voxel index ({ix},{iy},{iz}) outside dims {grid.dims}")
-    if not is_observed(grid, ix, iy, iz):
+    if not observed_array(grid.mask[ix, iy, iz], grid.hits[ix, iy, iz]):
         return None
     d = decode_distance(grid.mask[ix, iy, iz])
     return float(signed_distances(d, grid.sign[ix, iy, iz], grid.voxel_size))
@@ -195,10 +179,6 @@ def observed_array(mask: np.ndarray, hits: np.ndarray) -> np.ndarray:
     """Boolean array marking voxels touched by at least one integration,
     from their masks and hit counts (any matching shapes)."""
     return ~((mask == FULL_MASK) & (hits == 0))
-
-
-def popcount_array(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks).astype(np.int32)
 
 
 def to_records(grid: VoxelGrid) -> np.ndarray:
@@ -236,15 +216,4 @@ def from_records(
         h_max=int(h_max),
         t_occ=int(t_occ),
         **fields,
-    )
-
-
-def grids_equal(a: VoxelGrid, b: VoxelGrid) -> bool:
-    return (
-        a.dims == b.dims
-        and a.voxel_size == b.voxel_size
-        and np.array_equal(a.origin, b.origin)
-        and np.array_equal(a.mask, b.mask)
-        and np.array_equal(a.sign, b.sign)
-        and np.array_equal(a.hits, b.hits)
     )

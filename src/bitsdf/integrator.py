@@ -14,7 +14,7 @@ to the map frame. All returns of the scan are then fused in one pass:
    is one plane and the kernel. It marks each voxel whose mask that changes
    in a bitmap of the plane, counted and cleared once the plane is done (so
    ``voxels_written`` counts distinct voxels). Rows are stamped with
-   AVX-512F where the CPU has it, chosen at run time, and with a portable
+   AVX-512F where the CPU has it, chosen once per process, and with a portable
    loop elsewhere; both give the same grid. Then it adds one hit to each
    voxel of each return's shadow, saturating at the grid's h_max, marking
    the voxel occupied once its count reaches the grid's t_occ.
@@ -209,7 +209,7 @@ def _prepare(grid, bank, pts_map, sensor, first_return_per_voxel):
     cflat, stamped = cflat[order], keep[order]
     b_a, b_e = bin_index_array(rx[stamped], ry[stamped], rz[stamped],
                                norms[stamped], bank.b_az, bank.b_el)
-    return len(keep), cflat, b_a * bank.b_el + b_e
+    return len(keep), cflat, bank.flat_bin(b_a, b_e)
 
 
 def _fuse(grid, bank, pts_map, sensor, params, stats, threads=1) -> int:

@@ -19,6 +19,7 @@ from scipy.spatial.transform import Rotation, Slerp
 
 from .errors import CorruptionError, FormatError
 from .grid import (
+    BYTES_PER_VOXEL,
     SIGN_OCCUPIED,
     VOXEL_DTYPE,
     VoxelGrid,
@@ -42,6 +43,14 @@ class ScanData:
     points: np.ndarray
     timestamps: np.ndarray | None
     dropped: int
+
+
+def _input_file(path, what: str) -> Path:
+    """``path`` as a Path; FormatError when it is not a file."""
+    path = Path(path)
+    if not path.is_file():
+        raise FormatError(f"{what} file not found: {path}")
+    return path
 
 
 def _drop_nonfinite(points, timestamps=None):
@@ -281,9 +290,7 @@ def _read_ply(path: Path) -> ScanData:
 
 def read_scan(path) -> ScanData:
     """Read a point-cloud file (PCD v0.7, PLY, or whitespace XYZ text)."""
-    path = Path(path)
-    if not path.exists():
-        raise FormatError(f"scan file not found: {path}")
+    path = _input_file(path, "scan")
     suffix = path.suffix.lower()
     head = path.open("rb").read(16)
     if suffix == ".pcd" or head.startswith(b"# .PCD") or head.startswith(b"VERSION"):
@@ -321,9 +328,7 @@ class Trajectory:
 
 def read_trajectory(path) -> Trajectory:
     """TUM format: "t tx ty tz qx qy qz qw" per line, '#' comments allowed."""
-    path = Path(path)
-    if not path.exists():
-        raise FormatError(f"trajectory file not found: {path}")
+    path = _input_file(path, "trajectory")
     times, trans, quats = [], [], []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
@@ -442,7 +447,7 @@ def _write_obj(mesh: TriangleMesh, path: Path) -> None:
 
 def read_mesh_ply(path) -> TriangleMesh:
     """Read back a PLY mesh written by write_mesh (vertices + faces)."""
-    path = Path(path)
+    path = _input_file(path, "mesh")
     elements = _read_ply_elements(path.read_bytes(), path, "face")
     verts, normals = np.zeros((0, 3)), None
     faces = np.zeros((0, 3), dtype=np.int64)
@@ -485,7 +490,7 @@ def save_grid(grid: VoxelGrid, path) -> None:
 
 
 def load_grid(path) -> VoxelGrid:
-    path = Path(path)
+    path = _input_file(path, "snapshot")
     with open(path, "rb") as f:
         head = f.read(8 + _SNAPSHOT_HEADER.size)
         if head[:8] != SNAPSHOT_MAGIC:
@@ -497,14 +502,15 @@ def load_grid(path) -> VoxelGrid:
         if min(nx, ny, nz) < 1 or voxel_size <= 0:
             raise CorruptionError(f"{path}: degenerate snapshot header")
         n = nx * ny * nz
+        payload = n * BYTES_PER_VOXEL
         body = os.fstat(f.fileno()).st_size - len(head)
-        if body < n * 8:
+        if body < payload:
             raise CorruptionError(
-                f"{path}: snapshot payload short ({body} < {n * 8} bytes)"
+                f"{path}: snapshot payload short ({body} < {payload} bytes)"
             )
-        if body > n * 8:
+        if body > payload:
             raise CorruptionError(
-                f"{path}: {body - n * 8} trailing bytes after the snapshot payload"
+                f"{path}: {body - payload} trailing bytes after the snapshot payload"
             )
         rec = np.fromfile(f, dtype=VOXEL_DTYPE, count=n)
     return from_records(rec, (nx, ny, nz), voxel_size, (ox, oy, oz), h_max, t_occ)

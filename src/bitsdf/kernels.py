@@ -70,16 +70,6 @@ def bin_direction(b_a: int, b_e: int, b_az: int, b_el: int) -> np.ndarray:
     )
 
 
-def make_distance_mask(offset) -> int:
-    """Distance mask for an integer voxel offset: 0 at the center, otherwise
-    a low-bit run of ceil(|offset|_2) bits."""
-    ox, oy, oz = (int(v) for v in offset)
-    r = math.sqrt(ox * ox + oy * oy + oz * oz)
-    if r == 0.0:
-        return 0
-    return run_mask(min(math.ceil(r), 32))
-
-
 def _offset_cube(half_extent: int):
     """All integer offsets of the K^3 cube as an (K^3, 3) array plus their
     Euclidean norms."""
@@ -149,7 +139,8 @@ class KernelBank:
     def half_extent(self) -> int:
         return self.size // 2
 
-    def flat_bin(self, b_a: int, b_e: int) -> int:
+    def flat_bin(self, b_a, b_e):
+        """The ``shadow`` row of bins (b_a, b_e): ints, or arrays of them."""
         return b_a * self.b_el + b_e
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BitsdfError, ConfigurationError
-from .grid import SIGN_OCCUPIED, VoxelGrid, popcount_array
+from .grid import SIGN_OCCUPIED, VoxelGrid
 
 MAX_ORACLE_VOXELS = 64**3
 
@@ -156,7 +156,7 @@ def compare(grid: VoxelGrid, oracle: OracleField) -> DiffReport:
     if grid.dims != oracle.dims or not np.isclose(grid.voxel_size, oracle.voxel_size):
         raise ConfigurationError("grid and oracle field configurations differ")
     report = DiffReport()
-    pops = popcount_array(grid.mask)
+    pops = np.bitwise_count(grid.mask).astype(np.int32)
     checks = (
         ("distance", pops, oracle.distance.astype(np.int32)),
         ("hits", grid.hits.astype(np.int32), oracle.hits),

@@ -1,9 +1,12 @@
 """Synthetic scene helpers for tests: a noise-free spinning LiDAR inside an
-axis-aligned box room, plus ground-truth surface sampling."""
+axis-aligned box room, plus ground-truth surface sampling; and the state of
+a grid as a comparable value."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from bitsdf.grid import to_records
 
 
 def ray_box_exit(origin, dirs, lo, hi):
@@ -59,3 +62,10 @@ def box_surface_points(n, lo=(0, 0, 0), hi=(10, 10, 3), seed=0):
     for i, (axis, value) in enumerate(faces):
         pts[pick == i, axis] = value
     return pts
+
+
+def grid_state(grid):
+    """What a snapshot of ``grid`` holds: its header fields and its voxel
+    record bytes. Two grids with equal states save to equal files."""
+    return (grid.dims, grid.voxel_size, grid.origin.tolist(), grid.h_max,
+            grid.t_occ, to_records(grid).tobytes())

@@ -14,7 +14,7 @@ import yaml
 from bitsdf import io as bio
 from bitsdf.cli import run_fuse
 from bitsdf.config import load_config
-from bitsdf.grid import SIGN_OCCUPIED, new_grid, popcount_array, run_mask, to_records
+from bitsdf.grid import SIGN_OCCUPIED, new_grid, run_mask, to_records
 from bitsdf.integrator import IntegrationParams, ScanFrame, integrate_frame, integrate_point
 from bitsdf.kernels import build_kernel_bank
 from bitsdf.mesher import extract_mesh
@@ -175,7 +175,7 @@ class TestCriterion6Monotonicity:
         grid = new_grid(dims, vs)
         bank = build_kernel_bank(shadow_radius=3)
         params = IntegrationParams()
-        prev = popcount_array(grid.mask)
+        prev = np.bitwise_count(grid.mask)
         prev_occ = grid.sign == SIGN_OCCUPIED
         checks = 0
         ok = True
@@ -183,7 +183,7 @@ class TestCriterion6Monotonicity:
             pts, dirs = random_hits(rng, 200, dims, vs)
             frame = ScanFrame(points=pts, pose=np.eye(4))
             integrate_frame(grid, bank, frame, params)
-            cur = popcount_array(grid.mask)
+            cur = np.bitwise_count(grid.mask)
             occ = grid.sign == SIGN_OCCUPIED
             ok = ok and bool(np.all(cur <= prev))
             ok = ok and not bool(np.any(prev_occ & ~occ))

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,8 @@ import yaml
 from click.testing import CliRunner
 
 from bitsdf import io as bio
-from bitsdf.cli import cli, run_fuse
+from bitsdf.cli import cli, fuse, main, run_fuse
 from bitsdf.config import load_config
-from bitsdf.grid import grids_equal
 
 from _synthetic import room_scan
 
@@ -66,6 +66,15 @@ def run_main(*args):
         [sys.executable, "-m", "bitsdf.cli", *map(str, args)],
         capture_output=True, text=True, env=env,
     )
+
+
+def fail_in_process(monkeypatch, capsys, *args):
+    """The exit code and standard error of ``bitsdf *args``, run through
+    ``main`` in this process, for a command that must fail."""
+    monkeypatch.setattr(sys, "argv", ["bitsdf", *map(str, args)])
+    with pytest.raises(SystemExit) as exited:
+        main()
+    return exited.value.code, capsys.readouterr().err
 
 
 class TestFuse:
@@ -181,6 +190,52 @@ class TestFuse:
         assert res.returncode == 2
         assert "threads must be an integer >= 1" in res.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_every_option_lands_in_its_key(self, dataset, tmp_path):
+        # Each override differs from the dataset's config, and the option
+        # names the key it sets in config.resolved.yaml.
+        root, cfg_path = dataset
+        shutil.copytree(root / "scans", tmp_path / "scans")
+        shutil.copy(root / "poses.txt", tmp_path / "poses.txt")
+        values = {
+            "voxel_size": 0.2, "threads": 2, "downsample": 2, "t_occ": 3,
+            "h_max": 100, "compensation": "yaw", "shadow_radius": 1.0,
+            "shadow_model": "cone", "scans": str(tmp_path / "scans"),
+            "trajectory": str(tmp_path / "poses.txt"),
+            "output_dir": str(tmp_path / "out"),
+        }
+        assert {p.name for p in fuse.params} - {"config_path", "as_json"} == set(values)
+
+        def keys(path):
+            cfg = yaml.safe_load(path.read_text())
+            return {"threads": cfg.pop("threads"),
+                    **{k: v for section in cfg.values() for k, v in section.items()}}
+
+        before = keys(root / "out" / "config.resolved.yaml")
+        args = [f"--{key.replace('_', '-')}={val}" for key, val in values.items()]
+        result = CliRunner().invoke(cli, ["fuse", "--config", str(cfg_path), *args])
+        assert result.exit_code == 0, result.output
+        after = keys(tmp_path / "out" / "config.resolved.yaml")
+        for key, val in values.items():
+            assert before[key] != val and after[key] == val, key
+
+    @pytest.mark.parametrize("config, args, named", [
+        ('grid: {voxel_size: "abc"}\n', [], "grid.voxel_size"),
+        ('kernel: {size: "21"}\n', [], "kernel.size"),
+        ("kernel: {size: 21.0}\n", [], "kernel.size"),
+        ("grid: {bounds_min: [0, true, 0]}\n", [], "grid.bounds_min"),
+        ("grid: [1, 2]\n", [], "section grid"),
+        ("", ["--voxel-sizes", "abc"], "--voxel-sizes"),
+    ], ids=["str-float", "str-int", "float-int", "bool-in-list", "list-section",
+            "bench-sizes"])
+    def test_config_error_exit_2(self, tmp_path, monkeypatch, capsys, config,
+                                 args, named):
+        path = tmp_path / "run.yaml"
+        path.write_text(config)
+        code, err = fail_in_process(monkeypatch, capsys,
+                                    "bench" if args else "fuse", "--config", path, *args)
+        assert code == 2, err
+        assert err.startswith("error: ") and named in err
 
     def test_malformed_trajectory_exit_3(self, dataset, tmp_path):
         root, cfg_path = dataset
@@ -314,6 +369,20 @@ class TestMeshEvalExportInfo:
         res = run_main("info", bad)
         assert res.returncode == 4
         assert "trailing" in res.stderr
+
+
+    @pytest.mark.parametrize("command", [
+        ["mesh", "nope.dbtsdf", "-o", "m.ply"],
+        ["export", "nope.dbtsdf", "-o", "v.csv"],
+        ["info", "nope.dbtsdf"],
+        ["info", "."],
+        ["eval", "--pred", "nope.ply", "--gt", "nope.xyz"],
+    ], ids=["mesh", "export", "info", "info-directory", "eval-pred"])
+    def test_missing_input_exit_3(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        code, err = fail_in_process(monkeypatch, capsys, *command)
+        assert code == 3, err
+        assert err.startswith("error: ") and "not found" in err
 
 
 class TestBench:

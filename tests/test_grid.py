@@ -12,15 +12,15 @@ from bitsdf.grid import (
     VoxelGrid,
     decode_distance,
     from_records,
-    grids_equal,
     is_run_mask,
     memory_bytes,
     new_grid,
     run_mask,
     signed_distance,
     to_records,
-    world_to_voxel,
 )
+
+from _synthetic import grid_state
 
 
 class TestNewGrid:
@@ -59,24 +59,6 @@ class TestNewGrid:
         assert (g.h_max, g.t_occ) == (3, 1)
         with pytest.raises(AttributeError):
             g.t_occ = 2
-
-
-class TestWorldToVoxel:
-    def test_origin_corner(self):
-        g = new_grid((4, 4, 4), 0.5)
-        assert world_to_voxel(g, (0.0, 0.0, 0.0)) == (0, 0, 0)
-
-    def test_floor(self):
-        g = new_grid((4, 4, 4), 0.5)
-        assert world_to_voxel(g, (1.24, 0.0, 0.0)) == (2, 0, 0)
-
-    def test_out_of_bounds_is_a_value(self):
-        g = new_grid((4, 4, 4), 0.5)
-        assert world_to_voxel(g, (2.1, 0.0, 0.0)) is None
-
-    def test_nonzero_origin(self):
-        g = new_grid((4, 4, 4), 0.5, origin=(-1.0, -1.0, -1.0))
-        assert world_to_voxel(g, (-0.9, -0.9, -0.9)) == (0, 0, 0)
 
 
 class TestDecodeDistance:
@@ -209,7 +191,7 @@ class TestRecords:
         g.hits[...] = rng.integers(0, 255, g.dims)
         g.sign[...] = rng.integers(0, 2, g.dims)
         g2 = from_records(to_records(g), g.dims, g.voxel_size, g.origin)
-        assert grids_equal(g, g2)
+        assert grid_state(g2) == grid_state(g)
 
     def test_record_count_mismatch(self):
         g = new_grid((2, 2, 2), 0.1)

@@ -11,7 +11,6 @@ from bitsdf.kernels import (
     build_kernel_bank,
     build_shadow_mask,
     default_shadow_radius,
-    make_distance_mask,
 )
 
 
@@ -63,20 +62,32 @@ class TestBinDirection:
 
 
 class TestDistanceMask:
-    def test_center_zero(self):
-        assert make_distance_mask((0, 0, 0)) == 0
+    """The bank's distance kernel: 0 at the center, else a low-bit run of
+    ceil(|offset|) bits."""
 
-    def test_unit_offset(self):
-        assert make_distance_mask((1, 0, 0)) == 0x1
+    R = 10
 
-    def test_ceil_of_sqrt5(self):
-        assert make_distance_mask((1, 2, 0)) == 0x7
+    @pytest.fixture(scope="class")
+    def kernel(self):
+        return build_kernel_bank(size=2 * self.R + 1).distance_kernel
 
-    def test_isotropy(self):
+    def at(self, kernel, offset):
+        return int(kernel[tuple(np.add(offset, self.R))])
+
+    def test_center_zero(self, kernel):
+        assert self.at(kernel, (0, 0, 0)) == 0
+
+    def test_unit_offset(self, kernel):
+        assert self.at(kernel, (1, 0, 0)) == 0x1
+
+    def test_ceil_of_sqrt5(self, kernel):
+        assert self.at(kernel, (1, 2, 0)) == 0x7
+
+    def test_isotropy(self, kernel):
         # invariant under axis permutation and sign flips
-        base = make_distance_mask((1, 2, 3))
+        base = self.at(kernel, (1, 2, 3))
         for off in [(3, 2, 1), (-1, 2, -3), (2, -3, 1), (-3, -2, -1)]:
-            assert make_distance_mask(off) == base
+            assert self.at(kernel, off) == base
 
 
 class TestShadowMask:

@@ -4,7 +4,7 @@ import pytest
 from bitsdf.errors import ConfigurationError
 from bitsdf.grid import new_grid
 from bitsdf.integrator import IntegrationParams, integrate_point
-from bitsdf.kernels import build_kernel_bank, make_distance_mask
+from bitsdf.kernels import build_kernel_bank
 from bitsdf.oracle import OracleGuardError, brute_force_field, compare
 
 
@@ -22,9 +22,10 @@ class TestBruteForceField:
             np.array([[2.05, 2.05, 2.05]]), np.array([[1.0, 0, 0]]),
             dims, 0.1, (0, 0, 0), shadow_radius=3, t_occ=1,
         )
+        kernel = build_kernel_bank(size=21).distance_kernel
         for off in [(0, 0, 0), (1, 0, 0), (3, 4, 0), (-5, 2, 2), (10, 10, 10)]:
             c = (20 + off[0], 20 + off[1], 20 + off[2])
-            expected = bin(make_distance_mask(off)).count("1")
+            expected = int(np.bitwise_count(kernel[tuple(np.add(off, 10))]))
             assert of.distance[c] == expected
 
     def test_two_hits_min_distance(self):
