@@ -1,4 +1,4 @@
-/* One frame of bitmask fusion over a band of z planes.
+/* One frame of bitmask fusion, split into bands of z planes.
  *
  * Built and loaded by bitsdf/_native.py; integrator._fuse prepares the
  * arguments, and its numpy code does the same work where this cannot be
@@ -9,15 +9,26 @@
  * along x, and a band of z planes is one contiguous range of words. The
  * caller guarantees that every return's K^3 block lies inside the grid.
  *
- * The mask stamp runs plane by plane: for each plane of the band it ANDs
+ * One call fuses a whole frame: band 0 runs on the calling thread and each
+ * other band on a thread that the call starts and joins. A band writes only
+ * voxels of its own planes, so the bands need no locks.
+ *
+ * The mask stamp runs plane by plane: for each plane of its band it ANDs
  * the kernel's slice onto the block rows of every return whose block
  * reaches that plane, so the working set is one plane plus the kernel. A
  * row is stamped in chunks of at most 32 words, with AVX-512F or with a
  * loop the compiler vectorizes: each has its own entry point, the caller
  * picks one per process, and both give the same words and changed bits.
  */
+#include <pthread.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+
+/* mark() reads the bitmap as little-endian 64-bit words. */
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
+#error "the changed-voxel bitmap needs a little-endian CPU"
+#endif
 
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 #define HAVE_AVX512 1
@@ -25,13 +36,16 @@
 #endif
 
 /* Set the bits of voxels v .. v + 31 whose bit is set in `changed` in the
- * plane's bitmap (one bit per voxel, in 64-bit words). */
+ * plane's bitmap (one bit per voxel, bit v & 7 of byte v >> 3), with one
+ * unaligned 64-bit read-modify-write: 32 bits shifted by at most 7 fit, and
+ * the bitmap's two spare words hold the bytes read past its last voxel. */
 static inline void mark(uint64_t *seen, int64_t v, uint32_t changed)
 {
-    uint64_t *w = seen + (v >> 6);
-    unsigned s = (unsigned)(v & 63);
-    w[0] |= (uint64_t)changed << s;
-    w[1] |= s > 32 ? (uint64_t)changed >> (64 - s) : 0;
+    unsigned char *at = (unsigned char *)seen + (v >> 3);
+    uint64_t w;
+    memcpy(&w, at, sizeof w);
+    w |= (uint64_t)changed << (v & 7);
+    memcpy(at, &w, sizeof w);
 }
 
 typedef uint32_t (*stamp_fn)(uint32_t *, const uint32_t *, int64_t);
@@ -141,51 +155,139 @@ fuse(uint32_t *restrict mask, uint8_t *restrict hits, uint8_t *restrict sign,
     return written;
 }
 
-#define FUSE_ARGS                                                             \
-    uint32_t *mask, uint8_t *hits, uint8_t *sign, uint64_t *seen,             \
-        const int64_t *dims, int64_t p0, int64_t p1, const uint32_t *kernel,  \
-        int64_t k, const int64_t *cflat, const int64_t *bins, int64_t n,      \
-        const uint8_t *shadow, const int64_t *ball, int64_t m, int64_t h_max, \
-        int64_t t_occ
+/* The arguments of one frame, shared by its bands. */
+struct frame {
+    uint32_t *mask;
+    uint8_t *hits, *sign;
+    const int64_t *dims, *cuts, *ends;
+    int64_t bands;
+    const uint32_t *kernel;
+    int64_t k;
+    const int64_t *cflat, *bins;
+    const uint8_t *shadow;
+    const int64_t *ball;
+    int64_t m, h_max, t_occ;
+};
 
-/* The default kernel size gets its own copy, whose row loops the compiler
- * unrolls. */
-#define FUSE_CALL(stamp)                                                      \
-    (k == 21 ? fuse(mask, hits, sign, seen, dims, p0, p1, kernel, 21, cflat,  \
-                    bins, n, shadow, ball, m, h_max, t_occ, stamp)           \
-             : fuse(mask, hits, sign, seen, dims, p0, p1, kernel, k, cflat,   \
-                    bins, n, shadow, ball, m, h_max, t_occ, stamp))
+struct band {
+    const struct frame *f;
+    int64_t i, written;
+};
 
-/* Fuse n returns with center voxels cflat (sorted ascending; the grid does
- * not depend on the order) and shadow bins `bins` into the band of planes
- * p0 <= z < p1 (0 and nz for the whole grid), writing no voxel outside it,
- * so calls on disjoint bands can run at the same time:
- *
- * - AND the K^3 distance kernel onto every word of each return's block;
- * - set the bit of each voxel whose mask this changes in `seen`, one
- *   plane's bitmap (ny * nx / 64 + 2 words), zeroed by the caller and left
- *   zeroed after each plane is counted;
- * - for each of the m flat offsets in `ball` that row bins[i] of `shadow`
- *   (one byte per offset) marks, add one hit unless the count is at h_max,
- *   and mark the voxel occupied (sign 0) once its count reaches t_occ.
- *
- * Returns the number of distinct voxels of the band whose mask changed.
- * bitsdf_fuse_portable stamps rows with a loop the compiler vectorizes, and
- * bitsdf_fuse_avx512 with AVX-512F; it may run only where bitsdf_has_avx512
- * says so. */
-int64_t bitsdf_fuse_portable(FUSE_ARGS)
+/* Band i: planes cuts[i] .. cuts[i + 1] - 1 and returns ends[i] ..
+ * ends[bands + i] - 1. The worker that runs it allocates its own one-plane
+ * bitmap, which no other core touches: bitmaps packed side by side in one
+ * array share cache lines (and prefetches) at their ends, and two workers
+ * on them ran slower than on one allocation each. Sets written to -1 when
+ * the bitmap cannot be allocated. The default kernel size gets its own
+ * copy, whose row loops the compiler unrolls. */
+static inline __attribute__((always_inline)) void
+fuse_band(struct band *b, const stamp_fn stamp)
 {
-    return FUSE_CALL(stamp_portable);
+    const struct frame *f = b->f;
+    const int64_t i = b->i, i0 = f->ends[i], n = f->ends[f->bands + i] - i0;
+    uint64_t *seen = calloc((size_t)(f->dims[1] * f->dims[2] / 64 + 2), sizeof *seen);
+    if (seen == NULL) {
+        b->written = -1;
+        return;
+    }
+#define FUSE(k)                                                               \
+    fuse(f->mask, f->hits, f->sign, seen, f->dims, f->cuts[i],               \
+         f->cuts[i + 1], f->kernel, k, f->cflat + i0, f->bins + i0, n,       \
+         f->shadow, f->ball, f->m, f->h_max, f->t_occ, stamp)
+    b->written = f->k == 21 ? FUSE(21) : FUSE(f->k);
+#undef FUSE
+    free(seen);
+}
+
+static void *band_portable(void *b)
+{
+    fuse_band(b, stamp_portable);
+    return NULL;
 }
 
 #ifdef HAVE_AVX512
 /* Every AVX-512 CPU also has POPCNT, which counts the bitmap. */
-__attribute__((target("avx512f,popcnt"))) int64_t bitsdf_fuse_avx512(FUSE_ARGS)
+__attribute__((target("avx512f,popcnt"))) static void *band_avx512(void *b)
 {
-    return FUSE_CALL(stamp_avx512);
+    fuse_band(b, stamp_avx512);
+    return NULL;
+}
+#endif
+
+/* Run every band of the frame with `run`, band 0 on this thread and each
+ * other band on a thread of its own, or on this thread when no thread can
+ * be started for it. Returns the sum of the bands' changed-voxel counts,
+ * or -1 when a band could not allocate its bitmap. */
+static int64_t run_frame(const struct frame *f, void *(*run)(void *))
+{
+    struct band band[f->bands];
+    pthread_t thread[f->bands];
+    int started[f->bands];
+    for (int64_t i = 0; i < f->bands; i++) {
+        band[i] = (struct band){f, i, 0};
+        started[i] = i > 0 && pthread_create(&thread[i], NULL, run, &band[i]) == 0;
+    }
+    for (int64_t i = 0; i < f->bands; i++) {
+        if (!started[i])
+            run(&band[i]);
+    }
+    int64_t written = 0;
+    int failed = 0;
+    for (int64_t i = 0; i < f->bands; i++) {
+        if (started[i])
+            pthread_join(thread[i], NULL);
+        failed |= band[i].written < 0;
+        written += band[i].written;
+    }
+    return failed ? -1 : written;
 }
 
-/* 1 when this CPU can run bitsdf_fuse_avx512, else 0. */
+#define FRAME_ARGS                                                            \
+    uint32_t *mask, uint8_t *hits, uint8_t *sign, const int64_t *dims,        \
+        const int64_t *cuts, const int64_t *ends,                             \
+        int64_t bands, const uint32_t *kernel, int64_t k,                     \
+        const int64_t *cflat, const int64_t *bins, const uint8_t *shadow,     \
+        const int64_t *ball, int64_t m, int64_t h_max, int64_t t_occ
+
+#define FRAME                                                                 \
+    {mask, hits, sign, dims, cuts, ends, bands, kernel, k, cflat, bins, shadow, \
+     ball, m, h_max, t_occ}
+
+/* Fuse a frame's returns with center voxels cflat (sorted ascending; the
+ * grid does not depend on the order) and shadow bins `bins` on `bands` (at
+ * least 1) workers. Worker i owns the planes cuts[i] <= z < cuts[i + 1]
+ * (0 = cuts[0] < ... < cuts[bands] = nz) and fuses the returns
+ * ends[i] <= j < ends[bands + i], those whose block reaches its planes,
+ * writing no voxel outside its planes:
+ *
+ * - AND the K^3 distance kernel onto every word of each return's block;
+ * - set the bit of each voxel whose mask this changes in the worker's
+ *   bitmap of one plane (ny * nx / 64 + 2 words), counted and cleared
+ *   after each plane;
+ * - for each of the m flat offsets in `ball` that row bins[j] of `shadow`
+ *   (one byte per offset) marks, add one hit unless the count is at h_max,
+ *   and mark the voxel occupied (sign 0) once its count reaches t_occ.
+ *
+ * Returns the number of distinct voxels whose mask changed, or -1 when a
+ * worker could not allocate its bitmap.
+ * bitsdf_fuse_frame_portable stamps rows with a loop the compiler
+ * vectorizes, and bitsdf_fuse_frame_avx512 with AVX-512F; it may run only
+ * where bitsdf_has_avx512 says so. */
+int64_t bitsdf_fuse_frame_portable(FRAME_ARGS)
+{
+    const struct frame f = FRAME;
+    return run_frame(&f, band_portable);
+}
+
+#ifdef HAVE_AVX512
+int64_t bitsdf_fuse_frame_avx512(FRAME_ARGS)
+{
+    const struct frame f = FRAME;
+    return run_frame(&f, band_avx512);
+}
+
+/* 1 when this CPU can run bitsdf_fuse_frame_avx512, else 0. */
 int bitsdf_has_avx512(void)
 {
     __builtin_cpu_init();

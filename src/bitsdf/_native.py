@@ -1,7 +1,7 @@
 """Build and load the compiled fusion pass in ``_fuse.c``.
 
 The first fusion in a process asks for the library. It is compiled with the
-system C compiler (``cc -O3 -shared -fPIC``) into the package's
+system C compiler (``cc`` with ``CFLAGS``) into the package's
 ``__pycache__/``, under a name holding the SHA-256 of the source, so a
 library is built once per source and a stale one is never loaded. The file is
 written under a temporary name and renamed into place, so a concurrent
@@ -22,11 +22,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 SOURCE = Path(__file__).with_name("_fuse.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 CC = "cc"
+# The flags the library is built with; the warnings test compiles with them.
+CFLAGS = ("-O3", "-shared", "-fPIC", "-pthread")
 
 # The loaded Library: None until the first fusion asks, False when it could
 # not be built or loaded.
@@ -35,10 +35,11 @@ _lib = None
 
 @dataclass(frozen=True)
 class Library:
-    """The entry points of the compiled pass, picked once per process when
-    the library is loaded. ``fuse`` stamps rows with AVX-512F where the CPU
-    has it and ``fuse_portable`` never does; they take the same arguments
-    and give the same grid. ``path`` names the stamp that ``fuse`` runs
+    """The frame entry points of the compiled pass, picked once per process
+    when the library is loaded. ``fuse`` stamps rows with AVX-512F where the
+    CPU has it and ``fuse_portable`` never does; they take the same
+    arguments (addresses and int64 counts, as in ``_fuse.c``) and give the
+    same grid. ``path`` names the stamp that ``fuse`` runs
     here: "avx512" or "portable"."""
 
     fuse: Callable
@@ -59,7 +60,7 @@ def build(source: Path, cache_dir: Path, cc: str) -> Path:
     try:
         # The bytes that were hashed are the bytes compiled.
         subprocess.run(
-            [cc, "-O3", "-shared", "-fPIC", "-x", "c", "-o", tmp, "-"],
+            [cc, *CFLAGS, "-x", "c", "-o", tmp, "-"],
             input=text, capture_output=True, check=True,
         )
         os.replace(tmp, lib)
@@ -71,40 +72,26 @@ def build(source: Path, cache_dir: Path, cc: str) -> Path:
 
 def _bind(path: Path) -> Library:
     lib = ctypes.CDLL(str(path))
-
-    def array(dtype, writeable=False):
-        flags = ("C_CONTIGUOUS", "WRITEABLE") if writeable else "C_CONTIGUOUS"
-        return np.ctypeslib.ndpointer(dtype, flags=flags)
-
-    i64 = ctypes.c_int64
+    # The arguments are unchecked addresses: the caller passes arrays of the
+    # dtypes, shapes and order that _fuse.c reads.
+    p, i64 = ctypes.c_void_p, ctypes.c_int64
     argtypes = [
-        array(np.uint32, True),  # mask
-        array(np.uint8, True),  # hits
-        array(np.uint8, True),  # sign
-        array(np.uint64, True),  # seen: one plane's changed-voxel bitmap
-        array(np.int64),  # dims
-        i64,  # first plane of the band
-        i64,  # end of the band
-        array(np.uint32),  # distance kernel (K, K, K)
-        i64,  # K
-        array(np.int64),  # center flat indices
-        array(np.int64),  # bins
-        i64,  # returns
-        array(np.bool_),  # shadow table (bins, m)
-        array(np.int64),  # ball flat offsets (m,)
-        i64,  # m
-        i64,  # h_max
-        i64,  # t_occ
+        p, p, p,  # mask, hits, sign
+        p, p, p, i64,  # dims, band cuts, band return ranges, bands
+        p, i64,  # distance kernel (K, K, K), K
+        p, p,  # center flat indices, bins
+        p, p, i64,  # shadow table (bins, m), ball flat offsets (m,), m
+        i64, i64,  # h_max, t_occ
     ]
     # The AVX-512F entry point exists where the compiler targets x86; it is
     # bound only when this CPU runs it.
-    fuse, path = lib.bitsdf_fuse_portable, "portable"
+    fuse, path = lib.bitsdf_fuse_frame_portable, "portable"
     if hasattr(lib, "bitsdf_has_avx512") and lib.bitsdf_has_avx512():
-        fuse, path = lib.bitsdf_fuse_avx512, "avx512"
-    for fn in (fuse, lib.bitsdf_fuse_portable):
+        fuse, path = lib.bitsdf_fuse_frame_avx512, "avx512"
+    for fn in (fuse, lib.bitsdf_fuse_frame_portable):
         fn.argtypes = argtypes
         fn.restype = i64
-    return Library(fuse, lib.bitsdf_fuse_portable, path)
+    return Library(fuse, lib.bitsdf_fuse_frame_portable, path)
 
 
 def library() -> Library | None:

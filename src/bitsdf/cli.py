@@ -170,17 +170,17 @@ def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
         rows.append(
             (frame_idx, stats.points_in, stats.points_discarded,
              stats.voxels_written, stats.elapsed_ms, stats.prepare_ms,
-             stats.pass_ms)
+             stats.pass_ms, stats.discarded_near, stats.discarded_bounds)
         )
 
     snapshot = out_dir / "map.dbtsdf"
     bio.save_grid(grid, snapshot)
     with open(out_dir / "frame_stats.csv", "w") as f:
         f.write("frame,points_in,points_discarded,voxels_written,elapsed_ms,"
-                "prepare_ms,pass_ms\n")
+                "prepare_ms,pass_ms,discarded_near,discarded_bounds\n")
         for row in rows:
             f.write(f"{row[0]},{row[1]},{row[2]},{row[3]},{row[4]:.3f},"
-                    f"{row[5]:.3f},{row[6]:.3f}\n")
+                    f"{row[5]:.3f},{row[6]:.3f},{row[7]},{row[8]}\n")
     save_config(cfg, out_dir / "config.resolved.yaml")
     return grid, rows, snapshot
 
@@ -238,6 +238,7 @@ def mesh(snapshot, out, fmt, iso, normals, as_json):
     m = extract_mesh(grid, iso=iso)
     if normals:
         m = vertex_normals(m)
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
     bio.write_mesh(m, out, fmt)
     info = {"vertices": int(m.vertices.shape[0]),
             "triangles": int(m.triangles.shape[0]), "mesh": str(out)}
@@ -283,6 +284,7 @@ def eval_cmd(pred, gt, threshold, samples, seed, out, as_json):
 def export(snapshot, out, include, as_json):
     """Export selected voxels of a snapshot as CSV."""
     grid = bio.load_grid(snapshot)
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
     n = bio.export_grid_csv(grid, out, include)
     if as_json:
         click.echo(json.dumps({"rows": n, "csv": str(out)}))

@@ -62,14 +62,16 @@ class VoxelGrid:
 
     def __post_init__(self):
         # The compiled fusion pass and the snapshot code index the arrays
-        # as flat x-fastest buffers, unchecked.
+        # as flat x-fastest buffers, unchecked, and fusion writes them.
         for name, dtype in _FIELD_DTYPES.items():
             a = getattr(self, name)
-            if a.dtype != dtype or a.shape != self.dims or not a.flags.f_contiguous:
+            if (a.dtype != dtype or a.shape != self.dims or not a.flags.f_contiguous
+                    or not a.flags.writeable):
                 raise ConfigurationError(
-                    f"grid {name} must be a {dtype} array of shape {self.dims} "
-                    f"in Fortran order (x fastest), got a {a.dtype} array of "
-                    f"shape {a.shape}, Fortran order {a.flags.f_contiguous}"
+                    f"grid {name} must be a writeable {dtype} array of shape "
+                    f"{self.dims} in Fortran order (x fastest), got a {a.dtype} "
+                    f"array of shape {a.shape}, Fortran order "
+                    f"{a.flags.f_contiguous}, writeable {a.flags.writeable}"
                 )
 
     @property

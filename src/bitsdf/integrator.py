@@ -25,8 +25,9 @@ same number of (return, plane) pairs, one per worker, and each worker runs
 the pass over the returns whose blocks reach its band, writing masks, hits,
 signs and changed-voxel bits of its own planes only. The bands are
 disjoint, so the workers need no locks, and each voxel sees the same
-updates in the same order for any thread count. The first band runs on the
-calling thread, the others on threads joined before the frame returns.
+updates in the same order for any thread count. The whole frame is one
+call of the compiled library: it runs the first band on the calling thread
+and starts and joins a thread of its own for each other band.
 
 Where the C file cannot be built, the same work runs in numpy on one
 thread, whatever ``threads`` says: an in-place AND per return, a diff of the
@@ -40,7 +41,6 @@ the grid does not depend on the order of the returns.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import dataclass
 
@@ -102,12 +102,14 @@ class IntegrationParams:
 class FrameStats:
     """Counts for one fused scan. ``points_discarded`` counts the returns
     dropped by the sensor-distance and bounds checks (not those dropped by
-    ``first_return_per_voxel``). ``voxels_written`` is the number of distinct
+    ``first_return_per_voxel``): ``discarded_near`` those closer than one
+    voxel to the sensor, and ``discarded_bounds`` the others, whose K^3
+    block leaves the grid. ``voxels_written`` is the number of distinct
     voxels whose distance mask changed in the frame; a voxel that several
     returns lower counts once. ``elapsed_ms`` is the whole frame's time;
     ``prepare_ms`` that of the vectorized prepare (bounds, sort, bins), and
-    ``pass_ms`` that of the stamp: the slowest band's call of the compiled
-    pass, or the numpy code where it cannot be built."""
+    ``pass_ms`` that of the stamp: the call of the compiled pass, with its
+    workers, or the numpy code where it cannot be built."""
 
     points_in: int = 0
     points_discarded: int = 0
@@ -115,6 +117,8 @@ class FrameStats:
     elapsed_ms: float = 0.0
     prepare_ms: float = 0.0
     pass_ms: float = 0.0
+    discarded_near: int = 0
+    discarded_bounds: int = 0
 
 
 def _scan_times(scan: ScanFrame) -> np.ndarray:
@@ -179,10 +183,11 @@ def check_threads(threads) -> int:
 def _prepare(grid, bank, pts_map, sensor, first_return_per_voxel):
     """The returns of ``pts_map`` (map frame, seen from ``sensor``) that
     fusion applies: at least one voxel from the sensor, with the K^3 block
-    around their center voxel inside the grid. Returns how many there are,
-    and the flat center index (x fastest) and shadow bin of each one to
-    stamp, sorted by center; with ``first_return_per_voxel``, only the first
-    return of each center voxel is stamped.
+    around their center voxel inside the grid. Returns how many are dropped
+    as too near and how many of the others as outside the bounds, and the
+    flat center index (x fastest) and shadow bin of each one to stamp,
+    sorted by center; with ``first_return_per_voxel``, only the first return
+    of each center voxel is stamped.
 
     Each axis is handled on its own components: the ray, the floored
     center voxel (checked against the bounds before the cast) and the
@@ -194,6 +199,7 @@ def _prepare(grid, bank, pts_map, sensor, first_return_per_voxel):
     # The sum in np.linalg.norm's order, so the same bits.
     norms = np.sqrt(rx * rx + ry * ry + rz * rz)
     ok = norms >= vs
+    near = len(ok) - int(np.count_nonzero(ok))
     for c, n in zip(cells, grid.dims):
         ok &= (c >= r) & (c <= n - 1 - r)
     keep = np.flatnonzero(ok)
@@ -209,18 +215,21 @@ def _prepare(grid, bank, pts_map, sensor, first_return_per_voxel):
     cflat, stamped = cflat[order], keep[order]
     b_a, b_e = bin_index_array(rx[stamped], ry[stamped], rz[stamped],
                                norms[stamped], bank.b_az, bank.b_el)
-    return len(keep), cflat, bank.flat_bin(b_a, b_e)
+    return near, len(ok) - near - len(keep), cflat, bank.flat_bin(b_a, b_e)
 
 
 def _fuse(grid, bank, pts_map, sensor, params, stats, threads=1) -> int:
     """Fuse map-frame returns seen from ``sensor``, setting ``stats``'
-    voxels_written, prepare_ms and pass_ms. Returns the number of returns
-    inside the bounds."""
+    discard counts, voxels_written, prepare_ms and pass_ms. Returns the
+    number of returns not discarded."""
     t0 = time.perf_counter()
-    n_ok, cflat, bins = _prepare(grid, bank, pts_map, sensor,
-                                 params.first_return_per_voxel)
+    near, outside, cflat, bins = _prepare(grid, bank, pts_map, sensor,
+                                          params.first_return_per_voxel)
     t1 = time.perf_counter()
     stats.prepare_ms = (t1 - t0) * 1e3
+    stats.discarded_near, stats.discarded_bounds = near, outside
+    stats.points_discarded = near + outside
+    n_ok = len(pts_map) - near - outside
     if n_ok == 0:
         return 0
     lib = _native.library()
@@ -233,42 +242,39 @@ def _fuse(grid, bank, pts_map, sensor, params, stats, threads=1) -> int:
     return n_ok
 
 
-def _fuse_compiled(grid, bank, fuse_pass, cflat, bins, threads) -> tuple[int, float]:
-    """Run the compiled ``fuse_pass`` over the sorted returns on bands of z
-    planes. Returns the changed-voxel count and the slowest band's ms."""
+def _fuse_compiled(grid, bank, fuse_frame, cflat, bins, threads) -> tuple[int, float]:
+    """Run the compiled ``fuse_frame`` over the sorted returns on bands of z
+    planes. Returns the changed-voxel count and the call's ms."""
     r = bank.half_extent
     # The C pass indexes these arrays unchecked; VoxelGrid checks its own.
     if (bank.distance_kernel.shape != (bank.size,) * 3
             or bank.shadow.shape != (bank.b_az * bank.b_el, len(bank.shadow_ball))
             or np.abs(bank.shadow_ball).max(initial=0) > r):
         raise ConfigurationError("kernel bank arrays do not match their sizes")
-    # The pass reads C-ordered (nz, ny, nx) arrays: the transposed views of
-    # the x-fastest grid, with the kernel transposed to match.
-    grid_args = (grid.mask.T, grid.hits.T, grid.sign.T)
+    # The pass reads C-ordered (nz, ny, nx) arrays: the memory of the
+    # x-fastest grid, with the kernel transposed to match.
     nx, ny, nz = grid.dims
-    dims_zyx = np.array([nz, ny, nx])
-    kernel = np.ascontiguousarray(bank.distance_kernel.T)
+    kernel = np.ascontiguousarray(bank.distance_kernel.T, dtype=np.uint32)
+    shadow = np.ascontiguousarray(bank.shadow, dtype=np.bool_)
     plane = nx * ny  # voxels per z plane
-    ball = bank.shadow_ball @ np.array([1, nx, plane])
+    ball = np.ascontiguousarray(bank.shadow_ball @ [1, nx, plane], dtype=np.int64)
     cuts = _plane_cuts(cflat // plane, nz, bank.size,
                        min(threads, os.cpu_count() or 1, nz))
     # Each worker owns the planes [p0, p1) and fuses the sorted returns whose
     # block reaches them: their center planes are in [p0 - r, p1 + r).
     ends = np.searchsorted(cflat, np.stack([cuts[:-1] - r, cuts[1:] + r]) * plane)
-
-    def fuse_band(p0, p1, i0, i1):
-        seen = np.zeros(plane // 64 + 2, dtype=np.uint64)  # one plane's bits
-        t = time.perf_counter()
-        written = fuse_pass(
-            *grid_args, seen, dims_zyx, p0, p1, kernel, bank.size,
-            cflat[i0:i1], bins[i0:i1], i1 - i0,
-            bank.shadow, ball, bank.shadow.shape[1], grid.h_max, grid.t_occ,
-        )
-        return written, time.perf_counter() - t
-
-    bands = list(zip(cuts[:-1].tolist(), cuts[1:].tolist(), *ends.tolist()))
-    results = _run_parts(fuse_band, bands)
-    return sum(w for w, _ in results), max(t for _, t in results) * 1e3
+    args = [grid.mask, grid.hits, grid.sign, np.array([nz, ny, nx]), cuts, ends,
+            len(cuts) - 1, kernel, bank.size, cflat, bins, shadow, ball,
+            shadow.shape[1], grid.h_max, grid.t_occ]
+    # Array addresses, taken before the clock starts; ``args`` keeps the
+    # arrays alive through the call.
+    call = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in args]
+    t = time.perf_counter()
+    written = fuse_frame(*call)
+    pass_ms = (time.perf_counter() - t) * 1e3
+    if written < 0:
+        raise MemoryError("cannot allocate a z plane's changed-voxel bitmap")
+    return written, pass_ms
 
 
 def _plane_cuts(planes, nz, k, workers) -> np.ndarray:
@@ -283,32 +289,6 @@ def _plane_cuts(planes, nz, k, workers) -> np.ndarray:
     cum = np.cumsum(pairs)
     inner = np.searchsorted(cum, cum[-1] * np.arange(1, workers) / workers) + 1
     return np.unique(np.concatenate(([0], inner, [nz])))
-
-
-def _run_parts(fn, parts) -> list:
-    """``fn(*part)`` for every part: the first on the calling thread, each
-    other on a thread of its own, joined before returning. The compiled pass
-    releases the GIL (ctypes.CDLL), so the parts run in parallel."""
-    results = [None] * len(parts)
-    errors = []
-
-    def run(i):
-        try:
-            results[i] = fn(*parts[i])
-        except BaseException as e:  # re-raised on the calling thread
-            errors.append(e)
-
-    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(parts))]
-    for w in workers:
-        w.start()
-    try:
-        results[0] = fn(*parts[0])
-    finally:
-        for w in workers:
-            w.join()
-    if errors:
-        raise errors[0]
-    return results
 
 
 def _fuse_numpy(grid, bank, cflat, bins) -> int:
@@ -393,7 +373,6 @@ def integrate_frame(
 
     pts_map = scan.points @ scan.pose[:3, :3].T + scan.pose[:3, 3]
     stats.points_in = pts_map.shape[0]
-    applied = _fuse(grid, bank, pts_map, scan.pose[:3, 3], params, stats, threads)
-    stats.points_discarded = stats.points_in - applied
+    _fuse(grid, bank, pts_map, scan.pose[:3, 3], params, stats, threads)
     stats.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return stats

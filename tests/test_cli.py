@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from bitsdf import io as bio
 from bitsdf.cli import cli, fuse, main, run_fuse
 from bitsdf.config import load_config
+from bitsdf.grid import new_grid
 
 from _synthetic import room_scan
 
@@ -90,12 +91,17 @@ class TestFuse:
         assert (root / "out" / "map.dbtsdf").exists()
         stats = (root / "out" / "frame_stats.csv").read_text().splitlines()
         assert stats[0] == ("frame,points_in,points_discarded,voxels_written,"
-                            "elapsed_ms,prepare_ms,pass_ms")
+                            "elapsed_ms,prepare_ms,pass_ms,discarded_near,"
+                            "discarded_bounds")
         assert len(stats) == 11
         # The pass and the prepare are parts of the frame's time.
         for line in stats[1:]:
-            elapsed, prepare, pass_ms = map(float, line.split(",")[4:])
+            fields = line.split(",")
+            elapsed, prepare, pass_ms = map(float, fields[4:7])
             assert 0 < prepare + pass_ms <= elapsed
+            # The discards split by reason add up to the discards.
+            near, outside = map(int, fields[7:])
+            assert near + outside == int(fields[2])
 
     @pytest.mark.parametrize("mode", ["yaw", "se3"])
     def test_compensation_fuses_every_frame(self, dataset, tmp_path, mode):
@@ -370,6 +376,16 @@ class TestMeshEvalExportInfo:
         assert res.returncode == 4
         assert "trailing" in res.stderr
 
+
+    @pytest.mark.parametrize("command, out", [
+        ("mesh", "nodir/m.ply"), ("export", "nodir/v.csv")])
+    def test_output_into_missing_directory(self, tmp_path, command, out):
+        # Like `fuse --output-dir`, the command creates its output's parent.
+        snapshot = tmp_path / "empty.dbtsdf"
+        bio.save_grid(new_grid((8, 8, 8), 0.1), snapshot)
+        res = run_main(command, snapshot, "-o", tmp_path / out)
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / out).is_file()
 
     @pytest.mark.parametrize("command", [
         ["mesh", "nope.dbtsdf", "-o", "m.ply"],

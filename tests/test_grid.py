@@ -157,6 +157,12 @@ class TestLayout:
         with pytest.raises(ConfigurationError, match="Fortran order"):
             self._grid((3, 5, 7), **self._fields((3, 5, 7), order="C"))
 
+    def test_read_only_arrays_rejected(self):
+        fields = self._fields((3, 5, 7))
+        fields["hits"].flags.writeable = False
+        with pytest.raises(ConfigurationError, match="hits must be a writeable"):
+            self._grid((3, 5, 7), **fields)
+
     @pytest.mark.parametrize("name", ["mask", "sign", "hits"])
     def test_wrong_shape_or_dtype_rejected(self, name):
         fields = self._fields((3, 5, 7))

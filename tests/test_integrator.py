@@ -447,18 +447,24 @@ def test_compiled_pass_memory(monkeypatch):
 
 
 def band_pass(grid, bank, centers, bins, p0, p1, entry="fuse"):
-    """One call of the compiled pass (``entry`` of _native.Library) on the
-    z planes [p0, p1) of ``grid`` over every return, prepared as
-    integrator._fuse prepares it; returns the pass's changed-voxel count."""
+    """One call of the compiled frame entry (``entry`` of _native.Library)
+    with one band, the z planes [p0, p1) of ``grid``, over every return,
+    prepared as integrator._fuse prepares it; returns the pass's
+    changed-voxel count."""
     strides = np.array([1, grid.dims[0], grid.dims[0] * grid.dims[1]])
     cflat = centers @ strides
     order = np.argsort(cflat)
-    seen = np.zeros(strides[2] // 64 + 2, dtype=np.uint64)
+    arrays = [
+        grid.mask, grid.hits, grid.sign, np.array(grid.dims[::-1]),
+        np.array([p0, p1]), np.array([0, len(order)]),
+        np.ascontiguousarray(bank.distance_kernel.T), cflat[order], bins[order],
+        bank.shadow, bank.shadow_ball @ strides,
+    ]
+    (mask, hits, sign, dims, cuts, ends, kernel, cflat, bins, shadow,
+     ball) = (a.ctypes.data for a in arrays)
     return getattr(_native.library(), entry)(
-        grid.mask.T, grid.hits.T, grid.sign.T, seen, np.array(grid.dims[::-1]),
-        p0, p1, np.ascontiguousarray(bank.distance_kernel.T), bank.size,
-        cflat[order], bins[order], len(order), bank.shadow,
-        bank.shadow_ball @ strides, bank.shadow.shape[1], grid.h_max, grid.t_occ,
+        mask, hits, sign, dims, cuts, ends, 1, kernel, bank.size,
+        cflat, bins, shadow, ball, bank.shadow.shape[1], grid.h_max, grid.t_occ,
     )
 
 
@@ -508,13 +514,14 @@ class TestPlaneSplit:
         scans = [ScanFrame(points=pts[i::2] - sensor,
                            pose=make_pose(Rotation.identity(), sensor))
                  for i in range(2)]
-        run_parts, parts = integrator._run_parts, []
+        plane_cuts, parts = integrator._plane_cuts, []
 
-        def counting(fn, bands):
-            parts.append(len(bands))
-            return run_parts(fn, bands)
+        def counting(*args):
+            cuts = plane_cuts(*args)
+            parts.append(len(cuts) - 1)
+            return cuts
 
-        monkeypatch.setattr(integrator, "_run_parts", counting)
+        monkeypatch.setattr(integrator, "_plane_cuts", counting)
 
         def fused(threads):
             g = new_grid(self.DIMS, 0.1, h_max=3, t_occ=2)
@@ -640,7 +647,8 @@ class TestPrepare:
     def test_matches_n3_formulas(self, grid, bank, first):
         rng = np.random.default_rng(80)
         pts, sensor = self.inputs(grid, rng)
-        n_ok, cflat, bins = integrator._prepare(grid, bank, pts, sensor, first)
+        near, outside, cflat, bins = integrator._prepare(grid, bank, pts, sensor, first)
+        n_ok = len(pts) - near - outside
         ref = prepare_reference(grid, bank, pts, sensor, first)
         assert n_ok == ref[0]
         assert np.array_equal(cflat, ref[1])
@@ -655,12 +663,37 @@ class TestPrepare:
         p = grid.origin + center * vs  # on the faces of a valid center
         sensor = p - [vs, 0, 0]  # exactly one voxel away
         pts = np.array([p, p - [vs / 2, 0, 0], p + [0, 0, vs]])
-        n_ok, cflat, bins = integrator._prepare(grid, bank, pts, sensor, False)
+        near, outside, cflat, bins = integrator._prepare(grid, bank, pts, sensor, False)
         # The second is closer than one voxel, the third one plane too high.
-        assert n_ok == 1
+        assert (near, outside) == (1, 1)
         nx, ny, _ = grid.dims
         assert cflat.tolist() == [center[0] + nx * (center[1] + ny * center[2])]
         assert bins.tolist() == [bank.flat_bin(0, bank.b_el // 2)]
+
+    def test_discards_counted_by_reason(self, grid, bank):
+        vs, r = self.VS, bank.half_extent
+        nx, ny, nz = grid.dims
+
+        def at(cells):  # voxel centers
+            return grid.origin + (np.array(cells) + 0.5) * vs
+
+        sensor = at([r, 20, 15])
+        # Within one voxel of the sensor; the last one's cell, x = r - 1,
+        # is out of bounds too, and it counts as near.
+        near = sensor + np.array([[0, 0, 0], [0.5, 0, 0], [0, -0.9, 0],
+                                  [0, 0, 0.99], [-0.6, 0, 0]]) * vs
+        # Inside the grid with a block that leaves it, then outside it.
+        outside = at([[r - 1, 12, 15], [nx - r, 20, 15], [20, r - 1, 15],
+                      [20, ny - r, 15], [20, 20, r - 1], [20, 20, nz - r],
+                      [0, 0, 0], [-1, 5, 5], [5, -3, 5], [5, 5, nz],
+                      [nx + 4, 5, 5]])
+        kept = at([[15 + i, 20, 12] for i in range(11)])
+        pts = np.concatenate([near, outside, kept])
+        stats = FrameStats()
+        applied = integrator._fuse(grid, bank, pts, sensor, IntegrationParams(), stats)
+        assert (stats.discarded_near, stats.discarded_bounds) == (5, 11)
+        assert stats.points_discarded == 16
+        assert applied == 11
 
 
 class TestNativeBuild:
@@ -706,9 +739,10 @@ class TestNativeBuild:
         cc = _native.CC
         if shutil.which(cc) is None:
             pytest.skip("no C compiler")
+        # The flags the library is built with, so what ships is checked.
         result = subprocess.run(
-            [cc, "-O3", "-Wall", "-Wextra", "-Werror", "-c", "-o",
-             str(tmp_path / "_fuse.o"), str(_native.SOURCE)],
+            [cc, *_native.CFLAGS, "-Wall", "-Wextra", "-Werror", "-o",
+             str(tmp_path / "_fuse.so"), str(_native.SOURCE)],
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
