@@ -1,13 +1,14 @@
 /* One frame of bitmask fusion, split into bands of z planes.
  *
- * Built and loaded by bitsdf/_native.py; integrator._fuse prepares the
- * arguments, and its numpy code does the same work where this cannot be
- * built. The grid stores voxel (x, y, z) of dims (nx, ny, nz) at word
- * x + nx * (y + ny * z), x fastest, and the pass gets that memory as the
- * C-ordered (nz, ny, nx) arrays it is, with the K^3 kernel transposed to
- * match. So a z plane of the grid is nx * ny contiguous words, a row runs
- * along x, and a band of z planes is one contiguous range of words. The
- * caller guarantees that every return's K^3 block lies inside the grid.
+ * Built and loaded by bitsdf/_native.py; integrator._fuse_compiled calls
+ * the one frame entry, and the integrator's numpy code does the same work
+ * where this cannot be built. The grid stores voxel (x, y, z) of dims
+ * (nx, ny, nz) at word x + nx * (y + ny * z), x fastest, and the pass gets
+ * that memory as the C-ordered (nz, ny, nx) arrays it is, and the K^3
+ * kernel, also stored x fastest, as (z, y, x). So a z plane of the grid is
+ * nx * ny contiguous words, a row runs along x, and a band of z planes is
+ * one contiguous range of words. The caller guarantees that every return's
+ * K^3 block lies inside the grid.
  *
  * One call fuses a whole frame: band 0 runs on the calling thread and each
  * other band on a thread that the call starts and joins. A band writes only
@@ -17,8 +18,9 @@
  * the kernel's slice onto the block rows of every return whose block
  * reaches that plane, so the working set is one plane plus the kernel. A
  * row is stamped in chunks of at most 32 words, with AVX-512F or with a
- * loop the compiler vectorizes: each has its own entry point, the caller
- * picks one per process, and both give the same words and changed bits.
+ * loop the compiler vectorizes: the one frame entry takes the caller's
+ * choice, made once per process, and both give the same words and changed
+ * bits.
  */
 #include <pthread.h>
 #include <stdint.h>
@@ -243,17 +245,6 @@ static int64_t run_frame(const struct frame *f, void *(*run)(void *))
     return failed ? -1 : written;
 }
 
-#define FRAME_ARGS                                                            \
-    uint32_t *mask, uint8_t *hits, uint8_t *sign, const int64_t *dims,        \
-        const int64_t *cuts, const int64_t *ends,                             \
-        int64_t bands, const uint32_t *kernel, int64_t k,                     \
-        const int64_t *cflat, const int64_t *bins, const uint8_t *shadow,     \
-        const int64_t *ball, int64_t m, int64_t h_max, int64_t t_occ
-
-#define FRAME                                                                 \
-    {mask, hits, sign, dims, cuts, ends, bands, kernel, k, cflat, bins, shadow, \
-     ball, m, h_max, t_occ}
-
 /* Fuse a frame's returns with center voxels cflat (sorted ascending; the
  * grid does not depend on the order) and shadow bins `bins` on `bands` (at
  * least 1) workers. Worker i owns the planes cuts[i] <= z < cuts[i + 1]
@@ -269,25 +260,30 @@ static int64_t run_frame(const struct frame *f, void *(*run)(void *))
  *   (one byte per offset) marks, add one hit unless the count is at h_max,
  *   and mark the voxel occupied (sign 0) once its count reaches t_occ.
  *
- * Returns the number of distinct voxels whose mask changed, or -1 when a
- * worker could not allocate its bitmap.
- * bitsdf_fuse_frame_portable stamps rows with a loop the compiler
- * vectorizes, and bitsdf_fuse_frame_avx512 with AVX-512F; it may run only
- * where bitsdf_has_avx512 says so. */
-int64_t bitsdf_fuse_frame_portable(FRAME_ARGS)
+ * Rows are stamped with AVX-512F when `avx512` is nonzero, which it may be
+ * only where bitsdf_has_avx512 says so, and with a loop the compiler
+ * vectorizes otherwise. Returns the number of distinct voxels whose mask
+ * changed, or -1 when a worker could not allocate its bitmap. */
+int64_t bitsdf_fuse_frame(uint32_t *mask, uint8_t *hits, uint8_t *sign,
+                          const int64_t *dims, const int64_t *cuts,
+                          const int64_t *ends, int64_t bands,
+                          const uint32_t *kernel, int64_t k,
+                          const int64_t *cflat, const int64_t *bins,
+                          const uint8_t *shadow, const int64_t *ball, int64_t m,
+                          int64_t h_max, int64_t t_occ, int64_t avx512)
 {
-    const struct frame f = FRAME;
+    const struct frame f = {mask, hits, sign, dims, cuts, ends, bands, kernel,
+                            k, cflat, bins, shadow, ball, m, h_max, t_occ};
+#ifdef HAVE_AVX512
+    if (avx512)
+        return run_frame(&f, band_avx512);
+#endif
+    (void)avx512;
     return run_frame(&f, band_portable);
 }
 
 #ifdef HAVE_AVX512
-int64_t bitsdf_fuse_frame_avx512(FRAME_ARGS)
-{
-    const struct frame f = FRAME;
-    return run_frame(&f, band_avx512);
-}
-
-/* 1 when this CPU can run bitsdf_fuse_frame_avx512, else 0. */
+/* 1 when this CPU can stamp rows with AVX-512F, else 0. */
 int bitsdf_has_avx512(void)
 {
     __builtin_cpu_init();

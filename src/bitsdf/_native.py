@@ -35,15 +35,12 @@ _lib = None
 
 @dataclass(frozen=True)
 class Library:
-    """The frame entry points of the compiled pass, picked once per process
-    when the library is loaded. ``fuse`` stamps rows with AVX-512F where the
-    CPU has it and ``fuse_portable`` never does; they take the same
-    arguments (addresses and int64 counts, as in ``_fuse.c``) and give the
-    same grid. ``path`` names the stamp that ``fuse`` runs
-    here: "avx512" or "portable"."""
+    """The frame entry point of the compiled pass, ``fuse`` (its arguments
+    are addresses and int64 counts, as in ``_fuse.c``), and the row stamp it
+    runs in this process, picked once when the library is loaded: "avx512"
+    where the CPU has AVX-512F, else "portable". Both give the same grid."""
 
     fuse: Callable
-    fuse_portable: Callable
     path: str
 
 
@@ -75,23 +72,19 @@ def _bind(path: Path) -> Library:
     # The arguments are unchecked addresses: the caller passes arrays of the
     # dtypes, shapes and order that _fuse.c reads.
     p, i64 = ctypes.c_void_p, ctypes.c_int64
-    argtypes = [
+    lib.bitsdf_fuse_frame.argtypes = [
         p, p, p,  # mask, hits, sign
         p, p, p, i64,  # dims, band cuts, band return ranges, bands
         p, i64,  # distance kernel (K, K, K), K
         p, p,  # center flat indices, bins
         p, p, i64,  # shadow table (bins, m), ball flat offsets (m,), m
         i64, i64,  # h_max, t_occ
+        i64,  # nonzero: stamp rows with AVX-512F
     ]
-    # The AVX-512F entry point exists where the compiler targets x86; it is
-    # bound only when this CPU runs it.
-    fuse, path = lib.bitsdf_fuse_frame_portable, "portable"
-    if hasattr(lib, "bitsdf_has_avx512") and lib.bitsdf_has_avx512():
-        fuse, path = lib.bitsdf_fuse_frame_avx512, "avx512"
-    for fn in (fuse, lib.bitsdf_fuse_frame_portable):
-        fn.argtypes = argtypes
-        fn.restype = i64
-    return Library(fuse, lib.bitsdf_fuse_frame_portable, path)
+    lib.bitsdf_fuse_frame.restype = i64
+    # bitsdf_has_avx512 exists where the compiler targets x86.
+    avx512 = hasattr(lib, "bitsdf_has_avx512") and lib.bitsdf_has_avx512()
+    return Library(lib.bitsdf_fuse_frame, "avx512" if avx512 else "portable")
 
 
 def library() -> Library | None:

@@ -10,7 +10,7 @@ import functools
 import json
 import statistics
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import click
@@ -28,6 +28,7 @@ from .errors import (
 )
 from .grid import SIGN_OCCUPIED, memory_bytes, new_grid, observed_array
 from .integrator import (
+    FrameStats,
     IntegrationParams,
     ScanFrame,
     check_threads,
@@ -167,20 +168,15 @@ def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
             prev_pose=prev_pose,
         )
         stats = integrate_frame(grid, bank, scan, params, threads=cfg.threads)
-        rows.append(
-            (frame_idx, stats.points_in, stats.points_discarded,
-             stats.voxels_written, stats.elapsed_ms, stats.prepare_ms,
-             stats.pass_ms, stats.discarded_near, stats.discarded_bounds)
-        )
+        rows.append((frame_idx, *astuple(stats)))
 
     snapshot = out_dir / "map.dbtsdf"
     bio.save_grid(grid, snapshot)
     with open(out_dir / "frame_stats.csv", "w") as f:
-        f.write("frame,points_in,points_discarded,voxels_written,elapsed_ms,"
-                "prepare_ms,pass_ms,discarded_near,discarded_bounds\n")
-        for row in rows:
-            f.write(f"{row[0]},{row[1]},{row[2]},{row[3]},{row[4]:.3f},"
-                    f"{row[5]:.3f},{row[6]:.3f},{row[7]},{row[8]}\n")
+        header = ["frame", *(field.name for field in fields(FrameStats))]
+        for row in [header, *rows]:
+            f.write(",".join(f"{v:.3f}" if isinstance(v, float) else str(v)
+                             for v in row) + "\n")
     save_config(cfg, out_dir / "config.resolved.yaml")
     return grid, rows, snapshot
 
@@ -264,6 +260,7 @@ def eval_cmd(pred, gt, threshold, samples, seed, out, as_json):
     report = evaluate(pred_pts, gt_pts, threshold)
     payload = report.to_json(seed=seed)
     if out:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
         Path(out).write_text(payload)
     if as_json:
         click.echo(payload)
@@ -310,6 +307,8 @@ def bench(config_path, voxel_sizes, repeats, out, as_json):
     if repeats < 2:
         click.echo("warning: fewer than 2 repeats, std is unreliable", err=True)
     base = load_config(config_path)
+    if out:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
     results = []
     for size in sizes:
         cfg = replace(

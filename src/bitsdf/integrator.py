@@ -237,40 +237,36 @@ def _fuse(grid, bank, pts_map, sensor, params, stats, threads=1) -> int:
         stats.voxels_written = _fuse_numpy(grid, bank, cflat, bins)
         stats.pass_ms = (time.perf_counter() - t1) * 1e3
     else:
+        nx, ny, nz = grid.dims
+        cuts = _plane_cuts(cflat // (nx * ny), nz, bank.size,
+                           min(threads, os.cpu_count() or 1, nz))
         stats.voxels_written, stats.pass_ms = _fuse_compiled(
-            grid, bank, lib.fuse, cflat, bins, threads)
+            grid, bank, lib, cflat, bins, cuts)
     return n_ok
 
 
-def _fuse_compiled(grid, bank, fuse_frame, cflat, bins, threads) -> tuple[int, float]:
-    """Run the compiled ``fuse_frame`` over the sorted returns on bands of z
-    planes. Returns the changed-voxel count and the call's ms."""
+def _fuse_compiled(grid, bank, lib, cflat, bins, cuts) -> tuple[int, float]:
+    """Run ``lib``'s frame entry over the sorted returns on the bands of z
+    planes between ``cuts`` (int64, as ``_plane_cuts`` gives). Returns the
+    changed-voxel count and the call's ms. The pass reads the x-fastest grid
+    and kernel as the C-ordered (nz, ny, nx) and (z, y, x) arrays they are,
+    unchecked: VoxelGrid and KernelBank check them when they are made."""
     r = bank.half_extent
-    # The C pass indexes these arrays unchecked; VoxelGrid checks its own.
-    if (bank.distance_kernel.shape != (bank.size,) * 3
-            or bank.shadow.shape != (bank.b_az * bank.b_el, len(bank.shadow_ball))
-            or np.abs(bank.shadow_ball).max(initial=0) > r):
-        raise ConfigurationError("kernel bank arrays do not match their sizes")
-    # The pass reads C-ordered (nz, ny, nx) arrays: the memory of the
-    # x-fastest grid, with the kernel transposed to match.
     nx, ny, nz = grid.dims
-    kernel = np.ascontiguousarray(bank.distance_kernel.T, dtype=np.uint32)
-    shadow = np.ascontiguousarray(bank.shadow, dtype=np.bool_)
     plane = nx * ny  # voxels per z plane
-    ball = np.ascontiguousarray(bank.shadow_ball @ [1, nx, plane], dtype=np.int64)
-    cuts = _plane_cuts(cflat // plane, nz, bank.size,
-                       min(threads, os.cpu_count() or 1, nz))
+    ball = bank.shadow_ball @ np.array([1, nx, plane])
     # Each worker owns the planes [p0, p1) and fuses the sorted returns whose
     # block reaches them: their center planes are in [p0 - r, p1 + r).
     ends = np.searchsorted(cflat, np.stack([cuts[:-1] - r, cuts[1:] + r]) * plane)
     args = [grid.mask, grid.hits, grid.sign, np.array([nz, ny, nx]), cuts, ends,
-            len(cuts) - 1, kernel, bank.size, cflat, bins, shadow, ball,
-            shadow.shape[1], grid.h_max, grid.t_occ]
+            len(cuts) - 1, bank.distance_kernel, bank.size, cflat, bins,
+            bank.shadow, ball, len(ball), grid.h_max, grid.t_occ,
+            lib.path == "avx512"]
     # Array addresses, taken before the clock starts; ``args`` keeps the
     # arrays alive through the call.
     call = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in args]
     t = time.perf_counter()
-    written = fuse_frame(*call)
+    written = lib.fuse(*call)
     pass_ms = (time.perf_counter() - t) * 1e3
     if written < 0:
         raise MemoryError("cannot allocate a z plane's changed-voxel bitmap")

@@ -59,15 +59,16 @@ def bin_index_array(dx, dy, dz, norms, b_az: int, b_el: int):
     return b_a, b_e
 
 
-def bin_direction(b_a: int, b_e: int, b_az: int, b_el: int) -> np.ndarray:
-    """Representative unit vector at the center of a bin's angular range."""
-    if not (0 <= b_a < b_az and 0 <= b_e < b_el):
-        raise ConfigurationError(f"bin ({b_a},{b_e}) outside {b_az}x{b_el}")
-    a = (b_a + 0.5) * TWO_PI / b_az
-    e = (b_e + 0.5) * math.pi / b_el - math.pi / 2
-    return np.array(
-        [math.cos(e) * math.cos(a), math.cos(e) * math.sin(a), math.sin(e)]
-    )
+def bin_directions(b_az: int, b_el: int) -> np.ndarray:
+    """Unit vectors (b_az * b_el, 3) at the centers of the bins' angular
+    ranges, row b_a * b_el + b_e for bin (b_a, b_e): (cos e cos a, cos e sin a,
+    sin e), with ``math``'s cosine and sine of each azimuth and elevation."""
+    az = [(b_a + 0.5) * TWO_PI / b_az for b_a in range(b_az)]
+    el = [(b_e + 0.5) * math.pi / b_el - math.pi / 2 for b_e in range(b_el)]
+    cos_a, sin_a = (np.array([f(a) for a in az])[:, None] for f in (math.cos, math.sin))
+    cos_e, sin_e = (np.array([f(e) for e in el]) for f in (math.cos, math.sin))
+    rows = np.broadcast_arrays(cos_e * cos_a, cos_e * sin_a, sin_e)
+    return np.stack(rows, axis=-1).reshape(-1, 3)
 
 
 def _offset_cube(half_extent: int):
@@ -120,20 +121,46 @@ def build_shadow_mask(
     return ball[table[0]]
 
 
-@dataclass
+def _check_counts(size, b_az, b_el):
+    if size % 2 == 0 or size < 1 or b_az < 1 or b_el < 1:
+        raise ConfigurationError("kernel size must be odd and positive and bin "
+                                 f"counts at least 1, got {size}, {b_az}, {b_el}")
+
+
+@dataclass(frozen=True)
 class KernelBank:
-    """Immutable bundle of the shared distance kernel and per-bin shadows."""
+    """The shared distance kernel and per-bin shadows, checked when made and
+    held as read-only views: fusion, compiled or numpy, reads them
+    unchecked."""
 
     size: int
     b_az: int
     b_el: int
-    shadow_radius: float
-    shadow_model: str
-    cone_half_angle_deg: float
-    distance_kernel: np.ndarray  # uint32, (K, K, K), index [dx+R, dy+R, dz+R]
+    # uint32, (K, K, K), index [dx+R, dy+R, dz+R], x fastest (order="F"):
+    # its memory is the C-ordered (z, y, x) kernel that _fuse.c reads.
+    distance_kernel: np.ndarray
     shadow_ball: np.ndarray  # (m, 3) int64: offsets with |o| <= r_s, cube order
-    shadow: np.ndarray  # bool (b_az * b_el, m): row b_a * b_el + b_e marks its shadow
-    bin_dirs: np.ndarray  # (b_az * b_el, 3)
+    shadow: np.ndarray  # bool (b_az * b_el, m), C order: row b_a * b_el + b_e marks its shadow
+
+    def __post_init__(self):
+        _check_counts(self.size, self.b_az, self.b_el)
+        k, m = self.size, len(self.shadow_ball)
+        for name, dtype, shape, order in (
+                ("distance_kernel", np.uint32, (k, k, k), "F"),
+                ("shadow_ball", np.int64, (m, 3), None),
+                ("shadow", np.bool_, (self.b_az * self.b_el, m), "C")):
+            a = getattr(self, name)
+            if (a.dtype != dtype or a.shape != shape
+                    or order and not a.flags[order + "_CONTIGUOUS"]):
+                raise ConfigurationError(
+                    f"kernel bank {name} must be a {np.dtype(dtype)} array of shape "
+                    f"{shape} in {order or 'any'} order, got {a.dtype} {a.shape}")
+            view = a.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        if np.abs(self.shadow_ball).max(initial=0) > k // 2:
+            raise ConfigurationError(
+                f"kernel bank shadow ball has an offset beyond {k // 2}")
 
     @property
     def half_extent(self) -> int:
@@ -160,35 +187,14 @@ def build_kernel_bank(
     cone_half_angle_deg: float = DEFAULT_CONE_HALF_ANGLE_DEG,
 ) -> KernelBank:
     """Build the full bank; deterministic for identical parameters."""
-    if size % 2 == 0 or size < 1:
-        raise ConfigurationError(f"kernel size must be odd and positive, got {size}")
-    if b_az < 1 or b_el < 1:
-        raise ConfigurationError("bin counts must be at least 1")
+    _check_counts(size, b_az, b_el)
     half = size // 2
     _, norms = _offset_cube(half)
-    runs = np.ceil(norms).astype(np.int64)
-    runs[norms == 0.0] = 0
-    runs = np.minimum(runs, 32)
+    runs = np.minimum(np.ceil(norms).astype(np.int64), 32)
     lut = np.array([run_mask(int(k)) for k in range(33)], dtype=np.uint32)
-    distance_kernel = lut[runs].reshape(size, size, size)
-
-    bin_dirs = np.array([
-        bin_direction(b_a, b_e, b_az, b_el)
-        for b_a in range(b_az)
-        for b_e in range(b_el)
-    ])
+    distance_kernel = np.asfortranarray(lut[runs].reshape(size, size, size))
     shadow_ball, shadow = _shadow_table(
-        bin_dirs, shadow_radius, shadow_model, cone_half_angle_deg, half
+        bin_directions(b_az, b_el), shadow_radius, shadow_model,
+        cone_half_angle_deg, half,
     )
-    return KernelBank(
-        size=size,
-        b_az=b_az,
-        b_el=b_el,
-        shadow_radius=float(shadow_radius),
-        shadow_model=shadow_model,
-        cone_half_angle_deg=float(cone_half_angle_deg),
-        distance_kernel=distance_kernel,
-        shadow_ball=shadow_ball,
-        shadow=shadow,
-        bin_dirs=bin_dirs,
-    )
+    return KernelBank(size, b_az, b_el, distance_kernel, shadow_ball, shadow)

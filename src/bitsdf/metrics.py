@@ -9,12 +9,13 @@ reported in percent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EvaluationError
+from .errors import ConfigurationError, EvaluationError
 from .mesher import TriangleMesh
 
 
@@ -38,6 +39,8 @@ class MetricsReport:
 
 def sample_mesh(mesh: TriangleMesh, n: int, seed: int = 0) -> np.ndarray:
     """Draw n points area-uniformly over the mesh surface, reproducibly."""
+    if n < 0:
+        raise ConfigurationError(f"sample count must be >= 0, got {n}")
     if n == 0:
         return np.zeros((0, 3))
     if mesh.is_empty or mesh.triangles.shape[0] == 0:
@@ -78,6 +81,8 @@ def nn_distances(from_pts: np.ndarray, to_pts: np.ndarray) -> np.ndarray:
 
 def evaluate(pred: np.ndarray, gt: np.ndarray, threshold: float) -> MetricsReport:
     """Full report for predicted vs ground-truth point sets."""
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ConfigurationError(f"threshold must be finite and >= 0, got {threshold}")
     pred = np.asarray(pred, dtype=np.float64).reshape(-1, 3)
     gt = np.asarray(gt, dtype=np.float64).reshape(-1, 3)
     if pred.shape[0] == 0 or gt.shape[0] == 0:

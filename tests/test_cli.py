@@ -1,8 +1,10 @@
+import inspect
 import json
 import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +12,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from bitsdf import cli as cli_module
 from bitsdf import io as bio
 from bitsdf.cli import cli, fuse, main, run_fuse
-from bitsdf.config import load_config
+from bitsdf.config import KernelConfig, load_config
 from bitsdf.grid import new_grid
 
 from _synthetic import room_scan
@@ -67,6 +70,33 @@ def run_main(*args):
         [sys.executable, "-m", "bitsdf.cli", *map(str, args)],
         capture_output=True, text=True, env=env,
     )
+
+
+def triangle_ply(directory):
+    """A one-triangle mesh file in ``directory``."""
+    from bitsdf.mesher import TriangleMesh
+
+    path = directory / "triangle.ply"
+    bio.write_mesh(TriangleMesh(np.eye(3), np.array([[0, 1, 2]])), path,
+                   "ply_binary")
+    return path
+
+
+def point_xyz(directory):
+    """A one-point ground truth file in ``directory``."""
+    path = directory / "gt.xyz"
+    path.write_text("0 0 0\n")
+    return path
+
+
+def config_into(dataset, out_dir):
+    """A copy of the dataset's config that writes into ``out_dir``."""
+    _, cfg_path = dataset
+    cfg = yaml.safe_load(cfg_path.read_text())
+    cfg["paths"]["output_dir"] = str(out_dir)
+    path = out_dir.parent / f"{out_dir.name}.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
 
 
 def fail_in_process(monkeypatch, capsys, *args):
@@ -196,6 +226,30 @@ class TestFuse:
         assert res.returncode == 2
         assert "threads must be an integer >= 1" in res.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_every_kernel_key_reaches_the_bank(self, dataset, tmp_path, monkeypatch):
+        # The bank keeps only its arrays and sizes, so the call is the one
+        # place that shows each kernel key, at a value other than its
+        # default, is used.
+        kernel = {"size": 9, "azimuth_bins": 12, "elevation_bins": 7,
+                  "shadow_radius": 2.5, "shadow_model": "cone",
+                  "cone_half_angle_deg": 45.0}
+        assert set(kernel) == {f.name for f in fields(KernelConfig)}
+        assert all(getattr(KernelConfig(), k) != v for k, v in kernel.items())
+        path = config_into(dataset, tmp_path / "out")
+        cfg = yaml.safe_load(path.read_text())
+        path.write_text(yaml.safe_dump({**cfg, "kernel": kernel}))
+        real, calls = cli_module.build_kernel_bank, []
+
+        def recording(*args, **kwargs):
+            calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "build_kernel_bank", recording)
+        _, rows, _ = run_fuse(load_config(path), echo=lambda *_: None)
+        assert calls == [{"size": 9, "b_az": 12, "b_el": 7, "shadow_radius": 2.5,
+                          "shadow_model": "cone", "cone_half_angle_deg": 45.0}]
+        assert sum(r[1] - r[2] for r in rows) > 0
 
     def test_every_option_lands_in_its_key(self, dataset, tmp_path):
         # Each override differs from the dataset's config, and the option
@@ -378,14 +432,38 @@ class TestMeshEvalExportInfo:
 
 
     @pytest.mark.parametrize("command, out", [
-        ("mesh", "nodir/m.ply"), ("export", "nodir/v.csv")])
-    def test_output_into_missing_directory(self, tmp_path, command, out):
+        ("mesh", "nodir/m.ply"), ("export", "nodir/v.csv"),
+        ("eval", "nodir/r.json"), ("bench", "nodir/b.csv")])
+    def test_output_into_missing_directory(self, dataset, tmp_path, command, out):
         # Like `fuse --output-dir`, the command creates its output's parent.
         snapshot = tmp_path / "empty.dbtsdf"
         bio.save_grid(new_grid((8, 8, 8), 0.1), snapshot)
-        res = run_main(command, snapshot, "-o", tmp_path / out)
+        inputs = {
+            "mesh": [snapshot], "export": [snapshot],
+            "eval": ["--pred", triangle_ply(tmp_path), "--gt", point_xyz(tmp_path),
+                     "--samples", 100],
+            "bench": ["--config", config_into(dataset, tmp_path / "bench"),
+                      "--voxel-sizes", 0.2, "--repeats", 1],
+        }
+        res = run_main(command, *inputs[command], "-o", tmp_path / out)
         assert res.returncode == 0, res.stderr
         assert (tmp_path / out).is_file()
+
+    @pytest.mark.parametrize("args, code", [
+        (["--samples", "-3"], 2), (["--threshold", "nan"], 2),
+        (["--threshold", "inf"], 2), (["--threshold", "-1"], 2),
+        (["--samples", "0"], 5),
+    ], ids=["negative-samples", "nan-threshold", "inf-threshold",
+            "negative-threshold", "zero-samples"])
+    def test_eval_bad_samples_or_threshold(self, tmp_path, monkeypatch, capsys,
+                                           args, code):
+        out = tmp_path / "r.json"
+        got, err = fail_in_process(
+            monkeypatch, capsys, "eval", "--pred", triangle_ply(tmp_path),
+            "--gt", point_xyz(tmp_path), "-o", out, *args)
+        assert got == code, err
+        assert err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["mesh", "nope.dbtsdf", "-o", "m.ply"],
@@ -403,11 +481,7 @@ class TestMeshEvalExportInfo:
 
 class TestBench:
     def test_two_sizes(self, dataset, tmp_path):
-        root, cfg_path = dataset
-        cfg = yaml.safe_load(cfg_path.read_text())
-        cfg["paths"]["output_dir"] = str(tmp_path / "bench")
-        bench_cfg = tmp_path / "bench.yaml"
-        bench_cfg.write_text(yaml.safe_dump(cfg))
+        bench_cfg = config_into(dataset, tmp_path / "bench")
         out = tmp_path / "bench.csv"
         result = CliRunner().invoke(
             cli,

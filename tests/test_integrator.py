@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,8 +64,7 @@ def use_path(path, monkeypatch):
             pytest.fail("a C compiler is present but _fuse.c did not build")
         pytest.skip("no C compiler")
     if path == "portable":
-        monkeypatch.setattr(_native, "_lib", _native.Library(
-            lib.fuse_portable, lib.fuse_portable, "portable"))
+        monkeypatch.setattr(_native, "_lib", _native.Library(lib.fuse, "portable"))
 
 
 @pytest.fixture
@@ -446,26 +446,14 @@ def test_compiled_pass_memory(monkeypatch):
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def band_pass(grid, bank, centers, bins, p0, p1, entry="fuse"):
-    """One call of the compiled frame entry (``entry`` of _native.Library)
-    with one band, the z planes [p0, p1) of ``grid``, over every return,
-    prepared as integrator._fuse prepares it; returns the pass's
-    changed-voxel count."""
-    strides = np.array([1, grid.dims[0], grid.dims[0] * grid.dims[1]])
-    cflat = centers @ strides
+def band_pass(grid, bank, centers, bins, p0, p1):
+    """One call of the compiled pass with one band, the z planes [p0, p1) of
+    ``grid``, over the returns at ``centers`` sorted as integrator._prepare
+    sorts them; returns the pass's changed-voxel count."""
+    cflat = centers @ np.array([1, grid.dims[0], grid.dims[0] * grid.dims[1]])
     order = np.argsort(cflat)
-    arrays = [
-        grid.mask, grid.hits, grid.sign, np.array(grid.dims[::-1]),
-        np.array([p0, p1]), np.array([0, len(order)]),
-        np.ascontiguousarray(bank.distance_kernel.T), cflat[order], bins[order],
-        bank.shadow, bank.shadow_ball @ strides,
-    ]
-    (mask, hits, sign, dims, cuts, ends, kernel, cflat, bins, shadow,
-     ball) = (a.ctypes.data for a in arrays)
-    return getattr(_native.library(), entry)(
-        mask, hits, sign, dims, cuts, ends, 1, kernel, bank.size,
-        cflat, bins, shadow, ball, bank.shadow.shape[1], grid.h_max, grid.t_occ,
-    )
+    return integrator._fuse_compiled(grid, bank, _native.library(), cflat[order],
+                                     bins[order], np.array([p0, p1]))[0]
 
 
 class TestPlaneSplit:
@@ -748,9 +736,29 @@ class TestNativeBuild:
         assert result.returncode == 0, result.stderr
 
     def test_mismatched_bank_rejected(self, monkeypatch):
-        use_path("c", monkeypatch)
-        bank = build_kernel_bank(shadow_radius=3)
-        bank.distance_kernel = bank.distance_kernel[:, :, :5].copy()
-        with pytest.raises(ConfigurationError):
-            integrate_point(fresh_grid(), bank, [2.05] * 3, [1.0, 2.0, 2.0],
-                            IntegrationParams())
+        # The bank is checked where it is made, so neither fusion path ever
+        # reads a bank whose arrays do not match its sizes.
+        bank = build_kernel_bank(size=7, shadow_radius=3)
+        ball = bank.shadow_ball
+        bad = [
+            {"distance_kernel": np.asfortranarray(bank.distance_kernel[:, :, :5])},
+            {"distance_kernel": np.ascontiguousarray(bank.distance_kernel.T)},
+            {"distance_kernel": bank.distance_kernel.astype(np.int64)},
+            {"size": 9},
+            {"size": 6},
+            {"b_el": 0},
+            {"shadow": bank.shadow[1:]},
+            {"shadow": bank.shadow[:, :-1]},
+            {"shadow": np.asfortranarray(bank.shadow)},
+            {"shadow_ball": ball.astype(np.int32)},
+            {"shadow_ball": np.where(ball == 3, 4, ball)},
+        ]
+        for path in ("c", "numpy"):
+            with monkeypatch.context() as m:
+                use_path(path, m)
+                for change in bad:
+                    with pytest.raises(ConfigurationError):
+                        replace(bank, **change)
+                grid = fresh_grid()
+                assert integrate_point(grid, replace(bank), [2.05] * 3,
+                                       [1.0, 2.0, 2.0], IntegrationParams()) == "applied"

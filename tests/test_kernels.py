@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from bitsdf import oracle
 from bitsdf.errors import ConfigurationError
 from bitsdf.kernels import (
-    bin_direction,
+    bin_directions,
     bin_index,
     bin_index_array,
     build_kernel_bank,
@@ -38,27 +39,31 @@ class TestBinIndex:
 
 class TestBinDirection:
     def test_unit_norm(self):
-        for b_a in range(0, 40, 7):
-            for b_e in range(0, 40, 7):
-                v = bin_direction(b_a, b_e, 40, 40)
-                assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        v = bin_directions(40, 40)
+        assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() < 1e-12
 
     def test_bin_center_angles(self):
-        v = bin_direction(0, 20, 40, 40)
+        v = bin_directions(40, 40)[0 * 40 + 20]
         az = math.degrees(math.atan2(v[1], v[0]))
         el = math.degrees(math.asin(v[2]))
         assert az == pytest.approx(4.5)
         assert el == pytest.approx(2.25)
 
     def test_round_trip_all_bins(self):
+        dirs = bin_directions(40, 40)
         for b_a in range(40):
             for b_e in range(40):
-                v = bin_direction(b_a, b_e, 40, 40)
-                assert bin_index(v, 40, 40) == (b_a, b_e)
+                assert bin_index(dirs[b_a * 40 + b_e], 40, 40) == (b_a, b_e)
 
-    def test_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            bin_direction(40, 0, 40, 40)
+    @pytest.mark.parametrize("b_az, b_el", [(40, 40), (7, 13), (1, 1), (360, 180)])
+    def test_equal_to_oracle_bin_centers(self, b_az, b_el):
+        # The oracle's shadows are cut along its own bin centers, so the
+        # bank's shadow table equals the oracle's only if every component
+        # of every center is the same float.
+        dirs = bin_directions(b_az, b_el)
+        assert dirs.shape == (b_az * b_el, 3)
+        centers = [oracle._quantized_direction(d, b_az, b_el) for d in dirs]
+        assert np.array(centers).tobytes() == dirs.tobytes()
 
 
 class TestDistanceMask:
@@ -150,11 +155,16 @@ class TestKernelBank:
         assert center.size == 1
         assert bank.shadow[:, center[0]].all()
 
+    def test_arrays_read_only(self):
+        bank = build_kernel_bank(size=5, b_az=4, b_el=4, shadow_radius=2)
+        for a in (bank.distance_kernel, bank.shadow_ball, bank.shadow):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
+
     def test_determinism(self):
         a = build_kernel_bank(size=9, b_az=8, b_el=8, shadow_radius=2)
         b = build_kernel_bank(size=9, b_az=8, b_el=8, shadow_radius=2)
         assert np.array_equal(a.distance_kernel, b.distance_kernel)
-        assert np.array_equal(a.bin_dirs, b.bin_dirs)
         assert np.array_equal(a.shadow_ball, b.shadow_ball)
         assert np.array_equal(a.shadow, b.shadow)
 
@@ -173,7 +183,7 @@ class TestKernelBank:
         bank = build_kernel_bank(size=9, b_az=7, b_el=13, shadow_radius=radius,
                                  shadow_model=model)
         assert bank.shadow.shape == (7 * 13, bank.shadow_ball.shape[0])
-        for b, d in enumerate(bank.bin_dirs):
+        for b, d in enumerate(bin_directions(7, 13)):
             expected = build_shadow_mask(d, radius, model, half_extent=4)
             assert np.array_equal(bank.shadow_ball[bank.shadow[b]], expected)
 
