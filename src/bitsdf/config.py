@@ -15,7 +15,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigurationError
-from .grid import DEFAULT_MEMORY_CAP
+from .grid import DEFAULT_MEMORY_CAP, check_geometry
 from .integrator import check_threads
 from .kernels import (
     DEFAULT_AZIMUTH_BINS,
@@ -34,7 +34,6 @@ class GridConfig:
     bounds_max: list | None = None
     dims: list | None = None
     origin: list | None = None
-    pad_voxels: int | None = None  # default: kernel half-extent
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP
 
 
@@ -91,7 +90,8 @@ class RunConfig:
             raise ConfigurationError(
                 "grid needs either dims+origin or bounds_min+bounds_max"
             )
-        pad = self.kernel.size // 2 if g.pad_voxels is None else int(g.pad_voxels)
+        check_geometry(g.voxel_size, bounds_min=g.bounds_min, bounds_max=g.bounds_max)
+        pad = self.kernel.size // 2
         dims = []
         origin = []
         for lo, hi in zip(g.bounds_min, g.bounds_max):
@@ -147,9 +147,12 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
-    data = yaml.safe_load(path.read_text()) or {}
+    try:
+        data = yaml.safe_load(path.read_bytes()) or {}
+    except yaml.YAMLError as e:
+        raise ConfigurationError(f"{path}: config is not valid YAML: {e}") from None
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: config root must be a mapping")
     return config_from_dict(data)

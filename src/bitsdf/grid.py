@@ -16,6 +16,7 @@ is ``a.ravel(order="F")`` or ``a.T.reshape(-1)``; ``a.reshape(-1)`` copies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +81,25 @@ class VoxelGrid:
         return nx * ny * nz
 
 
-def _check_grid(dims, voxel_size, memory_cap, h_max, t_occ) -> tuple:
+def check_geometry(voxel_size, **points) -> None:
+    """Raise ConfigurationError unless ``voxel_size`` is finite and positive
+    and each named point is three finite coordinates."""
+    if not 0.0 < voxel_size < math.inf:
+        raise ConfigurationError(
+            f"voxel_size must be finite and positive, got {voxel_size}")
+    for name, point in points.items():
+        if np.shape(point) != (3,) or not np.all(np.isfinite(point)):
+            raise ConfigurationError(
+                f"grid {name} must be three finite coordinates, got {point}")
+
+
+def _check_grid(dims, voxel_size, origin, memory_cap, h_max, t_occ) -> tuple:
     """``dims`` as a tuple of ints, once the grid they describe passes
     new_grid's checks."""
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise ConfigurationError(f"grid dims must be three positive counts, got {dims}")
-    if not voxel_size > 0.0:
-        raise ConfigurationError(f"voxel_size must be positive, got {voxel_size}")
+    check_geometry(voxel_size, origin=origin)
     if not 1 <= t_occ <= h_max <= 255:
         raise ConfigurationError(f"need 1 <= T ({t_occ}) <= H_max ({h_max}) <= 255")
     payload = dims[0] * dims[1] * dims[2] * BYTES_PER_VOXEL
@@ -109,11 +121,12 @@ def new_grid(
     """Allocate a fresh grid with every voxel unobserved, whose voxels
     count at most ``h_max`` hits and turn occupied at ``t_occ``.
 
-    Raises ConfigurationError for degenerate dims/voxel_size or thresholds
-    outside 1 <= t_occ <= h_max <= 255, and ResourceError when the voxel
+    Raises ConfigurationError for degenerate dims, a voxel_size that is not
+    finite and positive, an origin that is not finite, or thresholds outside
+    1 <= t_occ <= h_max <= 255, and ResourceError when the voxel
     payload would exceed ``memory_cap``.
     """
-    dims = _check_grid(dims, voxel_size, memory_cap, h_max, t_occ)
+    dims = _check_grid(dims, voxel_size, origin, memory_cap, h_max, t_occ)
     return VoxelGrid(
         dims=dims,
         voxel_size=float(voxel_size),
@@ -199,7 +212,7 @@ def from_records(
     """The grid whose serialized voxel records are ``rec``, in linear-index
     order. A header that new_grid would reject raises CorruptionError."""
     try:
-        dims = _check_grid(dims, voxel_size, DEFAULT_MEMORY_CAP, h_max, t_occ)
+        dims = _check_grid(dims, voxel_size, origin, DEFAULT_MEMORY_CAP, h_max, t_occ)
     except ConfigurationError as e:
         raise CorruptionError(f"bad grid header: {e}") from None
     if rec.shape[0] != dims[0] * dims[1] * dims[2]:

@@ -61,90 +61,58 @@ def _drop_nonfinite(points, timestamps=None):
 
 
 # ---------------------------------------------------------------------------
-# PCD
+# PCD and PLY. A header parser returns (format, elements, body offset): format
+# "ascii" or "binary_little_endian", and (name, count, fields) per element in
+# body order, with one (name, numpy dtype, shape) field per column group.
 
-_PCD_TYPE = {("F", 4): "<f4", ("F", 8): "<f8", ("U", 1): "u1", ("U", 2): "<u2",
-             ("U", 4): "<u4", ("I", 1): "i1", ("I", 2): "<i2", ("I", 4): "<i4"}
 _TIME_FIELDS = ("time", "t", "timestamp", "stamp")
 
 
-def _read_pcd(path: Path) -> ScanData:
-    raw = path.read_bytes()
-    pos = 0
-    header = {}
-    while True:
-        nl = raw.find(b"\n", pos)
-        if nl < 0:
-            raise CorruptionError(f"{path}: PCD header never ends")
-        line = raw[pos:nl].decode("ascii", errors="replace").strip()
+def _element_count(token: str, path: Path, name: str) -> int:
+    """The record count ``token`` declares for element ``name``: ValueError
+    if it is not an integer, CorruptionError if it is negative."""
+    count = int(token)
+    if count < 0:
+        raise CorruptionError(f"{path}: negative {name} count {count}")
+    return count
+
+
+_PCD_TYPE = {("F", 4): "<f4", ("F", 8): "<f8", ("U", 1): "u1", ("U", 2): "<u2",
+             ("U", 4): "<u4", ("I", 1): "i1", ("I", 2): "<i2", ("I", 4): "<i4"}
+
+
+def _parse_pcd_header(raw: bytes, path: Path):
+    """Return (format, elements, body offset) of a PCD v0.7 file: one
+    element, "point", of POINTS records, with one field per FIELDS column,
+    of shape (COUNT,) where COUNT > 1."""
+    header, pos = {}, 0
+    while "DATA" not in header and (nl := raw.find(b"\n", pos)) >= 0:
+        tok = raw[pos:nl].decode("ascii", errors="replace").split()
         pos = nl + 1
-        if line.startswith("#") or not line:
-            continue
-        key, _, val = line.partition(" ")
-        header[key.upper()] = val
-        if key.upper() == "DATA":
-            break
-    for req in ("FIELDS", "SIZE", "TYPE", "POINTS", "DATA"):
-        if req not in header:
-            raise FormatError(f"{path}: PCD header missing {req}")
-    fields = header["FIELDS"].split()
-    sizes = [int(s) for s in header["SIZE"].split()]
-    types = header["TYPE"].split()
-    if "COUNT" in header:
-        counts = [int(c) for c in header["COUNT"].split()]
-    else:
-        counts = [1] * len(fields)
-    n_points = int(header["POINTS"])
-    for axis in "xyz":
-        if axis not in fields:
-            raise FormatError(f"{path}: PCD has no '{axis}' field")
-
-    dtype_fields = []
-    for name, size, typ, cnt in zip(fields, sizes, types, counts):
-        base = _PCD_TYPE.get((typ, size))
-        if base is None:
-            raise FormatError(f"{path}: unsupported PCD field type {typ}{size}")
-        dtype_fields.append((name, base, (cnt,)) if cnt > 1 else (name, base))
-    dtype = np.dtype(dtype_fields)
-
-    data_mode = header["DATA"].lower()
-    if data_mode == "ascii":
-        body = raw[pos:].decode("ascii", errors="replace")
-        try:
-            table = np.loadtxt(body.splitlines(), ndmin=2)
-        except ValueError as e:
-            raise FormatError(f"{path}: malformed ASCII PCD body: {e}") from None
-        if table.shape[0] < n_points:
-            raise CorruptionError(
-                f"{path}: PCD declares {n_points} points, body has {table.shape[0]}"
-            )
-        col = 0
-        columns = {}
-        for name, cnt in zip(fields, counts):
-            columns[name] = table[:n_points, col]
-            col += cnt
-        pts = np.stack([columns["x"], columns["y"], columns["z"]], axis=1)
-        ts = next((columns[f] for f in _TIME_FIELDS if f in columns), None)
-    elif data_mode == "binary":
-        need = n_points * dtype.itemsize
-        payload = raw[pos : pos + need]
-        if len(payload) < need:
-            raise CorruptionError(
-                f"{path}: binary PCD truncated at byte {pos + len(payload)}"
-            )
-        rec = np.frombuffer(payload, dtype=dtype, count=n_points)
-        pts = np.stack(
-            [rec["x"].astype(np.float64), rec["y"].astype(np.float64),
-             rec["z"].astype(np.float64)], axis=1
-        )
-        ts = None
-        for f in _TIME_FIELDS:
-            if f in rec.dtype.names:
-                ts = rec[f].astype(np.float64)
-                break
-    else:
-        raise FormatError(f"{path}: unsupported PCD data mode {data_mode!r}")
-    return _drop_nonfinite(pts, ts)
+        if tok and not tok[0].startswith("#"):
+            header[tok[0].upper()] = tok[1:]
+    for key in ("FIELDS", "SIZE", "TYPE", "POINTS", "DATA"):
+        if key not in header:
+            raise FormatError(f"{path}: PCD header missing {key}")
+    names = header["FIELDS"]
+    columns = zip(names, header["SIZE"], header["TYPE"],
+                  header.get("COUNT", ["1"] * len(names)), strict=True)
+    fields = []
+    try:
+        for name, size, typ, count in columns:
+            dtype = _PCD_TYPE.get((typ, int(size)))
+            if dtype is None:
+                raise FormatError(f"{path}: unsupported PCD field type {typ}{size}")
+            fields.append((name, dtype, (int(count),) if int(count) > 1 else ()))
+        points = _element_count(" ".join(header["POINTS"]), path, "point")
+    except ValueError:
+        raise FormatError(f"{path}: PCD header needs FIELDS, SIZE, TYPE and COUNT "
+                          "of one length, and integer SIZE, COUNT and POINTS") from None
+    mode = " ".join(header["DATA"])
+    fmt = {"ascii": "ascii", "binary": "binary_little_endian"}.get(mode.lower())
+    if fmt is None:
+        raise FormatError(f"{path}: unsupported PCD data mode {mode!r}")
+    return fmt, [("point", points, fields)], pos
 
 
 def write_pcd(points: np.ndarray, path, binary: bool = False, timestamps=None):
@@ -179,9 +147,6 @@ def write_pcd(points: np.ndarray, path, binary: bool = False, timestamps=None):
             np.savetxt(f, cols.astype(np.float64), fmt="%.9g")
 
 
-# ---------------------------------------------------------------------------
-# PLY
-
 _PLY_TYPE = {"float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8",
              "uchar": "u1", "uint8": "u1", "char": "i1", "int8": "i1",
              "short": "<i2", "ushort": "<u2", "int": "<i4", "int32": "<i4",
@@ -189,9 +154,8 @@ _PLY_TYPE = {"float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8"
 
 
 def _parse_ply_header(raw: bytes, path: Path):
-    """Return (format, elements, body offset). Each element is (name, count,
-    fields) with one (name, PLY type, shape) field per column group; a list
-    property is read as its count followed by three items (triangles)."""
+    """Return (format, elements, body offset) of a PLY file. A list is read
+    as a ``<name>_count`` field, then a ``<name>`` field of three items."""
     end = raw.find(b"end_header\n")
     if not raw.startswith(b"ply") or end < 0:
         raise FormatError(f"{path}: not a PLY file")
@@ -207,11 +171,7 @@ def _parse_ply_header(raw: bytes, path: Path):
             if tok[0] == "format":
                 fmt = tok[1]
             elif tok[0] == "element":
-                count = int(tok[2])
-                if count < 0:
-                    raise CorruptionError(
-                        f"{path}: negative PLY element count {count} for {tok[1]}")
-                elements.append((tok[1], count, []))
+                elements.append((tok[1], _element_count(tok[2], path, tok[1]), []))
             elif tok[0] == "property":
                 if not elements:
                     raise FormatError(f"{path}: PLY property before element")
@@ -219,11 +179,11 @@ def _parse_ply_header(raw: bytes, path: Path):
                     fields = [(tok[4] + "_count", tok[2], ()), (tok[4], tok[3], (3,))]
                 else:
                     fields = [(tok[2], tok[1], ())]
-                for _, typ, _ in fields:
+                for name, typ, shape in fields:
                     if typ not in _PLY_TYPE:
                         raise FormatError(
                             f"{path}: unsupported PLY property type {typ!r}")
-                elements[-1][2].extend(fields)
+                    elements[-1][2].append((name, _PLY_TYPE[typ], shape))
         except (IndexError, ValueError):
             raise FormatError(f"{path}: malformed PLY header line {line!r}") from None
     if fmt not in ("ascii", "binary_little_endian"):
@@ -231,83 +191,81 @@ def _parse_ply_header(raw: bytes, path: Path):
     return fmt, elements, body_at
 
 
-def _read_ply_elements(raw: bytes, path: Path, last: str) -> dict:
-    """Decode the PLY body element by element, up to and including ``last``,
-    into structured arrays with the header's fields. Binary bodies are read
-    with np.frombuffer; ASCII values are read as float64."""
-    fmt, elements, pos = _parse_ply_header(raw, path)
+def _read_elements(raw: bytes, path: Path, parse_header, last=None) -> dict:
+    """Decode the body of the file whose header ``parse_header`` reads, up
+    to and including element ``last`` (by default all), into structured
+    arrays with the header's fields: binary by np.frombuffer, ASCII as
+    float64 by one np.loadtxt per element over the non-empty lines. A list
+    must hold three items in every record."""
+    fmt, elements, pos = parse_header(raw, path)
+    body = raw
     if fmt == "ascii":
         text = raw[pos:].decode("ascii", errors="replace").splitlines()
-        rows, pos = [ln.split() for ln in text if ln.strip()], 0
+        body, pos = list(filter(str.strip, text)), 0
     out = {}
     for name, count, fields in elements:
-        if fmt == "ascii":
-            dtype = np.dtype([(f, "<f8", shape) for f, _, shape in fields])
-            need, have = count, len(rows) - pos
-        else:
-            dtype = np.dtype([(f, _PLY_TYPE[t], shape) for f, t, shape in fields])
-            need, have = count * dtype.itemsize, len(raw) - pos
-        if have < need:
-            raise CorruptionError(
-                f"{path}: PLY body ends inside its {count} {name} entries")
+        try:
+            dtype = np.dtype([(f, "<f8" if fmt == "ascii" else t, shape)
+                              for f, t, shape in fields])
+        except ValueError as e:
+            raise FormatError(f"{path}: bad {name} fields: {e}") from None
+        need = count if fmt == "ascii" else count * dtype.itemsize
+        if len(body) - pos < need:
+            raise CorruptionError(f"{path}: body ends inside its {count} {name} entries")
         if fmt == "ascii":
             ncols = dtype.itemsize // 8
             try:
-                table = np.array([r[:ncols] for r in rows[pos : pos + count]],
-                                 dtype=np.float64).reshape(count, ncols)
+                table = np.zeros((0, ncols)) if count == 0 else np.loadtxt(
+                    body[pos : pos + count], ndmin=2, comments=None,
+                    usecols=range(ncols))
                 rec = table.view(dtype)[:, 0]
             except ValueError as e:
-                raise FormatError(f"{path}: malformed ASCII PLY body: {e}") from None
+                raise FormatError(f"{path}: malformed ASCII body: {e}") from None
         else:
             rec = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
         pos += need
         for f, _, shape in fields:
-            if shape and np.any(rec[f + "_count"] != 3):
-                raise FormatError(f"{path}: PLY list {f!r} holds non-triangles")
+            if shape and f + "_count" in dtype.names and np.any(rec[f + "_count"] != 3):
+                raise FormatError(f"{path}: list {f!r} holds non-triangles")
         out[name] = rec
         if name == last:
             break
     return out
 
 
-def _ply_columns(rec, names, path: Path) -> np.ndarray:
-    """Stack scalar fields of a decoded PLY element as float64 columns."""
+def _columns(rec, names, path: Path) -> np.ndarray:
+    """Stack scalar fields of a decoded element as float64 columns."""
     for n in names:
-        if n not in (rec.dtype.names or ()):
-            raise FormatError(f"{path}: PLY element lacks {n!r}")
+        if n not in rec.dtype.names or rec.dtype[n].shape:
+            raise FormatError(f"{path}: element lacks a scalar field {n!r}")
     return np.stack([rec[n].astype(np.float64) for n in names], axis=1)
 
 
-def _read_ply(path: Path) -> ScanData:
-    vertex = _read_ply_elements(path.read_bytes(), path, "vertex").get("vertex")
-    if vertex is None:
-        raise FormatError(f"{path}: PLY has no vertex element")
-    return _drop_nonfinite(_ply_columns(vertex, "xyz", path))
-
-
-# ---------------------------------------------------------------------------
-# scan dispatch
-
 def read_scan(path) -> ScanData:
-    """Read a point-cloud file (PCD v0.7, PLY, or whitespace XYZ text)."""
+    """Read a point-cloud file (PCD v0.7, PLY, or whitespace XYZ text). A
+    PCD's points or a PLY's vertices give the points, and the first of
+    _TIME_FIELDS among their fields the timestamps."""
     path = _input_file(path, "scan")
+    raw = path.read_bytes()
     suffix = path.suffix.lower()
-    head = path.open("rb").read(16)
-    if suffix == ".pcd" or head.startswith(b"# .PCD") or head.startswith(b"VERSION"):
-        return _read_pcd(path)
-    if suffix == ".ply" or head.startswith(b"ply"):
-        return _read_ply(path)
-    if suffix in (".xyz", ".txt"):
+    if suffix == ".pcd" or raw.startswith((b"# .PCD", b"VERSION")):
+        rec = _read_elements(raw, path, _parse_pcd_header)["point"]
+    elif suffix == ".ply" or raw.startswith(b"ply"):
+        rec = _read_elements(raw, path, _parse_ply_header, "vertex").get("vertex")
+        if rec is None:
+            raise FormatError(f"{path}: PLY has no vertex element")
+    elif suffix in (".xyz", ".txt"):
         try:
-            table = np.loadtxt(path, ndmin=2)
+            table = np.loadtxt(raw.decode("ascii", errors="replace").splitlines(),
+                               ndmin=2, usecols=range(3))
         except ValueError as e:
-            raise FormatError(f"{path}: malformed XYZ text: {e}") from None
-        if table.size == 0:
-            return ScanData(np.zeros((0, 3)), None, 0)
-        if table.shape[1] < 3:
-            raise FormatError(f"{path}: XYZ text needs at least 3 columns")
-        return _drop_nonfinite(table[:, :3])
-    raise FormatError(f"{path}: unrecognized scan format")
+            raise FormatError(f"{path}: XYZ text needs 3 numeric columns: {e}") from None
+        return _drop_nonfinite(table)
+    else:
+        raise FormatError(f"{path}: unrecognized scan format")
+    time = next((f for f in _TIME_FIELDS if f in rec.dtype.names), None)
+    ts = _columns(rec, [time], path)[:, 0] if time else None
+    return _drop_nonfinite(_columns(rec, "xyz", path), ts)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +288,8 @@ def read_trajectory(path) -> Trajectory:
     """TUM format: "t tx ty tz qx qy qz qw" per line, '#' comments allowed."""
     path = _input_file(path, "trajectory")
     times, trans, quats = [], [], []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    text = path.read_bytes().decode("utf-8", errors="replace")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -448,14 +407,14 @@ def _write_obj(mesh: TriangleMesh, path: Path) -> None:
 def read_mesh_ply(path) -> TriangleMesh:
     """Read back a PLY mesh written by write_mesh (vertices + faces)."""
     path = _input_file(path, "mesh")
-    elements = _read_ply_elements(path.read_bytes(), path, "face")
+    elements = _read_elements(path.read_bytes(), path, _parse_ply_header, "face")
     verts, normals = np.zeros((0, 3)), None
     faces = np.zeros((0, 3), dtype=np.int64)
     if "vertex" in elements:
         vertex = elements["vertex"]
-        verts = _ply_columns(vertex, "xyz", path)
+        verts = _columns(vertex, "xyz", path)
         if "nx" in vertex.dtype.names:
-            normals = _ply_columns(vertex, ("nx", "ny", "nz"), path)
+            normals = _columns(vertex, ("nx", "ny", "nz"), path)
     if "face" in elements:
         face = elements["face"]
         lists = [n for n in face.dtype.names if face.dtype[n].shape]

@@ -85,12 +85,15 @@ def _shadow_table(dirs, shadow_radius, model, cone_half_angle_deg, half_extent):
     bool table (len(dirs), m) whose row i marks the shadow behind ``dirs[i]``.
 
     Hemisphere: o . d >= 0. Cone: additionally within ``cone_half_angle_deg``
-    of the axis. The center offset is always included.
+    of the axis, an angle in (0, 90]. The center offset is always included.
     """
     if not 0 <= shadow_radius <= half_extent:
         raise ConfigurationError(
             f"shadow radius {shadow_radius} outside [0, {half_extent}]"
         )
+    if not 0.0 < cone_half_angle_deg <= 90.0:
+        raise ConfigurationError(
+            f"cone half-angle {cone_half_angle_deg} degrees outside (0, 90]")
     offs, norms = _offset_cube(half_extent)
     inside = norms <= shadow_radius
     ball, norms = offs[inside], norms[inside]

@@ -41,6 +41,8 @@ def sample_mesh(mesh: TriangleMesh, n: int, seed: int = 0) -> np.ndarray:
     """Draw n points area-uniformly over the mesh surface, reproducibly."""
     if n < 0:
         raise ConfigurationError(f"sample count must be >= 0, got {n}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     if n == 0:
         return np.zeros((0, 3))
     if mesh.is_empty or mesh.triangles.shape[0] == 0:

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -279,30 +280,69 @@ class TestFuse:
         for key, val in values.items():
             assert before[key] != val and after[key] == val, key
 
+    # A config is YAML text, or a dict of keys that replace the dataset's
+    # (which has its paths, so sizing the grid is what fails), or None for
+    # a directory. The first of args is the command, by default fuse.
     @pytest.mark.parametrize("config, args, named", [
         ('grid: {voxel_size: "abc"}\n', [], "grid.voxel_size"),
         ('kernel: {size: "21"}\n', [], "kernel.size"),
         ("kernel: {size: 21.0}\n", [], "kernel.size"),
         ("grid: {bounds_min: [0, true, 0]}\n", [], "grid.bounds_min"),
         ("grid: [1, 2]\n", [], "section grid"),
-        ("", ["--voxel-sizes", "abc"], "--voxel-sizes"),
+        ("", ["bench", "--voxel-sizes", "abc"], "--voxel-sizes"),
+        ({"grid": {"voxel_size": 0}}, [], "voxel_size"),
+        ({}, ["fuse", "--voxel-size", "0"], "voxel_size"),
+        ({"grid": {"voxel_size": math.nan}}, [], "voxel_size"),
+        ({"grid": {"voxel_size": math.inf}}, [], "voxel_size"),
+        ({"grid": {"bounds_max": [4.0, math.nan, 2.0]}}, [], "bounds_max"),
+        ({"grid": {"pad_voxels": -3}}, [], "grid.pad_voxels"),
+        ({"kernel": {"shadow_model": "cone", "cone_half_angle_deg": 200}}, [],
+         "cone half-angle"),
+        ("grid: {voxel_size: 'abc}\n", [], "not valid YAML"),
+        (None, [], "not found"),
     ], ids=["str-float", "str-int", "float-int", "bool-in-list", "list-section",
-            "bench-sizes"])
-    def test_config_error_exit_2(self, tmp_path, monkeypatch, capsys, config,
-                                 args, named):
-        path = tmp_path / "run.yaml"
-        path.write_text(config)
+            "bench-sizes", "zero-voxel", "zero-voxel-option", "nan-voxel",
+            "inf-voxel", "nan-bounds", "pad-voxels", "cone-angle", "bad-yaml",
+            "directory"])
+    def test_config_error_exit_2(self, dataset, tmp_path, monkeypatch, capsys,
+                                 config, args, named):
+        if isinstance(config, dict):
+            path = config_into(dataset, tmp_path / "out")
+            cfg = yaml.safe_load(path.read_text())
+            for section, keys in config.items():
+                cfg[section].update(keys)
+            path.write_text(yaml.safe_dump(cfg))
+        elif config is None:
+            path = tmp_path
+        else:
+            path = tmp_path / "run.yaml"
+            path.write_text(config)
+        command, *rest = args or ["fuse"]
         code, err = fail_in_process(monkeypatch, capsys,
-                                    "bench" if args else "fuse", "--config", path, *args)
+                                    command, "--config", path, *rest)
         assert code == 2, err
         assert err.startswith("error: ") and named in err
 
-    def test_malformed_trajectory_exit_3(self, dataset, tmp_path):
+    @pytest.mark.parametrize("poses", [b"0.0 0 0 0\n", b"0.0 0 0 0 \xff 0 0 1\n"],
+                             ids=["short-line", "non-utf8"])
+    def test_malformed_trajectory_exit_3(self, dataset, tmp_path, poses):
         root, cfg_path = dataset
         bad = tmp_path / "poses.txt"
-        bad.write_text("0.0 0 0 0\n")
+        bad.write_bytes(poses)
         res = run_main("fuse", "--config", cfg_path, "--trajectory", bad)
-        assert res.returncode == 3
+        assert res.returncode == 3, res.stderr
+
+    def test_negative_point_count_exit_4(self, dataset, tmp_path, monkeypatch, capsys):
+        root, _ = dataset
+        scans = tmp_path / "scans"
+        shutil.copytree(root / "scans", scans)
+        first = sorted(scans.iterdir())[0]
+        first.write_bytes(first.read_bytes().replace(b"POINTS ", b"POINTS -", 1))
+        code, err = fail_in_process(monkeypatch, capsys, "fuse", "--config",
+                                    config_into(dataset, tmp_path / "out"),
+                                    "--scans", scans)
+        assert code == 4, err
+        assert err.startswith("error: ") and "negative point count" in err
 
 
 class TestMeshEvalExportInfo:
@@ -452,9 +492,9 @@ class TestMeshEvalExportInfo:
     @pytest.mark.parametrize("args, code", [
         (["--samples", "-3"], 2), (["--threshold", "nan"], 2),
         (["--threshold", "inf"], 2), (["--threshold", "-1"], 2),
-        (["--samples", "0"], 5),
+        (["--samples", "0"], 5), (["--seed", "-1"], 2),
     ], ids=["negative-samples", "nan-threshold", "inf-threshold",
-            "negative-threshold", "zero-samples"])
+            "negative-threshold", "zero-samples", "negative-seed"])
     def test_eval_bad_samples_or_threshold(self, tmp_path, monkeypatch, capsys,
                                            args, code):
         out = tmp_path / "r.json"

@@ -42,6 +42,14 @@ class TestNewGrid:
         with pytest.raises(ConfigurationError):
             new_grid((4, 4, 4), 0.0)
 
+    @pytest.mark.parametrize("voxel_size, origin", [
+        (np.nan, (0, 0, 0)), (np.inf, (0, 0, 0)), (0.1, (np.nan, 0, 0)),
+        (0.1, (0, -np.inf, 0)), (0.1, (0, 0)),
+    ], ids=["nan-size", "inf-size", "nan-origin", "inf-origin", "short-origin"])
+    def test_nonfinite_geometry(self, voxel_size, origin):
+        with pytest.raises(ConfigurationError, match="finite"):
+            new_grid((4, 4, 4), voxel_size, origin)
+
     def test_memory_cap(self):
         with pytest.raises(ResourceError):
             new_grid((100, 100, 100), 0.1, memory_cap=1_000_000)

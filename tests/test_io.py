@@ -1,6 +1,7 @@
 import io
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,44 @@ class TestReadScanPCD:
         with pytest.raises(CorruptionError):
             bio.read_scan(p)
 
+    @pytest.mark.parametrize("binary, old, new, error", [
+        (False, b"POINTS 3", b"POINTS -1", CorruptionError),
+        (True, b"POINTS 3", b"POINTS -1", CorruptionError),
+        (False, b"POINTS 3", b"POINTS 2.5", FormatError),
+        (False, b"SIZE 4 4 4", b"SIZE 4 x 4", FormatError),
+        (False, b"SIZE 4 4 4", b"SIZE 4 4", FormatError),
+        (False, b"POINTS 3\n", b"", FormatError),
+        (True, b"DATA binary", b"DATA binary_compressed", FormatError),
+    ], ids=["negative-ascii", "negative-binary", "fractional-points",
+            "size-token", "short-size", "no-points", "compressed"])
+    def test_header_faults(self, tmp_path, binary, old, new, error):
+        p = tmp_path / "h.pcd"
+        bio.write_pcd(np.arange(9.0).reshape(3, 3), p, binary=binary)
+        raw = p.read_bytes()
+        assert old in raw
+        p.write_bytes(raw.replace(old, new, 1))
+        with pytest.raises(error):
+            bio.read_scan(p)
+
+    def test_ascii_zero_points(self, tmp_path):
+        p = tmp_path / "z.pcd"
+        bio.write_pcd(np.zeros((0, 3)), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = bio.read_scan(p)
+        assert data.points.shape == (0, 3) and data.dropped == 0
+
+    def test_ascii_field_with_count(self, tmp_path):
+        p = tmp_path / "c.pcd"
+        p.write_text(
+            "VERSION 0.7\nFIELDS normal x y z time\nSIZE 4 4 4 4 4\n"
+            "TYPE F F F F F\nCOUNT 3 1 1 1 1\nWIDTH 2\nHEIGHT 1\nPOINTS 2\n"
+            "DATA ascii\n9 9 9 1 2 3 0.5\n8 8 8 -4.5 0.25 1e-3 0.75\n"
+        )
+        data = bio.read_scan(p)
+        assert np.array_equal(data.points, [[1, 2, 3], [-4.5, 0.25, 1e-3]])
+        assert np.array_equal(data.timestamps, [0.5, 0.75])
+
     def test_unknown_format(self, tmp_path):
         p = tmp_path / "x.weird"
         p.write_bytes(b"garbage")
@@ -196,6 +235,17 @@ class TestPLY:
         bio.write_mesh(m, p, "ply_binary")
         back = bio.read_scan(p)
         assert np.array_equal(back.points, pts)
+
+    def test_scan_time_property(self, tmp_path):
+        p = tmp_path / "t.ply"
+        p.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+            "property float y\nproperty float z\nproperty double time\n"
+            "end_header\n0 0 0 0.5\n1 2 3 0.75\n"
+        )
+        data = bio.read_scan(p)
+        assert np.array_equal(data.points, [[0, 0, 0], [1, 2, 3]])
+        assert np.array_equal(data.timestamps, [0.5, 0.75])
 
     def test_big_endian_rejected(self, tmp_path):
         p = tmp_path / "be.ply"
@@ -407,6 +457,17 @@ class TestGridSnapshot:
         # h_max and t_occ are bytes 44 and 45 of the header, after the magic
         p.write_bytes(raw[:52] + bytes([h_max, t_occ]) + raw[54:])
         with pytest.raises(CorruptionError, match="T"):
+            bio.load_grid(p)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", [20, 28], ids=["voxel-size", "origin"])
+    def test_nonfinite_geometry(self, tmp_path, at, value):
+        p = tmp_path / "g.dbtsdf"
+        bio.save_grid(new_grid((2, 2, 2), 0.1), p)
+        raw = p.read_bytes()
+        # the voxel size and origin x are the doubles at header bytes 12 and 20
+        p.write_bytes(raw[:at] + struct.pack("<d", value) + raw[at + 8:])
+        with pytest.raises(CorruptionError, match="finite"):
             bio.load_grid(p)
 
     @staticmethod

@@ -171,7 +171,9 @@ class TestKernelBank:
     @pytest.mark.parametrize(
         "kwargs",
         [{"shadow_radius": 11}, {"shadow_radius": -1},
-         {"shadow_radius": 2, "shadow_model": "sphere"}],
+         {"shadow_radius": 2, "shadow_model": "sphere"},
+         *({"shadow_radius": 2, "shadow_model": "cone", "cone_half_angle_deg": a}
+           for a in (math.nan, 0, 91, math.inf))],
     )
     def test_bad_shadow_parameters_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
