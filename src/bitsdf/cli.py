@@ -137,7 +137,7 @@ def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
     )
 
     rows = []
-    prev_time = None
+    last_pose = None  # pose of the last stamped scan fused
     for frame_idx, (stamp, path) in enumerate(scans):
         data = bio.read_scan(path)
         # The first scan has no start-of-sweep pose: prev_pose = pose deskews
@@ -157,10 +157,8 @@ def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
                 )
                 continue
             pose = bio.lookup_pose(traj, stamp)
-            prev_pose = (
-                bio.lookup_pose(traj, prev_time) if prev_time is not None else pose
-            )
-            prev_time = stamp
+            prev_pose = pose if last_pose is None else last_pose
+            last_pose = pose
         scan = ScanFrame(
             points=data.points,
             pose=pose,

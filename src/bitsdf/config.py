@@ -26,6 +26,11 @@ from .kernels import (
     default_shadow_radius,
 )
 
+# libyaml's loader and dumper where PyYAML was built with it, which parse
+# and emit the same documents several times faster than the pure-Python ones.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 @dataclass
 class GridConfig:
@@ -97,7 +102,12 @@ class RunConfig:
         for lo, hi in zip(g.bounds_min, g.bounds_max):
             if hi <= lo:
                 raise ConfigurationError(f"empty bounds interval [{lo}, {hi}]")
-            dims.append(math.ceil((hi - lo) / g.voxel_size) + 2 * pad)
+            cells = (hi - lo) / g.voxel_size
+            if not math.isfinite(cells):
+                raise ConfigurationError(
+                    f"grid.voxel_size {g.voxel_size} is too small for bounds "
+                    f"[{lo}, {hi}]: their voxel count is not finite")
+            dims.append(math.ceil(cells) + 2 * pad)
             origin.append(lo - pad * g.voxel_size)
         return tuple(dims), tuple(origin)
 
@@ -150,7 +160,7 @@ def load_config(path) -> RunConfig:
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_bytes()) or {}
+        data = yaml.load(path.read_bytes(), Loader=_Loader) or {}
     except yaml.YAMLError as e:
         raise ConfigurationError(f"{path}: config is not valid YAML: {e}") from None
     if not isinstance(data, dict):
@@ -160,4 +170,4 @@ def load_config(path) -> RunConfig:
 
 def save_config(cfg: RunConfig, path) -> None:
     with open(path, "w") as f:
-        yaml.safe_dump(asdict(cfg), f, sort_keys=True)
+        yaml.dump(asdict(cfg), f, Dumper=_Dumper, sort_keys=True)

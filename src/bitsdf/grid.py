@@ -39,6 +39,10 @@ VOXEL_DTYPE = np.dtype(
 
 DEFAULT_MEMORY_CAP = 8 << 30  # bytes of voxel payload
 
+# Records are encoded and decoded, and the CSV export selects voxels, one
+# slab of about this many voxels at a time.
+_SLAB_VOXELS = 1 << 18
+
 _FIELD_DTYPES = {"mask": np.dtype(np.uint32), "sign": np.dtype(np.uint8),
                  "hits": np.dtype(np.uint8)}
 
@@ -198,37 +202,52 @@ def observed_array(mask: np.ndarray, hits: np.ndarray) -> np.ndarray:
 
 def to_records(grid: VoxelGrid) -> np.ndarray:
     """Flatten to serialized voxel records in linear-index order
-    (ix + nx*(iy + ny*iz)), which is the arrays' memory order."""
-    rec = np.zeros(grid.num_voxels, dtype=VOXEL_DTYPE)
-    rec["mask"] = grid.mask.ravel(order="F")
-    rec["sign"] = grid.sign.ravel(order="F")
-    rec["hits"] = grid.hits.ravel(order="F")
+    (ix + nx*(iy + ny*iz)), which is the arrays' memory order. The records
+    are filled one slab of _SLAB_VOXELS at a time, so each slab's fields are
+    written while it is in cache."""
+    rec = np.empty(grid.num_voxels, dtype=VOXEL_DTYPE)
+    flat = {name: getattr(grid, name).ravel(order="F") for name in _FIELD_DTYPES}
+    for at in range(0, rec.size, _SLAB_VOXELS):
+        slab = rec[at : at + _SLAB_VOXELS]
+        for name, a in flat.items():
+            slab[name] = a[at : at + _SLAB_VOXELS]
+        slab["reserved"] = 0
     return rec
 
 
 def from_records(
-    rec: np.ndarray, dims, voxel_size, origin, h_max=255, t_occ=2
+    records, dims, voxel_size, origin, h_max=255, t_occ=2
 ) -> VoxelGrid:
-    """The grid whose serialized voxel records are ``rec``, in linear-index
-    order. A header that new_grid would reject raises CorruptionError."""
+    """The grid whose serialized voxel records, in linear-index order, are
+    ``records``: one record array, or an iterable of consecutive record
+    arrays (a snapshot read one slab at a time). The header is checked
+    before any array is made; one that new_grid would reject raises
+    CorruptionError, and so does a record count that does not match dims.
+    Each slab's fields are copied straight into the grid's arrays, so
+    decoding allocates the grid and nothing the size of it."""
     try:
         dims = _check_grid(dims, voxel_size, origin, DEFAULT_MEMORY_CAP, h_max, t_occ)
     except ConfigurationError as e:
         raise CorruptionError(f"bad grid header: {e}") from None
-    if rec.shape[0] != dims[0] * dims[1] * dims[2]:
-        raise CorruptionError(
-            f"record count {rec.shape[0]} does not match dims {dims}"
-        )
-    # A contiguous copy of each record field, viewed x fastest.
-    fields = {
-        name: np.ascontiguousarray(rec[name], dtype=dtype).reshape(dims, order="F")
-        for name, dtype in _FIELD_DTYPES.items()
-    }
+    if isinstance(records, np.ndarray):
+        records = (records,)
+    n = dims[0] * dims[1] * dims[2]
+    flat = {name: np.empty(n, dtype=dtype) for name, dtype in _FIELD_DTYPES.items()}
+    at = 0
+    for slab in records:
+        end = at + slab.shape[0]
+        if end > n:
+            raise CorruptionError(f"more than {n} records for dims {dims}")
+        for name, a in flat.items():
+            a[at:end] = slab[name]
+        at = end
+    if at != n:
+        raise CorruptionError(f"record count {at} does not match dims {dims}")
     return VoxelGrid(
         dims=dims,
         voxel_size=float(voxel_size),
         origin=np.asarray(origin, dtype=np.float64).copy(),
         h_max=int(h_max),
         t_occ=int(t_occ),
-        **fields,
+        **{name: a.reshape(dims, order="F") for name, a in flat.items()},
     )

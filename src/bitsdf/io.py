@@ -8,6 +8,7 @@ pair round-trips its own output bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import struct
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.transform import Rotation, Slerp
 
+from . import grid as bgrid
 from .errors import CorruptionError, FormatError
 from .grid import (
     BYTES_PER_VOXEL,
@@ -283,6 +285,12 @@ class Trajectory:
     def pose(self, i: int) -> np.ndarray:
         return make_pose(self.rotations[i], self.translations[i])
 
+    @functools.cached_property
+    def slerp(self) -> Slerp:
+        """One slerp over every record, made on the first lookup between
+        two records and kept for the run (needs two or more records)."""
+        return Slerp(self.times, self.rotations)
+
 
 def read_trajectory(path) -> Trajectory:
     """TUM format: "t tx ty tz qx qy qz qw" per line, '#' comments allowed."""
@@ -320,19 +328,19 @@ def read_trajectory(path) -> Trajectory:
 
 
 def lookup_pose(traj: Trajectory, t: float) -> np.ndarray:
-    """Pose at time t: translation lerp + rotation slerp between bracketing
-    records, clamped at the trajectory ends."""
+    """Pose at time t: a record's own pose at its stamp, clamped at the
+    trajectory ends; between records, translation lerp and rotation slerp
+    between the bracketing records."""
     times = traj.times
-    if t <= times[0]:
-        return traj.pose(0)
-    if t >= times[-1]:
-        return traj.pose(len(traj) - 1)
     j = int(np.searchsorted(times, t, side="right"))
+    if j == 0:
+        return traj.pose(0)
     i = j - 1
+    if j == len(traj) or times[i] == t:
+        return traj.pose(i)
     u = (t - times[i]) / (times[j] - times[i])
-    rot = Slerp(times[i : j + 1], traj.rotations[i : j + 1])(t)
     trans = (1.0 - u) * traj.translations[i] + u * traj.translations[j]
-    return make_pose(rot, trans)
+    return make_pose(traj.slerp(t), trans)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +456,30 @@ def save_grid(grid: VoxelGrid, path) -> None:
             os.unlink(tmp)
 
 
+def _record_slabs(f, n: int, path):
+    """The next ``n`` voxel records of ``f``, read one slab of at most
+    _SLAB_VOXELS records at a time into one reused buffer; each slab is a
+    view of that buffer, valid until the next is read. A read that comes
+    back short, or bytes left after the last record, raise CorruptionError."""
+    buf = np.empty(min(bgrid._SLAB_VOXELS, n), dtype=VOXEL_DTYPE)
+    raw = buf.view(np.uint8)
+    for at in range(0, n, buf.size):
+        k = min(buf.size, n - at)
+        got = f.readinto(raw[: k * BYTES_PER_VOXEL])
+        if got != k * BYTES_PER_VOXEL:
+            raise CorruptionError(
+                f"{path}: snapshot payload ends {got} bytes into the record "
+                f"slab at voxel {at}"
+            )
+        yield buf[:k]
+    if f.read(1):
+        raise CorruptionError(f"{path}: trailing bytes after the snapshot payload")
+
+
 def load_grid(path) -> VoxelGrid:
+    """Read a DBTSDF01 snapshot. The records are decoded one slab at a time
+    straight into the grid's arrays, so loading allocates the grid plus one
+    slab. A bad magic, header or payload size raises CorruptionError."""
     path = _input_file(path, "snapshot")
     with open(path, "rb") as f:
         head = f.read(8 + _SNAPSHOT_HEADER.size)
@@ -458,8 +489,6 @@ def load_grid(path) -> VoxelGrid:
             raise CorruptionError(f"{path}: snapshot header truncated")
         nx, ny, nz, voxel_size, ox, oy, oz, h_max, t_occ = (
             _SNAPSHOT_HEADER.unpack_from(head, 8))
-        if min(nx, ny, nz) < 1 or voxel_size <= 0:
-            raise CorruptionError(f"{path}: degenerate snapshot header")
         n = nx * ny * nz
         payload = n * BYTES_PER_VOXEL
         body = os.fstat(f.fileno()).st_size - len(head)
@@ -471,16 +500,11 @@ def load_grid(path) -> VoxelGrid:
             raise CorruptionError(
                 f"{path}: {body - payload} trailing bytes after the snapshot payload"
             )
-        rec = np.fromfile(f, dtype=VOXEL_DTYPE, count=n)
-    return from_records(rec, (nx, ny, nz), voxel_size, (ox, oy, oz), h_max, t_occ)
+        return from_records(_record_slabs(f, n, path), (nx, ny, nz), voxel_size,
+                            (ox, oy, oz), h_max, t_occ)
 
 
 CSV_HEADER = "x,y,z,sdf,hits,sign"
-
-
-# The CSV export selects voxels one slab of x planes, of about this many
-# voxels, at a time.
-_SLAB_VOXELS = 1 << 18
 
 
 def _csv_tails(pc, sign, hits, voxel_size: float) -> list:
@@ -519,7 +543,7 @@ def export_grid_csv(grid: VoxelGrid, path, include: str = "observed") -> int:
     # corrupt snapshot, is formatted per row.
     tails = np.empty(33 * 2 * 256, dtype=object)
     have = np.zeros(tails.size, dtype=bool)
-    planes = max(1, _SLAB_VOXELS // (ny * nz))
+    planes = max(1, bgrid._SLAB_VOXELS // (ny * nz))
     mask, sign, hits = (a.ravel(order="F") for a in (grid.mask, grid.sign, grid.hits))
     rows = 0
     with open(path, "w") as f:

@@ -73,16 +73,20 @@ def bin_directions(b_az: int, b_el: int) -> np.ndarray:
 
 def _offset_cube(half_extent: int):
     """All integer offsets of the K^3 cube as an (K^3, 3) array plus their
-    Euclidean norms."""
+    Euclidean norms. The squared norms are exact integers, so their square
+    roots are the correctly rounded norms."""
     rng = np.arange(-half_extent, half_extent + 1)
-    ox, oy, oz = np.meshgrid(rng, rng, rng, indexing="ij")
-    offs = np.stack([ox.ravel(), oy.ravel(), oz.ravel()], axis=1)
-    return offs, np.linalg.norm(offs.astype(np.float64), axis=1)
+    offs = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
+    sq = rng * rng
+    norms = np.sqrt((sq[:, None, None] + sq[:, None] + sq).ravel().astype(np.float64))
+    return offs, norms
 
 
-def _shadow_table(dirs, shadow_radius, model, cone_half_angle_deg, half_extent):
+def _shadow_table(dirs, shadow_radius, model, cone_half_angle_deg, half_extent,
+                  offs, norms):
     """The offsets (m, 3) with |o| <= r_s, in lexicographic cube order, and a
-    bool table (len(dirs), m) whose row i marks the shadow behind ``dirs[i]``.
+    bool table (len(dirs), m) whose row i marks the shadow behind ``dirs[i]``;
+    ``offs, norms`` is ``_offset_cube(half_extent)``.
 
     Hemisphere: o . d >= 0. Cone: additionally within ``cone_half_angle_deg``
     of the axis, an angle in (0, 90]. The center offset is always included.
@@ -94,7 +98,6 @@ def _shadow_table(dirs, shadow_radius, model, cone_half_angle_deg, half_extent):
     if not 0.0 < cone_half_angle_deg <= 90.0:
         raise ConfigurationError(
             f"cone half-angle {cone_half_angle_deg} degrees outside (0, 90]")
-    offs, norms = _offset_cube(half_extent)
     inside = norms <= shadow_radius
     ball, norms = offs[inside], norms[inside]
     dot = np.asarray(dirs, dtype=np.float64) @ ball.T
@@ -119,7 +122,7 @@ def build_shadow_mask(
     cube order (see ``_shadow_table`` for the rule)."""
     ball, table = _shadow_table(
         np.reshape(direction, (1, 3)), shadow_radius, model,
-        cone_half_angle_deg, half_extent,
+        cone_half_angle_deg, half_extent, *_offset_cube(half_extent),
     )
     return ball[table[0]]
 
@@ -192,12 +195,12 @@ def build_kernel_bank(
     """Build the full bank; deterministic for identical parameters."""
     _check_counts(size, b_az, b_el)
     half = size // 2
-    _, norms = _offset_cube(half)
+    offs, norms = _offset_cube(half)
     runs = np.minimum(np.ceil(norms).astype(np.int64), 32)
     lut = np.array([run_mask(int(k)) for k in range(33)], dtype=np.uint32)
     distance_kernel = np.asfortranarray(lut[runs].reshape(size, size, size))
     shadow_ball, shadow = _shadow_table(
         bin_directions(b_az, b_el), shadow_radius, shadow_model,
-        cone_half_angle_deg, half,
+        cone_half_angle_deg, half, offs, norms,
     )
     return KernelBank(size, b_az, b_el, distance_kernel, shadow_ball, shadow)

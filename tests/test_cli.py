@@ -280,9 +280,9 @@ class TestFuse:
         for key, val in values.items():
             assert before[key] != val and after[key] == val, key
 
-    # A config is YAML text, or a dict of keys that replace the dataset's
-    # (which has its paths, so sizing the grid is what fails), or None for
-    # a directory. The first of args is the command, by default fuse.
+    # A config is YAML text or bytes, or a dict of keys that replace the
+    # dataset's (which has its paths, so sizing the grid is what fails), or
+    # None for a directory. The first of args is the command, by default fuse.
     @pytest.mark.parametrize("config, args, named", [
         ('grid: {voxel_size: "abc"}\n', [], "grid.voxel_size"),
         ('kernel: {size: "21"}\n', [], "kernel.size"),
@@ -298,12 +298,14 @@ class TestFuse:
         ({"grid": {"pad_voxels": -3}}, [], "grid.pad_voxels"),
         ({"kernel": {"shadow_model": "cone", "cone_half_angle_deg": 200}}, [],
          "cone half-angle"),
+        ({"grid": {"voxel_size": 1e-320}}, [], "voxel_size"),
         ("grid: {voxel_size: 'abc}\n", [], "not valid YAML"),
+        (b"grid: {voxel_size: 0.1}\n\xff: 1\n", [], "not valid YAML"),
         (None, [], "not found"),
     ], ids=["str-float", "str-int", "float-int", "bool-in-list", "list-section",
             "bench-sizes", "zero-voxel", "zero-voxel-option", "nan-voxel",
-            "inf-voxel", "nan-bounds", "pad-voxels", "cone-angle", "bad-yaml",
-            "directory"])
+            "inf-voxel", "nan-bounds", "pad-voxels", "cone-angle",
+            "subnormal-voxel", "bad-yaml", "non-utf8", "directory"])
     def test_config_error_exit_2(self, dataset, tmp_path, monkeypatch, capsys,
                                  config, args, named):
         if isinstance(config, dict):
@@ -314,6 +316,9 @@ class TestFuse:
             path.write_text(yaml.safe_dump(cfg))
         elif config is None:
             path = tmp_path
+        elif isinstance(config, bytes):
+            path = tmp_path / "run.yaml"
+            path.write_bytes(config)
         else:
             path = tmp_path / "run.yaml"
             path.write_text(config)

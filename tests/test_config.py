@@ -1,4 +1,7 @@
+from dataclasses import asdict
+
 import pytest
+import yaml
 
 from bitsdf.config import RunConfig, config_from_dict, load_config, save_config
 from bitsdf.errors import ConfigurationError
@@ -90,6 +93,28 @@ class TestRoundTrip:
             "integration": {"t_occ": 3, "compensation": "yaw"},
             "threads": 4,
         })
+        p = tmp_path / "c.yaml"
+        save_config(cfg, p)
+        assert load_config(p) == cfg
+
+    def test_same_text_as_safe_dump(self, tmp_path):
+        cfg = config_from_dict({
+            "grid": {"voxel_size": 0.05, "bounds_min": [-0.5, -0.5, -0.5],
+                     "bounds_max": [10.5, 10.5, 3.5]},
+            "paths": {"scans": "/data/run 1/scans", "trajectory": "a: b #c",
+                      "output_dir": "out/" + "x" * 120},
+            "threads": 2,
+        })
+        p = tmp_path / "c.yaml"
+        save_config(cfg, p)
+        assert p.read_text() == yaml.safe_dump(asdict(cfg), sort_keys=True)
+
+    def test_long_escaped_string(self, tmp_path):
+        # A string that must be double-quoted and folded over lines: libyaml
+        # may fold it at other points than the pure-Python emitter, but it
+        # loads back to the same value.
+        cfg = RunConfig()
+        cfg.paths.output_dir = "r\u00e9sultats\t/" * 20
         p = tmp_path / "c.yaml"
         save_config(cfg, p)
         assert load_config(p) == cfg

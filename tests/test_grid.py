@@ -212,6 +212,29 @@ class TestRecords:
         with pytest.raises(CorruptionError):
             from_records(to_records(g)[:-1], g.dims, g.voxel_size, g.origin)
 
+    def test_slabs_decode_like_one_array(self):
+        rng = np.random.default_rng(9)
+        g = new_grid((5, 3, 4), 0.25, origin=(1, 2, 3))
+        g.mask[...] = rng.integers(0, 1 << 32, g.dims, dtype=np.uint32)
+        g.hits[...] = rng.integers(0, 256, g.dims)
+        g.sign[...] = rng.integers(0, 2, g.dims)
+        rec = to_records(g)
+        slabs = [rec[a : a + 7] for a in range(0, rec.size, 7)]
+        g2 = from_records(iter(slabs), g.dims, g.voxel_size, g.origin)
+        assert grid_state(g2) == grid_state(g)
+        with pytest.raises(CorruptionError, match="more than 60"):
+            from_records(slabs + [rec[:1]], g.dims, g.voxel_size, g.origin)
+        with pytest.raises(CorruptionError, match="record count 56"):
+            from_records(slabs[:-1], g.dims, g.voxel_size, g.origin)
+
+    def test_bad_header_reads_no_slab(self):
+        def slabs():
+            raise AssertionError("a slab was read")
+            yield
+
+        with pytest.raises(CorruptionError, match="bad grid header"):
+            from_records(slabs(), (2, 2, 2), float("nan"), (0, 0, 0))
+
 
 class TestMaskAlgebraProperties:
     @given(k1=st.integers(0, 32), k2=st.integers(0, 32))

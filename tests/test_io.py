@@ -1,4 +1,5 @@
 import io
+import os
 import struct
 import tracemalloc
 import warnings
@@ -6,6 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from scipy.spatial.transform import Rotation, Slerp
+
+from bitsdf import grid as bgrid
 from bitsdf import io as bio
 from bitsdf.errors import CorruptionError, FormatError
 from bitsdf.grid import (
@@ -19,6 +23,7 @@ from bitsdf.grid import (
 from bitsdf.integrator import IntegrationParams, integrate_point
 from bitsdf.kernels import build_kernel_bank
 from bitsdf.mesher import TriangleMesh, vertex_normals
+from bitsdf.transforms import make_pose
 
 from _synthetic import grid_state
 
@@ -384,6 +389,42 @@ class TestLookupPose:
         traj = self._traj(tmp_path)
         assert np.allclose(bio.lookup_pose(traj, -5.0), traj.pose(0))
 
+    def test_one_slerp_matches_per_lookup_slerp(self):
+        # The trajectory's one slerp gives, to the bit, the pose that a slerp
+        # over just the two bracketing records gives.
+        rng = np.random.default_rng(5)
+        n = 200
+        traj = bio.Trajectory(
+            times=np.cumsum(rng.uniform(0.01, 0.2, n)),
+            translations=rng.normal(scale=10.0, size=(n, 3)),
+            rotations=Rotation.random(n, rng=6),
+        )
+        times = traj.times
+        for t in rng.uniform(times[0], times[-1], 5000):
+            j = int(np.searchsorted(times, t, side="right"))
+            i = j - 1
+            u = (t - times[i]) / (times[j] - times[i])
+            want = make_pose(
+                Slerp(times[i : j + 1], traj.rotations[i : j + 1])(t),
+                (1.0 - u) * traj.translations[i] + u * traj.translations[j],
+            )
+            assert np.array_equal(bio.lookup_pose(traj, t), want)
+
+    def test_record_stamp_gives_record_pose(self):
+        rng = np.random.default_rng(7)
+        traj = bio.Trajectory(times=np.arange(6.0), translations=rng.normal(size=(6, 3)),
+                              rotations=Rotation.random(6, rng=8))
+        for i in range(6):
+            assert np.array_equal(bio.lookup_pose(traj, float(i)), traj.pose(i))
+        assert np.array_equal(bio.lookup_pose(traj, 9.0), traj.pose(5))
+
+    def test_single_record(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text("1.0 2 0 0 0 0 0 1\n")
+        traj = bio.read_trajectory(p)
+        for t in (0.0, 1.0, 3.0):
+            assert np.array_equal(bio.lookup_pose(traj, t), traj.pose(0))
+
 
 class TestGridSnapshot:
     def _random_grid(self):
@@ -495,6 +536,68 @@ class TestGridSnapshot:
         assert grid_state(loaded) == grid_state(g)
         for a in (loaded.mask, loaded.sign, loaded.hits):
             assert a.flags.f_contiguous
+
+    # Dims of fewer voxels than a slab of 64, exactly one slab, one slab plus
+    # one voxel, and several slabs with a short last one.
+    @pytest.mark.parametrize("dims", [(3, 4, 5), (4, 4, 4), (5, 13, 1), (7, 5, 11)])
+    def test_round_trip_by_slabs(self, tmp_path, monkeypatch, dims):
+        monkeypatch.setattr(bgrid, "_SLAB_VOXELS", 64)
+        rng = np.random.default_rng(sum(dims))
+        g = new_grid(dims, 0.3, origin=(-0.7, 1.25, 3.0), h_max=9, t_occ=4)
+        g.mask[...] = rng.integers(0, 1 << 32, dims, dtype=np.uint32)
+        g.hits[...] = rng.integers(0, 256, dims)
+        g.sign[...] = rng.integers(0, 2, dims)
+        p, p2 = tmp_path / "g.dbtsdf", tmp_path / "g2.dbtsdf"
+        bio.save_grid(g, p)
+        assert p.read_bytes() == self._reference_snapshot(g)
+        loaded = bio.load_grid(p)
+        for name in ("mask", "sign", "hits"):
+            assert np.array_equal(getattr(loaded, name), getattr(g, name))
+        assert grid_state(loaded) == grid_state(g)
+        bio.save_grid(loaded, p2)
+        assert p2.read_bytes() == p.read_bytes()
+
+    @pytest.mark.parametrize("change", ["truncate", "grow"])
+    def test_payload_changes_after_size_check(self, tmp_path, monkeypatch, change):
+        # The file is cut in the middle of the third slab, or gains 3 bytes,
+        # after load_grid has checked its size and before the records are
+        # read. The cut lies past the 8 KiB that the header read buffers.
+        monkeypatch.setattr(bgrid, "_SLAB_VOXELS", 1024)
+        p = tmp_path / "g.dbtsdf"
+        bio.save_grid(new_grid((16, 16, 16), 0.1), p)
+        real = bio.from_records
+
+        def changed_first(*args):
+            if change == "truncate":
+                os.truncate(p, 60 + (2048 + 32) * 8)
+            else:
+                with open(p, "ab") as f:
+                    f.write(b"abc")
+            return real(*args)
+
+        monkeypatch.setattr(bio, "from_records", changed_first)
+        match = "ends 256 bytes into" if change == "truncate" else "trailing"
+        with pytest.raises(CorruptionError, match=match):
+            bio.load_grid(p)
+
+    def test_load_peak_below_payload(self, tmp_path, monkeypatch):
+        # Loading allocates the grid's 6 bytes a voxel and one slab of 8-byte
+        # records; the default slab holds all 64^3 voxels, so use a smaller one.
+        monkeypatch.setattr(bgrid, "_SLAB_VOXELS", 1 << 14)
+        g = new_grid((64, 64, 64), 0.1)
+        g.hits[::3] = 2
+        p = tmp_path / "g.dbtsdf"
+        bio.save_grid(g, p)
+        payload = g.num_voxels * 8
+        tracemalloc.start()
+        try:
+            loaded = bio.load_grid(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid_state(loaded) == grid_state(g)
+        assert peak < payload
+        assert peak < 6 * g.num_voxels + 8 * (1 << 14) + (64 << 10)
 
     def test_failed_write_keeps_old_snapshot(self, tmp_path, monkeypatch):
         p = tmp_path / "g.dbtsdf"

@@ -40,6 +40,22 @@ class TestSampleMesh:
         b = sample_mesh(unit_square_mesh(), 1000, seed=9)
         assert np.array_equal(a, b)
 
+    def test_blocked_areas_match_whole_mesh(self):
+        # More triangles than one area block: the samples equal those drawn
+        # with every area computed in one pass.
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=(3000, 3))
+        f = rng.integers(0, 3000, size=(40_000, 3))
+        areas = 0.5 * np.linalg.norm(
+            np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]), axis=1)
+        gen = np.random.default_rng(3)
+        tri = gen.choice(f.shape[0], size=5000, p=areas / areas.sum())
+        r1, r2 = np.sqrt(gen.random(5000)), gen.random(5000)
+        want = ((1.0 - r1)[:, None] * v[f[tri, 0]] + (r1 * (1.0 - r2))[:, None]
+                * v[f[tri, 1]] + (r1 * r2)[:, None] * v[f[tri, 2]])
+        got = sample_mesh(TriangleMesh(vertices=v, triangles=f), 5000, seed=3)
+        assert np.array_equal(got, want)
+
     def test_empty_mesh_rejected(self):
         empty = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
         with pytest.raises(EvaluationError):
