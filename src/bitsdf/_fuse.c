@@ -1,18 +1,20 @@
 /* One frame of bitmask fusion, split into bands of z planes.
  *
- * Built and loaded by bitsdf/_native.py; integrator._fuse_compiled calls
- * the one frame entry, and the integrator's numpy code does the same work
- * where this cannot be built. The grid stores voxel (x, y, z) of dims
- * (nx, ny, nz) at word x + nx * (y + ny * z), x fastest, and the pass gets
- * that memory as the C-ordered (nz, ny, nx) arrays it is, and the K^3
- * kernel, also stored x fastest, as (z, y, x). So a z plane of the grid is
- * nx * ny contiguous words, a row runs along x, and a band of z planes is
+ * Built and loaded by bitsdf/_native.py; integrator._fuse_compiled fills the
+ * one struct frame by field name through its ctypes mirror, _native.Frame,
+ * and calls the one frame entry with it. The integrator's numpy code does
+ * the same work where this cannot be built. The grid stores voxel (x, y, z)
+ * of dims (nx, ny, nz) at word x + nx * (y + ny * z), x fastest, and the
+ * pass gets that memory as the C-ordered (nz, ny, nx) arrays it is, and the
+ * K^3 kernel, also stored x fastest, as (z, y, x). So a z plane of the grid
+ * is nx * ny contiguous words, a row runs along x, and a band of z planes is
  * one contiguous range of words. The caller guarantees that every return's
  * K^3 block lies inside the grid.
  *
  * One call fuses a whole frame: band 0 runs on the calling thread and each
  * other band on a thread that the call starts and joins. A band writes only
- * voxels of its own planes, so the bands need no locks.
+ * voxels of its own planes, so the bands need no locks, and it finds the
+ * returns whose blocks reach them in the sorted returns itself.
  *
  * The mask stamp runs plane by plane: for each plane of its band it ANDs
  * the kernel's slice onto the block rows of every return whose block
@@ -96,20 +98,48 @@ stamp_avx512(uint32_t *row, const uint32_t *kern, int64_t len)
 }
 #endif
 
+/* The one argument of bitsdf_fuse_frame, declared only here; _native.Frame
+ * mirrors it field by field. The grid's (nz, ny, nx) arrays; the band cuts
+ * 0 = cuts[0] < ... < cuts[bands] = nz; the (K, K, K) distance kernel and K;
+ * the n returns' center voxels, sorted ascending (the grid does not depend
+ * on the order), and shadow bins; the (bins, m) shadow table, one byte per
+ * offset of the m flat offsets in `ball`; the hit cap, the count that marks
+ * a voxel occupied, and nonzero to stamp rows with AVX-512F, which it may
+ * be only where bitsdf_has_avx512 says so. */
+struct frame {
+    uint32_t *mask;
+    uint8_t *hits, *sign;
+    int64_t nz, ny, nx;
+    const int64_t *cuts;
+    int64_t bands;
+    const uint32_t *kernel;
+    int64_t k;
+    const int64_t *cflat, *bins;
+    int64_t n;
+    const uint8_t *shadow;
+    const int64_t *ball;
+    int64_t m, h_max, t_occ, avx512;
+};
+
+/* Band `band` of frame f, with kernel size k: f->k, or a literal whose
+ * row loops the compiler unrolls. */
 static inline __attribute__((always_inline)) int64_t
-fuse(uint32_t *restrict mask, uint8_t *restrict hits, uint8_t *restrict sign,
-     uint64_t *restrict seen, const int64_t *dims, int64_t p0, int64_t p1,
-     const uint32_t *restrict kernel, const int64_t k,
-     const int64_t *cflat, const int64_t *bins, int64_t n,
-     const uint8_t *shadow, const int64_t *ball, int64_t m,
-     int64_t h_max, int64_t t_occ, const stamp_fn stamp)
+fuse(const struct frame *f, uint64_t *restrict seen, int64_t band,
+     const int64_t k, const stamp_fn stamp)
 {
-    const int64_t sy = dims[2], sz = dims[1] * dims[2], r = k / 2;
+    uint8_t *restrict hits = f->hits, *restrict sign = f->sign;
+    const int64_t *cflat = f->cflat, *ball = f->ball;
+    const int64_t n = f->n, m = f->m, h_max = f->h_max, t_occ = f->t_occ;
+    const int64_t p0 = f->cuts[band], p1 = f->cuts[band + 1];
+    const int64_t sy = f->nx, sz = f->ny * f->nx, r = k / 2;
     const int64_t lo = p0 * sz, hi = p1 * sz, words = sz / 64 + 2;
     int64_t written = 0;
     /* The returns whose block reaches plane z, with center planes
      * z - r .. z + r, are the sorted returns a .. b - 1. */
-    int64_t a = 0, b = 0;
+    int64_t first = 0;
+    while (first < n && cflat[first] < (p0 - r) * sz)
+        first++;
+    int64_t a = first, b = first;
 
     for (int64_t z = p0; z < p1; z++) {
         while (a < n && cflat[a] < (z - r) * sz)
@@ -118,7 +148,7 @@ fuse(uint32_t *restrict mask, uint8_t *restrict hits, uint8_t *restrict sign,
             b++;
         if (a == b)
             continue;
-        uint32_t *plane = mask + z * sz;
+        uint32_t *plane = f->mask + z * sz;
         int64_t c = z - r; /* center plane of return i */
         for (int64_t i = a; i < b; i++) {
             while (cflat[i] >= (c + 1) * sz)
@@ -126,7 +156,7 @@ fuse(uint32_t *restrict mask, uint8_t *restrict hits, uint8_t *restrict sign,
             /* The block's first word in the plane, and the kernel slice
              * that lies on this plane. */
             const int64_t corner = cflat[i] - c * sz - r * (sy + 1);
-            const uint32_t *krow = kernel + (z - c + r) * k * k;
+            const uint32_t *krow = f->kernel + (z - c + r) * k * k;
             for (int64_t y = 0; y < k; y++, krow += k) {
                 const int64_t v = corner + y * sy;
                 for (int64_t x0 = 0; x0 < k; x0 += 32) {
@@ -140,11 +170,14 @@ fuse(uint32_t *restrict mask, uint8_t *restrict hits, uint8_t *restrict sign,
             written += __builtin_popcountll(seen[w]);
         memset(seen, 0, (size_t)words * sizeof *seen);
     }
-    /* One hit per shadow voxel in the band, saturating at h_max. */
-    for (int64_t i = 0; i < n; i++) {
-        const uint8_t *in_shadow = shadow + bins[i] * m;
+    /* One hit per shadow voxel in the band, saturating at h_max, from the
+     * returns first .. b - 1, whose blocks reach the band's planes. */
+    for (int64_t i = first; i < b; i++) {
+        /* Read once: the byte stores below could alias cflat[i]. */
+        const int64_t center = cflat[i];
+        const uint8_t *in_shadow = f->shadow + f->bins[i] * m;
         for (int64_t j = 0; j < m; j++) {
-            const int64_t v = cflat[i] + ball[j];
+            const int64_t v = center + ball[j];
             if (!in_shadow[j] || v < lo || v >= hi)
                 continue;
             int64_t h = hits[v];
@@ -157,48 +190,28 @@ fuse(uint32_t *restrict mask, uint8_t *restrict hits, uint8_t *restrict sign,
     return written;
 }
 
-/* The arguments of one frame, shared by its bands. */
-struct frame {
-    uint32_t *mask;
-    uint8_t *hits, *sign;
-    const int64_t *dims, *cuts, *ends;
-    int64_t bands;
-    const uint32_t *kernel;
-    int64_t k;
-    const int64_t *cflat, *bins;
-    const uint8_t *shadow;
-    const int64_t *ball;
-    int64_t m, h_max, t_occ;
-};
-
 struct band {
     const struct frame *f;
     int64_t i, written;
 };
 
-/* Band i: planes cuts[i] .. cuts[i + 1] - 1 and returns ends[i] ..
- * ends[bands + i] - 1. The worker that runs it allocates its own one-plane
- * bitmap, which no other core touches: bitmaps packed side by side in one
- * array share cache lines (and prefetches) at their ends, and two workers
- * on them ran slower than on one allocation each. Sets written to -1 when
+/* Band b->i of the frame. The worker that runs it allocates its own
+ * one-plane bitmap, which no other core touches: bitmaps packed side by
+ * side in one array share cache lines (and prefetches) at their ends, and
+ * two workers on them ran slower than on one allocation each. Sets written to -1 when
  * the bitmap cannot be allocated. The default kernel size gets its own
  * copy, whose row loops the compiler unrolls. */
 static inline __attribute__((always_inline)) void
 fuse_band(struct band *b, const stamp_fn stamp)
 {
     const struct frame *f = b->f;
-    const int64_t i = b->i, i0 = f->ends[i], n = f->ends[f->bands + i] - i0;
-    uint64_t *seen = calloc((size_t)(f->dims[1] * f->dims[2] / 64 + 2), sizeof *seen);
+    uint64_t *seen = calloc((size_t)(f->ny * f->nx / 64 + 2), sizeof *seen);
     if (seen == NULL) {
         b->written = -1;
         return;
     }
-#define FUSE(k)                                                               \
-    fuse(f->mask, f->hits, f->sign, seen, f->dims, f->cuts[i],               \
-         f->cuts[i + 1], f->kernel, k, f->cflat + i0, f->bins + i0, n,       \
-         f->shadow, f->ball, f->m, f->h_max, f->t_occ, stamp)
-    b->written = f->k == 21 ? FUSE(21) : FUSE(f->k);
-#undef FUSE
+    b->written = f->k == 21 ? fuse(f, seen, b->i, 21, stamp)
+                            : fuse(f, seen, b->i, f->k, stamp);
     free(seen);
 }
 
@@ -245,41 +258,26 @@ static int64_t run_frame(const struct frame *f, void *(*run)(void *))
     return failed ? -1 : written;
 }
 
-/* Fuse a frame's returns with center voxels cflat (sorted ascending; the
- * grid does not depend on the order) and shadow bins `bins` on `bands` (at
- * least 1) workers. Worker i owns the planes cuts[i] <= z < cuts[i + 1]
- * (0 = cuts[0] < ... < cuts[bands] = nz) and fuses the returns
- * ends[i] <= j < ends[bands + i], those whose block reaches its planes,
- * writing no voxel outside its planes:
- *
+/* Fuse frame f on f->bands (at least 1) workers. Worker i owns the planes
+ * cuts[i] <= z < cuts[i + 1] and fuses the returns whose block reaches
+ * them, writing no voxel outside them:
  * - AND the K^3 distance kernel onto every word of each return's block;
  * - set the bit of each voxel whose mask this changes in the worker's
  *   bitmap of one plane (ny * nx / 64 + 2 words), counted and cleared
  *   after each plane;
- * - for each of the m flat offsets in `ball` that row bins[j] of `shadow`
- *   (one byte per offset) marks, add one hit unless the count is at h_max,
- *   and mark the voxel occupied (sign 0) once its count reaches t_occ.
- *
- * Rows are stamped with AVX-512F when `avx512` is nonzero, which it may be
- * only where bitsdf_has_avx512 says so, and with a loop the compiler
- * vectorizes otherwise. Returns the number of distinct voxels whose mask
- * changed, or -1 when a worker could not allocate its bitmap. */
-int64_t bitsdf_fuse_frame(uint32_t *mask, uint8_t *hits, uint8_t *sign,
-                          const int64_t *dims, const int64_t *cuts,
-                          const int64_t *ends, int64_t bands,
-                          const uint32_t *kernel, int64_t k,
-                          const int64_t *cflat, const int64_t *bins,
-                          const uint8_t *shadow, const int64_t *ball, int64_t m,
-                          int64_t h_max, int64_t t_occ, int64_t avx512)
+ * - for each ball offset that the return's row of `shadow` marks, add one
+ *   hit unless the count is at h_max, and mark the voxel occupied (sign 0)
+ *   once its count reaches t_occ.
+ * Rows are stamped with AVX-512F when f->avx512 is nonzero, and with a loop
+ * the compiler vectorizes otherwise. Returns the number of distinct voxels
+ * whose mask changed, or -1 when a worker could not allocate its bitmap. */
+int64_t bitsdf_fuse_frame(const struct frame *f)
 {
-    const struct frame f = {mask, hits, sign, dims, cuts, ends, bands, kernel,
-                            k, cflat, bins, shadow, ball, m, h_max, t_occ};
 #ifdef HAVE_AVX512
-    if (avx512)
-        return run_frame(&f, band_avx512);
+    if (f->avx512)
+        return run_frame(f, band_avx512);
 #endif
-    (void)avx512;
-    return run_frame(&f, band_portable);
+    return run_frame(f, band_portable);
 }
 
 #ifdef HAVE_AVX512

@@ -1,4 +1,5 @@
-"""Build and load the compiled fusion pass in ``_fuse.c``.
+"""Build and load the compiled fusion pass in ``_fuse.c``, and mirror its
+one argument, ``struct frame``, as ``Frame``.
 
 The first fusion in a process asks for the library. It is compiled with the
 system C compiler (``cc`` with ``CFLAGS``) into the package's
@@ -33,12 +34,27 @@ CFLAGS = ("-O3", "-shared", "-fPIC", "-pthread")
 _lib = None
 
 
+_P, _I64 = ctypes.c_void_p, ctypes.c_int64
+
+
+class Frame(ctypes.Structure):
+    """``struct frame`` of ``_fuse.c``, field for field, filled by name: the
+    addresses of arrays of the dtypes, shapes and order ``_fuse.c`` reads
+    (unchecked) and int64 sizes."""
+
+    _fields_ = [("mask", _P), ("hits", _P), ("sign", _P), ("nz", _I64),
+                ("ny", _I64), ("nx", _I64), ("cuts", _P), ("bands", _I64),
+                ("kernel", _P), ("k", _I64), ("cflat", _P), ("bins", _P),
+                ("n", _I64), ("shadow", _P), ("ball", _P), ("m", _I64),
+                ("h_max", _I64), ("t_occ", _I64), ("avx512", _I64)]
+
+
 @dataclass(frozen=True)
 class Library:
-    """The frame entry point of the compiled pass, ``fuse`` (its arguments
-    are addresses and int64 counts, as in ``_fuse.c``), and the row stamp it
-    runs in this process, picked once when the library is loaded: "avx512"
-    where the CPU has AVX-512F, else "portable". Both give the same grid."""
+    """The frame entry point of the compiled pass, ``fuse``, called with one
+    ``Frame``, and the row stamp it runs in this process, picked once when
+    the library is loaded: "avx512" where the CPU has AVX-512F, else
+    "portable". Both give the same grid."""
 
     fuse: Callable
     path: str
@@ -69,19 +85,9 @@ def build(source: Path, cache_dir: Path, cc: str) -> Path:
 
 def _bind(path: Path) -> Library:
     lib = ctypes.CDLL(str(path))
-    # The arguments are unchecked addresses: the caller passes arrays of the
-    # dtypes, shapes and order that _fuse.c reads.
-    p, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.bitsdf_fuse_frame.argtypes = [
-        p, p, p,  # mask, hits, sign
-        p, p, p, i64,  # dims, band cuts, band return ranges, bands
-        p, i64,  # distance kernel (K, K, K), K
-        p, p,  # center flat indices, bins
-        p, p, i64,  # shadow table (bins, m), ball flat offsets (m,), m
-        i64, i64,  # h_max, t_occ
-        i64,  # nonzero: stamp rows with AVX-512F
-    ]
-    lib.bitsdf_fuse_frame.restype = i64
+    # A Frame passed to it is passed by reference.
+    lib.bitsdf_fuse_frame.argtypes = [ctypes.POINTER(Frame)]
+    lib.bitsdf_fuse_frame.restype = _I64
     # bitsdf_has_avx512 exists where the compiler targets x86.
     avx512 = hasattr(lib, "bitsdf_has_avx512") and lib.bitsdf_has_avx512()
     return Library(lib.bitsdf_fuse_frame, "avx512" if avx512 else "portable")

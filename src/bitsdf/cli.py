@@ -83,7 +83,10 @@ def _config_with_overrides(config_path, threads=None, **overrides) -> RunConfig:
     return cfg
 
 
-def _list_scans(scans_dir: Path):
+def _list_scans(scans_dir: Path, times):
+    """(stamp, path) of each scan file, in stamp order: the stamp in its
+    name, or, unless every name has one, the stamp of the trajectory record
+    of the same rank among ``times`` (None past the last record)."""
     if not scans_dir.is_dir():
         raise ConfigurationError(f"scans directory not found: {scans_dir}")
     files = sorted(
@@ -93,10 +96,8 @@ def _list_scans(scans_dir: Path):
         raise ConfigurationError(f"no scan files in {scans_dir}")
     stamped = [(bio.scan_timestamp(p), p) for p in files]
     if all(t is not None for t, _ in stamped):
-        stamped.sort(key=lambda tp: tp[0])
-        return stamped
-    # No parseable stamps: pair scans with trajectory records by order.
-    return [(None, p) for p in files]
+        return sorted(stamped, key=lambda tp: tp[0])
+    return [(times[i] if i < len(times) else None, p) for i, p in enumerate(files)]
 
 
 def _normalized_times(ts):
@@ -111,60 +112,49 @@ def _normalized_times(ts):
 def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
     """Fuse all scans; returns (grid, stats rows, snapshot path). Warnings
     about skipped scans go to ``echo``, by default standard error."""
+    if cfg.paths.trajectory is None:
+        raise ConfigurationError("paths.trajectory is not set")
+    max_gap = cfg.paths.max_time_gap
+    if not (np.isfinite(max_gap) and max_gap >= 0):
+        raise ConfigurationError(
+            f"paths.max_time_gap must be finite and >= 0, got {max_gap!r}")
     out_dir = Path(cfg.paths.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.paths.trajectory is None or not Path(cfg.paths.trajectory).exists():
-        raise ConfigurationError(
-            f"trajectory file not found: {cfg.paths.trajectory}"
-        )
     traj = bio.read_trajectory(cfg.paths.trajectory)
-    scans = _list_scans(Path(cfg.paths.scans)) if cfg.paths.scans else []
+    scans = _list_scans(Path(cfg.paths.scans), traj.times) if cfg.paths.scans else []
     dims, origin = cfg.resolve_grid()
     grid = new_grid(dims, cfg.grid.voxel_size, origin, cfg.grid.memory_cap_bytes,
                     h_max=cfg.integration.h_max, t_occ=cfg.integration.t_occ)
+    kc, ic = cfg.kernel, cfg.integration
     bank = build_kernel_bank(
-        size=cfg.kernel.size,
-        b_az=cfg.kernel.azimuth_bins,
-        b_el=cfg.kernel.elevation_bins,
-        shadow_radius=cfg.resolved_shadow_radius(),
-        shadow_model=cfg.kernel.shadow_model,
-        cone_half_angle_deg=cfg.kernel.cone_half_angle_deg,
-    )
+        size=kc.size, b_az=kc.azimuth_bins, b_el=kc.elevation_bins,
+        shadow_radius=cfg.resolved_shadow_radius(), shadow_model=kc.shadow_model,
+        cone_half_angle_deg=kc.cone_half_angle_deg)
     params = IntegrationParams(
-        compensation=cfg.integration.compensation,
-        downsample=cfg.integration.downsample,
-        first_return_per_voxel=cfg.integration.first_return_per_voxel,
-    )
+        compensation=ic.compensation, downsample=ic.downsample,
+        first_return_per_voxel=ic.first_return_per_voxel)
 
     rows = []
-    last_pose = None  # pose of the last stamped scan fused
+    prev_pose = None  # pose of the last scan fused
     for frame_idx, (stamp, path) in enumerate(scans):
+        # A scan is read only once it is paired, so a skipped one cannot
+        # stop the run.
+        if stamp is None:
+            echo(f"warning: no trajectory record for scan {path.name}, skipped")
+            continue
+        gap = float(np.min(np.abs(traj.times - stamp)))
+        if gap > max_gap:
+            echo(f"warning: scan {path.name} is {gap:.3f}s from the nearest pose, "
+                 "skipped")
+            continue
+        pose = bio.lookup_pose(traj, stamp)
         data = bio.read_scan(path)
         # The first scan has no start-of-sweep pose: prev_pose = pose deskews
         # it as zero motion.
-        if stamp is None:
-            if frame_idx >= len(traj):
-                echo(f"warning: no trajectory record for scan {path.name}, skipped")
-                continue
-            pose = traj.pose(frame_idx)
-            prev_pose = traj.pose(frame_idx - 1) if frame_idx > 0 else pose
-        else:
-            gap = float(np.min(np.abs(traj.times - stamp)))
-            if gap > cfg.paths.max_time_gap:
-                echo(
-                    f"warning: scan {path.name} is {gap:.3f}s from the nearest "
-                    "pose, skipped"
-                )
-                continue
-            pose = bio.lookup_pose(traj, stamp)
-            prev_pose = pose if last_pose is None else last_pose
-            last_pose = pose
-        scan = ScanFrame(
-            points=data.points,
-            pose=pose,
-            timestamps=_normalized_times(data.timestamps),
-            prev_pose=prev_pose,
-        )
+        scan = ScanFrame(points=data.points, pose=pose,
+                         timestamps=_normalized_times(data.timestamps),
+                         prev_pose=pose if prev_pose is None else prev_pose)
+        prev_pose = pose
         stats = integrate_frame(grid, bank, scan, params, threads=cfg.threads)
         rows.append((frame_idx, *astuple(stats)))
 
@@ -314,29 +304,29 @@ def bench(config_path, voxel_sizes, repeats, out, as_json):
             paths=replace(base.paths,
                           output_dir=str(Path(base.paths.output_dir) / f"vs_{size}")),
         )
-        latencies = []
-        mem = 0
+        frames = []
         for _ in range(max(repeats, 1)):
             grid, rows, _snap = run_fuse(cfg, echo=lambda *_: None)
-            latencies.extend(r[4] for r in rows)
+            frames.extend(r[4:7] for r in rows)  # elapsed, prepare, pass ms
             mem = memory_bytes(grid)
-        mean = float(np.mean(latencies))
-        std = float(np.std(latencies))
+        elapsed, prepare, pass_ms = np.array(frames).reshape(-1, 3).T
         results.append(
-            {"voxel_size": size, "mean_ms": mean, "std_ms": std,
-             "samples": len(latencies), "memory_bytes": mem}
+            {"voxel_size": size, "mean_ms": float(np.mean(elapsed)),
+             "std_ms": float(np.std(elapsed)), "samples": len(elapsed),
+             "memory_bytes": mem, "prepare_ms": float(np.mean(prepare)),
+             "pass_ms": float(np.mean(pass_ms))}
         )
-    ratio = (
-        max(r["mean_ms"] for r in results) / min(r["mean_ms"] for r in results)
-        if results else 0.0
-    )
+    means = [r["mean_ms"] for r in results]  # one per size, and sizes is not empty
+    ratio = max(means) / min(means)
     if out:
         with open(out, "w") as f:
-            f.write("voxel_size,mean_ms,std_ms,samples,memory_bytes\n")
+            f.write("voxel_size,mean_ms,std_ms,samples,memory_bytes,prepare_ms,"
+                    "pass_ms\n")
             for r in results:
                 f.write(
                     f"{r['voxel_size']},{r['mean_ms']:.3f},{r['std_ms']:.3f},"
-                    f"{r['samples']},{r['memory_bytes']}\n"
+                    f"{r['samples']},{r['memory_bytes']},{r['prepare_ms']:.3f},"
+                    f"{r['pass_ms']:.3f}\n"
                 )
     if as_json:
         click.echo(json.dumps({"results": results, "max_min_ratio": ratio}, indent=2))
@@ -344,7 +334,8 @@ def bench(config_path, voxel_sizes, repeats, out, as_json):
         for r in results:
             click.echo(
                 f"voxel {r['voxel_size']:>5} m: {r['mean_ms']:8.1f} ± "
-                f"{r['std_ms']:.1f} ms/frame, {r['memory_bytes']} bytes"
+                f"{r['std_ms']:.1f} ms/frame (prepare {r['prepare_ms']:.1f}, "
+                f"pass {r['pass_ms']:.1f}), {r['memory_bytes']} bytes"
             )
         click.echo(f"max/min mean latency ratio: {ratio:.3f}")
 

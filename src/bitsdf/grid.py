@@ -39,8 +39,8 @@ VOXEL_DTYPE = np.dtype(
 
 DEFAULT_MEMORY_CAP = 8 << 30  # bytes of voxel payload
 
-# Records are encoded and decoded, and the CSV export selects voxels, one
-# slab of about this many voxels at a time.
+# Records are encoded and decoded, the CSV export selects voxels and the
+# mesher classifies cells, one slab of about this many voxels at a time.
 _SLAB_VOXELS = 1 << 18
 
 _FIELD_DTYPES = {"mask": np.dtype(np.uint32), "sign": np.dtype(np.uint8),

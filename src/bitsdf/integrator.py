@@ -22,12 +22,14 @@ to the map frame. All returns of the scan are then fused in one pass:
 With ``threads`` above 1 the pass is split by ownership of z planes, the
 slowest axis in memory: the planes are cut into bands that hold about the
 same number of (return, plane) pairs, one per worker, and each worker runs
-the pass over the returns whose blocks reach its band, writing masks, hits,
-signs and changed-voxel bits of its own planes only. The bands are
-disjoint, so the workers need no locks, and each voxel sees the same
-updates in the same order for any thread count. The whole frame is one
-call of the compiled library: it runs the first band on the calling thread
-and starts and joins a thread of its own for each other band.
+the pass over the returns whose blocks reach its band, which it finds in
+the sorted returns itself, writing masks, hits, signs and changed-voxel
+bits of its own planes only. The bands are disjoint, so the workers need no
+locks, and each voxel sees the same updates in the same order for any
+thread count. The whole frame is one call of the compiled library with one
+argument, the C ``struct frame`` filled by field name through its ctypes
+mirror ``_native.Frame``: it runs the first band on the calling thread and
+starts and joins a thread of its own for each other band.
 
 Where the C file cannot be built, the same work runs in numpy on one
 thread, whatever ``threads`` says: an in-place AND per return, a diff of the
@@ -247,26 +249,25 @@ def _fuse(grid, bank, pts_map, sensor, params, stats, threads=1) -> int:
 
 def _fuse_compiled(grid, bank, lib, cflat, bins, cuts) -> tuple[int, float]:
     """Run ``lib``'s frame entry over the sorted returns on the bands of z
-    planes between ``cuts`` (int64, as ``_plane_cuts`` gives). Returns the
-    changed-voxel count and the call's ms. The pass reads the x-fastest grid
-    and kernel as the C-ordered (nz, ny, nx) and (z, y, x) arrays they are,
-    unchecked: VoxelGrid and KernelBank check them when they are made."""
-    r = bank.half_extent
+    planes between ``cuts`` (int64, as ``_plane_cuts`` gives); each band
+    finds the returns whose blocks reach its planes. Returns the changed-voxel
+    count and the call's ms. The pass reads the x-fastest grid and kernel as
+    the C-ordered (nz, ny, nx) and (z, y, x) arrays they are, unchecked:
+    VoxelGrid and KernelBank check them when they are made."""
     nx, ny, nz = grid.dims
-    plane = nx * ny  # voxels per z plane
-    ball = bank.shadow_ball @ np.array([1, nx, plane])
-    # Each worker owns the planes [p0, p1) and fuses the sorted returns whose
-    # block reaches them: their center planes are in [p0 - r, p1 + r).
-    ends = np.searchsorted(cflat, np.stack([cuts[:-1] - r, cuts[1:] + r]) * plane)
-    args = [grid.mask, grid.hits, grid.sign, np.array([nz, ny, nx]), cuts, ends,
-            len(cuts) - 1, bank.distance_kernel, bank.size, cflat, bins,
-            bank.shadow, ball, len(ball), grid.h_max, grid.t_occ,
-            lib.path == "avx512"]
-    # Array addresses, taken before the clock starts; ``args`` keeps the
-    # arrays alive through the call.
-    call = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in args]
+    ball = bank.shadow_ball @ np.array([1, nx, nx * ny])
+    # Bare addresses, taken before the clock starts, of arrays that the
+    # arguments and locals here keep alive through the call.
+    frame = _native.Frame(
+        mask=grid.mask.ctypes.data, hits=grid.hits.ctypes.data,
+        sign=grid.sign.ctypes.data, nz=nz, ny=ny, nx=nx, cuts=cuts.ctypes.data,
+        bands=len(cuts) - 1, kernel=bank.distance_kernel.ctypes.data,
+        k=bank.size, cflat=cflat.ctypes.data, bins=bins.ctypes.data,
+        n=len(cflat), shadow=bank.shadow.ctypes.data, ball=ball.ctypes.data,
+        m=len(ball), h_max=grid.h_max, t_occ=grid.t_occ,
+        avx512=lib.path == "avx512")
     t = time.perf_counter()
-    written = lib.fuse(*call)
+    written = lib.fuse(frame)
     pass_ms = (time.perf_counter() - t) * 1e3
     if written < 0:
         raise MemoryError("cannot allocate a z plane's changed-voxel bitmap")

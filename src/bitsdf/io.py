@@ -308,6 +308,8 @@ def read_trajectory(path) -> Trajectory:
             vals = [float(v) for v in parts]
         except ValueError:
             raise FormatError(f"{path}:{lineno}: non-numeric field") from None
+        if not np.all(np.isfinite(vals)):
+            raise FormatError(f"{path}:{lineno}: non-finite field")
         q = np.array(vals[4:8])
         norm = np.linalg.norm(q)
         if abs(norm - 1.0) > 1e-3:

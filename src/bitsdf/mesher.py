@@ -13,8 +13,9 @@ integers: ``d >= a`` on occupied voxels and ``d < b`` on the others, with
 ``a`` and ``b`` counted once per call over ``d = 0..32``; at iso 0 it is
 simply "occupied".
 
-Cells are classified one z-slab of about _SLAB_VOXELS voxels at a time, on
-the grid's C-ordered ``.T`` views, where a slab is one contiguous block.
+Cells are classified one z-slab of about grid._SLAB_VOXELS voxels (whole z
+planes, at least one) at a time, on the grid's C-ordered ``.T`` views, where
+a slab is one contiguous block.
 Each voxel becomes ``inside | unobserved << 8`` (uint16), and three shifted
 ORs, along x, then y, then z, give each cell a 16-bit code whose bit
 ``dx + 2*dy + 4*dz`` is corner (dx, dy, dz)'s inside bit and whose bit
@@ -35,15 +36,13 @@ import numpy as np
 from ._mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
 from .errors import ConfigurationError
 from .grid import (
+    _SLAB_VOXELS,
     MAX_DISTANCE_CELLS,
     SIGN_FREE,
     SIGN_OCCUPIED,
     VoxelGrid,
     signed_distances,
 )
-
-# Voxels per classification slab (whole z planes, at least one).
-_SLAB_VOXELS = 1 << 18
 
 # The case table by binary corner code: for each code, the 3 cube edges of
 # each of its 5 triangle slots (-1 past its triangles), and its triangle

@@ -161,6 +161,47 @@ class TestFuse:
         assert json.loads(result.stdout)["frames"] == 1
         assert "warning: scan scan_5.000000.pcd" in result.stderr
 
+    def test_skipped_scan_is_not_read(self, dataset, tmp_path):
+        # scan_9.000000 is 8.1 s from the last pose and is not a PCD: it is
+        # skipped before it is read, so it cannot stop the run.
+        root, cfg_path = dataset
+        scans = tmp_path / "scans"
+        scans.mkdir()
+        for path in sorted((root / "scans").iterdir())[:2]:
+            (scans / path.name).write_bytes(path.read_bytes())
+        (scans / "scan_9.000000.pcd").write_bytes(b"not a point cloud\n")
+        result = CliRunner().invoke(
+            cli, ["fuse", "--config", str(cfg_path), "--scans", str(scans),
+                  "--output-dir", str(tmp_path / "out"), "--json"]
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["frames"] == 2
+        assert result.stderr.count("warning:") == 1
+        assert "scan_9.000000.pcd" in result.stderr
+
+    def test_order_pairing_takes_record_stamps(self, dataset, tmp_path):
+        # Unstamped scans take their records' stamps: each gets its record's
+        # own pose, and a scan past the last record is skipped unread.
+        root, cfg_path = dataset
+        stamped = sorted((root / "scans").iterdir())
+        scans = tmp_path / "scans"
+        scans.mkdir()
+        for letter, path in zip("abcdefghij", stamped, strict=True):
+            (scans / f"sweep_{letter}.pcd").write_bytes(path.read_bytes())
+        (scans / "sweep_z.pcd").write_bytes(b"not a point cloud\n")
+        snaps, warnings = [], []
+        for scan_dir in (root / "scans", scans):
+            cfg = load_config(cfg_path)
+            cfg.integration.compensation = "se3"
+            cfg.paths.scans = str(scan_dir)
+            cfg.paths.output_dir = str(tmp_path / scan_dir.parent.name)
+            _, rows, snap = run_fuse(cfg, echo=warnings.append)
+            assert len(rows) == len(stamped)
+            snaps.append(snap.read_bytes())
+        assert warnings == ["warning: no trajectory record for scan "
+                            "sweep_z.pcd, skipped"]
+        assert snaps[0] == snaps[1]
+
     def test_no_fused_frame_keeps_thresholds(self, dataset, tmp_path):
         # scan_5.000000 is 4.1 s from the last pose, so no frame is fused
         root, cfg_path = dataset
@@ -197,11 +238,12 @@ class TestFuse:
         grid = bio.load_grid(tmp_path / "map.dbtsdf")
         assert grid.voxel_size == 0.2
 
-    def test_missing_trajectory_exit_2(self, dataset, tmp_path):
+    def test_missing_trajectory_exit_3(self, dataset, tmp_path):
+        # A missing input file is a format error, like any other input.
         root, cfg_path = dataset
         res = run_main("fuse", "--config", cfg_path,
                        "--trajectory", tmp_path / "absent.txt")
-        assert res.returncode == 2
+        assert res.returncode == 3
         assert "absent.txt" in res.stderr
 
     def test_unknown_config_key_exit_2(self, tmp_path):
@@ -299,13 +341,17 @@ class TestFuse:
         ({"kernel": {"shadow_model": "cone", "cone_half_angle_deg": 200}}, [],
          "cone half-angle"),
         ({"grid": {"voxel_size": 1e-320}}, [], "voxel_size"),
+        ({"paths": {"max_time_gap": math.nan}}, [], "max_time_gap"),
+        ({"paths": {"max_time_gap": math.inf}}, [], "max_time_gap"),
+        ({"paths": {"max_time_gap": -0.5}}, [], "max_time_gap"),
         ("grid: {voxel_size: 'abc}\n", [], "not valid YAML"),
         (b"grid: {voxel_size: 0.1}\n\xff: 1\n", [], "not valid YAML"),
         (None, [], "not found"),
     ], ids=["str-float", "str-int", "float-int", "bool-in-list", "list-section",
             "bench-sizes", "zero-voxel", "zero-voxel-option", "nan-voxel",
             "inf-voxel", "nan-bounds", "pad-voxels", "cone-angle",
-            "subnormal-voxel", "bad-yaml", "non-utf8", "directory"])
+            "subnormal-voxel", "nan-gap", "inf-gap", "negative-gap", "bad-yaml",
+            "non-utf8", "directory"])
     def test_config_error_exit_2(self, dataset, tmp_path, monkeypatch, capsys,
                                  config, args, named):
         if isinstance(config, dict):
@@ -328,8 +374,9 @@ class TestFuse:
         assert code == 2, err
         assert err.startswith("error: ") and named in err
 
-    @pytest.mark.parametrize("poses", [b"0.0 0 0 0\n", b"0.0 0 0 0 \xff 0 0 1\n"],
-                             ids=["short-line", "non-utf8"])
+    @pytest.mark.parametrize("poses", [b"0.0 0 0 0\n", b"0.0 0 0 0 \xff 0 0 1\n",
+                                       b"0.0 0 0 0 0 0 0 1\nnan 1 0 0 0 0 0 1\n"],
+                             ids=["short-line", "non-utf8", "nan-time"])
     def test_malformed_trajectory_exit_3(self, dataset, tmp_path, poses):
         root, cfg_path = dataset
         bad = tmp_path / "poses.txt"
@@ -538,8 +585,12 @@ class TestBench:
         assert len(payload["results"]) == 2
         assert payload["max_min_ratio"] >= 1.0
         lines = out.read_text().splitlines()
-        assert lines[0] == "voxel_size,mean_ms,std_ms,samples,memory_bytes"
+        assert lines[0] == ("voxel_size,mean_ms,std_ms,samples,memory_bytes,"
+                            "prepare_ms,pass_ms")
         assert len(lines) == 3
+        # The prepare and the pass are parts of each frame's time.
+        for r in payload["results"]:
+            assert 0 < r["prepare_ms"] + r["pass_ms"] <= r["mean_ms"]
 
 
 class TestThreads:

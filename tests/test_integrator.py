@@ -1,4 +1,6 @@
+import ctypes
 import os
+import re
 import shutil
 import subprocess
 import tracemalloc
@@ -734,6 +736,40 @@ class TestNativeBuild:
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
+
+    def test_frame_mirror_matches_struct(self, tmp_path):
+        # The compiled call's one argument is declared once, as struct frame
+        # in _fuse.c; _native.Frame must name its fields in the same order,
+        # each a pointer or an int64 as there.
+        body = re.search(r"struct frame \{(.*?)\};", _native.SOURCE.read_text(),
+                         re.S).group(1)
+        declared = []
+        for decl in body.split(";")[:-1]:
+            for piece in decl.split(","):
+                pointer = "*" in piece
+                assert pointer or decl.split()[0] == "int64_t", decl
+                declared.append((re.findall(r"\w+", piece)[-1],
+                                 ctypes.c_void_p if pointer else ctypes.c_int64))
+        assert _native.Frame._fields_ == declared
+        cc = _native.CC
+        if shutil.which(cc) is None:
+            pytest.skip("no C compiler")
+        # The same size and offsets as the compiler lays the struct out.
+        names = [name for name, _ in declared]
+        probe = tmp_path / "probe.c"
+        probe.write_text(
+            '#include <stddef.h>\n#include <stdio.h>\n#include "_fuse.c"\n'
+            'int main(void) {\n    printf("%zu", sizeof(struct frame));\n'
+            + "".join(f'    printf(" %zu", offsetof(struct frame, {n}));\n'
+                      for n in names)
+            + "    return 0;\n}\n")
+        subprocess.run([cc, "-pthread", "-I", str(_native.SOURCE.parent), "-o",
+                        str(tmp_path / "probe"), str(probe)], check=True)
+        laid_out = subprocess.run([str(tmp_path / "probe")], capture_output=True,
+                                  text=True, check=True).stdout.split()
+        assert list(map(int, laid_out)) == [
+            ctypes.sizeof(_native.Frame),
+            *(getattr(_native.Frame, n).offset for n in names)]
 
     def test_mismatched_bank_rejected(self, monkeypatch):
         # The bank is checked where it is made, so neither fusion path ever

@@ -358,6 +358,18 @@ class TestTrajectory:
         with pytest.raises(FormatError, match=":2"):
             bio.read_trajectory(p)
 
+    @pytest.mark.parametrize("line", [
+        "nan 0 0 0 0 0 0 1", "2.0 inf 0 0 0 0 0 1", "2.0 0 nan 0 0 0 0 1",
+        "2.0 0 0 0 nan 0 0 1",
+    ], ids=["nan-time", "inf-x", "nan-y", "nan-quaternion"])
+    def test_non_finite_field_rejected(self, tmp_path, line):
+        # A NaN time would pass the strictly-increasing check, whose
+        # comparisons with NaN are all false.
+        p = tmp_path / "t.txt"
+        p.write_text(f"0.0 0 0 0 0 0 0 1\n{line}\n3.0 0 0 0 0 0 0 1\n")
+        with pytest.raises(FormatError, match=":2: non-finite"):
+            bio.read_trajectory(p)
+
     def test_off_unit_quaternion_rejected(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0.0 0 0 0 0 0 0 1.5\n")
