@@ -1,7 +1,7 @@
 """Command-line front end: fuse, mesh, eval, export, bench, info.
 
-Exit codes: 0 success, 2 configuration, 3 format, 4 corruption,
-5 evaluation, 6 resource.
+Exit codes: 0 success, else the ``exit_code`` of the error's class: 2
+configuration, 3 format, 4 corruption, 5 evaluation, 6 resource.
 """
 
 from __future__ import annotations
@@ -18,43 +18,14 @@ import numpy as np
 
 from . import io as bio
 from .config import RunConfig, load_config, save_config
-from .errors import (
-    BitsdfError,
-    ConfigurationError,
-    CorruptionError,
-    EvaluationError,
-    FormatError,
-    ResourceError,
-)
+from .errors import BitsdfError, ConfigurationError
 from .grid import SIGN_OCCUPIED, memory_bytes, new_grid, observed_array
-from .integrator import (
-    FrameStats,
-    IntegrationParams,
-    ScanFrame,
-    check_threads,
-    fusion_path,
-    integrate_frame,
-)
+from .integrator import FrameStats, ScanFrame, fusion_path, integrate_frame
 from .kernels import build_kernel_bank
 from .mesher import extract_mesh, vertex_normals
 from .metrics import evaluate, sample_mesh
 
-EXIT_CODES = {
-    ConfigurationError: 2,
-    FormatError: 3,
-    CorruptionError: 4,
-    EvaluationError: 5,
-    ResourceError: 6,
-}
-
 SCAN_SUFFIXES = (".pcd", ".ply", ".xyz", ".txt")
-
-
-def _exit_code(exc: BitsdfError) -> int:
-    for cls, code in EXIT_CODES.items():
-        if isinstance(exc, cls):
-            return code
-    return 1
 
 
 @click.group()
@@ -62,31 +33,12 @@ def cli():
     """CPU bitmask-TSDF mapping toolkit."""
 
 
-# The config section of each `fuse` override but --threads; the option
-# names the key.
-_OVERRIDE_SECTIONS = {
-    "voxel_size": "grid",
-    "downsample": "integration", "t_occ": "integration",
-    "h_max": "integration", "compensation": "integration",
-    "shadow_radius": "kernel", "shadow_model": "kernel",
-    "scans": "paths", "trajectory": "paths", "output_dir": "paths",
-}
-
-
-def _config_with_overrides(config_path, threads=None, **overrides) -> RunConfig:
-    cfg = load_config(config_path)
-    if threads is not None:
-        cfg.threads = check_threads(threads)
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(getattr(cfg, _OVERRIDE_SECTIONS[key]), key, val)
-    return cfg
-
-
-def _list_scans(scans_dir: Path, times):
-    """(stamp, path) of each scan file, in stamp order: the stamp in its
-    name, or, unless every name has one, the stamp of the trajectory record
-    of the same rank among ``times`` (None past the last record)."""
+def _list_scans(scans_dir: Path, times, echo):
+    """(stamp, path) of each scan file to fuse, in stamp order. Where no
+    name carries a stamp, each file takes that of the trajectory record of
+    the same rank among ``times`` (None past the last record); otherwise
+    the stamps are those in the names, and a file without one is skipped
+    with a warning to ``echo``."""
     if not scans_dir.is_dir():
         raise ConfigurationError(f"scans directory not found: {scans_dir}")
     files = sorted(
@@ -95,9 +47,13 @@ def _list_scans(scans_dir: Path, times):
     if not files:
         raise ConfigurationError(f"no scan files in {scans_dir}")
     stamped = [(bio.scan_timestamp(p), p) for p in files]
-    if all(t is not None for t, _ in stamped):
-        return sorted(stamped, key=lambda tp: tp[0])
-    return [(times[i] if i < len(times) else None, p) for i, p in enumerate(files)]
+    if all(t is None for t, _ in stamped):
+        return [(times[i] if i < len(times) else None, p)
+                for i, p in enumerate(files)]
+    for t, p in stamped:
+        if t is None:
+            echo(f"warning: scan {p.name} has no stamp in its name, skipped")
+    return sorted(((t, p) for t, p in stamped if t is not None), key=lambda tp: tp[0])
 
 
 def _normalized_times(ts):
@@ -110,29 +66,23 @@ def _normalized_times(ts):
 
 
 def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
-    """Fuse all scans; returns (grid, stats rows, snapshot path). Warnings
-    about skipped scans go to ``echo``, by default standard error."""
+    """Fuse all scans; returns (grid, stats rows, snapshot path). Every
+    setting is checked before any input is read or the grid allocated, and
+    ``output_dir`` is made only to write the outputs. Warnings about
+    skipped scans go to ``echo``, by default standard error."""
     if cfg.paths.trajectory is None:
         raise ConfigurationError("paths.trajectory is not set")
-    max_gap = cfg.paths.max_time_gap
-    if not (np.isfinite(max_gap) and max_gap >= 0):
-        raise ConfigurationError(
-            f"paths.max_time_gap must be finite and >= 0, got {max_gap!r}")
-    out_dir = Path(cfg.paths.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    traj = bio.read_trajectory(cfg.paths.trajectory)
-    scans = _list_scans(Path(cfg.paths.scans), traj.times) if cfg.paths.scans else []
     dims, origin = cfg.resolve_grid()
-    grid = new_grid(dims, cfg.grid.voxel_size, origin, cfg.grid.memory_cap_bytes,
-                    h_max=cfg.integration.h_max, t_occ=cfg.integration.t_occ)
     kc, ic = cfg.kernel, cfg.integration
     bank = build_kernel_bank(
         size=kc.size, b_az=kc.azimuth_bins, b_el=kc.elevation_bins,
         shadow_radius=cfg.resolved_shadow_radius(), shadow_model=kc.shadow_model,
         cone_half_angle_deg=kc.cone_half_angle_deg)
-    params = IntegrationParams(
-        compensation=ic.compensation, downsample=ic.downsample,
-        first_return_per_voxel=ic.first_return_per_voxel)
+    traj = bio.read_trajectory(cfg.paths.trajectory)
+    scans = (_list_scans(Path(cfg.paths.scans), traj.times, echo)
+             if cfg.paths.scans else [])
+    grid = new_grid(dims, cfg.grid.voxel_size, origin, cfg.grid.memory_cap_bytes,
+                    h_max=ic.h_max, t_occ=ic.t_occ)
 
     rows = []
     prev_pose = None  # pose of the last scan fused
@@ -143,7 +93,7 @@ def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
             echo(f"warning: no trajectory record for scan {path.name}, skipped")
             continue
         gap = float(np.min(np.abs(traj.times - stamp)))
-        if gap > max_gap:
+        if gap > cfg.paths.max_time_gap:
             echo(f"warning: scan {path.name} is {gap:.3f}s from the nearest pose, "
                  "skipped")
             continue
@@ -155,9 +105,11 @@ def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
                          timestamps=_normalized_times(data.timestamps),
                          prev_pose=pose if prev_pose is None else prev_pose)
         prev_pose = pose
-        stats = integrate_frame(grid, bank, scan, params, threads=cfg.threads)
+        stats = integrate_frame(grid, bank, scan, ic, threads=cfg.threads)
         rows.append((frame_idx, *astuple(stats)))
 
+    out_dir = Path(cfg.paths.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     snapshot = out_dir / "map.dbtsdf"
     bio.save_grid(grid, snapshot)
     with open(out_dir / "frame_stats.csv", "w") as f:
@@ -185,8 +137,7 @@ def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
 @click.option("--json", "as_json", is_flag=True)
 def fuse(config_path, as_json, **overrides):
     """Fuse a scan directory into a grid snapshot."""
-    cfg = _config_with_overrides(config_path, **overrides)
-    grid, rows, snapshot = run_fuse(cfg)
+    grid, rows, snapshot = run_fuse(load_config(config_path, **overrides))
     summary = {
         "frames": len(rows),
         "points": int(sum(r[1] for r in rows)),
@@ -376,7 +327,7 @@ def main():
         sys.exit(130)
     except BitsdfError as e:
         click.echo(f"error: {e}", err=True)
-        sys.exit(_exit_code(e))
+        sys.exit(e.exit_code)
 
 
 if __name__ == "__main__":

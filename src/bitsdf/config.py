@@ -1,5 +1,7 @@
 """Run configuration: YAML-backed, with the keys of the ``fuse`` options
-overridable from the CLI.
+overridable from the CLI. A file's values and the overrides reach a
+``RunConfig`` by one path, ``config_from_dict``, which builds each section
+with its constructor, so a section's own checks run when the config loads.
 
 A grid is specified either directly (dims + origin) or via world bounds, in
 which case the dimensions are rounded up and padded by the kernel half-extent
@@ -9,14 +11,14 @@ so returns near the bounds keep their full neighborhood in range.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigurationError
-from .grid import DEFAULT_MEMORY_CAP, check_geometry
-from .integrator import check_threads
+from .grid import DEFAULT_MEMORY_CAP, check_geometry, check_grid
+from .integrator import IntegrationParams, check_threads
 from .kernels import (
     DEFAULT_AZIMUTH_BINS,
     DEFAULT_CONE_HALF_ANGLE_DEG,
@@ -53,12 +55,12 @@ class KernelConfig:
 
 
 @dataclass
-class IntegrationConfig:
-    h_max: int = 255  # h_max and t_occ go to new_grid, the rest per scan
+class IntegrationConfig(IntegrationParams):
+    """The per-scan options, passed to integrate_frame as they are, and the
+    occupancy thresholds, which go to new_grid."""
+
+    h_max: int = 255
     t_occ: int = 2
-    compensation: str = "none"
-    downsample: int = 1
-    first_return_per_voxel: bool = False
 
 
 @dataclass
@@ -67,6 +69,11 @@ class PathsConfig:
     trajectory: str | None = None
     output_dir: str = "out"
     max_time_gap: float = 0.05  # seconds, scan-to-pose association
+
+    def __post_init__(self):
+        if not 0 <= self.max_time_gap < math.inf:
+            raise ConfigurationError(
+                f"paths.max_time_gap must be finite and >= 0, got {self.max_time_gap!r}")
 
 
 @dataclass
@@ -77,6 +84,9 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
     threads: int = 1
 
+    def __post_init__(self):
+        self.threads = check_threads(self.threads)
+
     def resolved_shadow_radius(self) -> float:
         if self.kernel.shadow_radius is not None:
             return float(self.kernel.shadow_radius)
@@ -85,31 +95,35 @@ class RunConfig:
         )
 
     def resolve_grid(self):
-        """Return (dims, origin) in voxels/meters."""
-        g = self.grid
+        """Return (dims, origin) in voxels/meters, once new_grid would take
+        them with this config's voxel size, thresholds and memory cap."""
+        g, ic = self.grid, self.integration
         if g.dims is not None:
             if g.origin is None:
                 raise ConfigurationError("grid.dims requires grid.origin")
-            return tuple(int(d) for d in g.dims), tuple(float(v) for v in g.origin)
-        if g.bounds_min is None or g.bounds_max is None:
-            raise ConfigurationError(
-                "grid needs either dims+origin or bounds_min+bounds_max"
-            )
-        check_geometry(g.voxel_size, bounds_min=g.bounds_min, bounds_max=g.bounds_max)
-        pad = self.kernel.size // 2
-        dims = []
-        origin = []
-        for lo, hi in zip(g.bounds_min, g.bounds_max):
-            if hi <= lo:
-                raise ConfigurationError(f"empty bounds interval [{lo}, {hi}]")
-            cells = (hi - lo) / g.voxel_size
-            if not math.isfinite(cells):
+            dims, origin = g.dims, g.origin
+        else:
+            if g.bounds_min is None or g.bounds_max is None:
                 raise ConfigurationError(
-                    f"grid.voxel_size {g.voxel_size} is too small for bounds "
-                    f"[{lo}, {hi}]: their voxel count is not finite")
-            dims.append(math.ceil(cells) + 2 * pad)
-            origin.append(lo - pad * g.voxel_size)
-        return tuple(dims), tuple(origin)
+                    "grid needs either dims+origin or bounds_min+bounds_max"
+                )
+            check_geometry(g.voxel_size, bounds_min=g.bounds_min,
+                           bounds_max=g.bounds_max)
+            pad = self.kernel.size // 2
+            dims, origin = [], []
+            for lo, hi in zip(g.bounds_min, g.bounds_max):
+                if hi <= lo:
+                    raise ConfigurationError(f"empty bounds interval [{lo}, {hi}]")
+                cells = (hi - lo) / g.voxel_size
+                if not math.isfinite(cells):
+                    raise ConfigurationError(
+                        f"grid.voxel_size {g.voxel_size} is too small for bounds "
+                        f"[{lo}, {hi}]: their voxel count is not finite")
+                dims.append(math.ceil(cells) + 2 * pad)
+                origin.append(lo - pad * g.voxel_size)
+        origin = tuple(float(v) for v in origin)
+        return check_grid(dims, g.voxel_size, origin, g.memory_cap_bytes,
+                          ic.h_max, ic.t_occ), origin
 
 
 # The YAML values of each type name in a config field's annotation.
@@ -128,34 +142,49 @@ def _fits(val, annotation: str) -> bool:
     )
 
 
-def _apply_section(obj, data, section: str):
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"config section {section} must be a mapping")
-    annotations = {f.name: f.type for f in fields(obj)}
-    for key, val in data.items():
+def _section(cls, name: str, values, overrides: dict):
+    """Section ``name``, of class ``cls``, from its mapping in the file (None
+    for none) with the overrides of its keys set over it."""
+    if values is None:
+        values = {}
+    if not isinstance(values, dict):
+        raise ConfigurationError(f"config section {name} must be a mapping")
+    annotations = {f.name: f.type for f in fields(cls)}
+    values = {**values, **{k: v for k, v in overrides.items() if k in annotations}}
+    for key, val in values.items():
         if key not in annotations:
-            raise ConfigurationError(f"unknown config key {section}.{key}")
+            raise ConfigurationError(f"unknown config key {name}.{key}")
         if not _fits(val, annotations[key]):
             raise ConfigurationError(
-                f"config key {section}.{key} must be {annotations[key]}, got {val!r}"
+                f"config key {name}.{key} must be {annotations[key]}, got {val!r}"
             )
-        setattr(obj, key, val)
+    return cls(**values)
 
 
-def config_from_dict(data: dict) -> RunConfig:
-    cfg = RunConfig()
-    for section in ("grid", "kernel", "integration", "paths"):
-        if section in data and data[section] is not None:
-            _apply_section(getattr(cfg, section), data[section], section)
-    if "threads" in data:
-        cfg.threads = check_threads(data["threads"])
-    unknown = set(data) - {"grid", "kernel", "integration", "paths", "threads"}
+def config_from_dict(data: dict, **overrides) -> RunConfig:
+    """The config of a mapping of sections, as a config file holds it, with
+    each of ``overrides`` that is not None set over its key: ``threads``, or
+    the section key of that field name (``voxel_size`` sets
+    ``grid.voxel_size``). An unknown key, a value of the wrong type or one
+    that a section's constructor rejects raises ConfigurationError."""
+    top = {f.name: f for f in fields(RunConfig)}
+    unknown = set(data) - set(top)
     if unknown:
         raise ConfigurationError(f"unknown config sections: {sorted(unknown)}")
-    return cfg
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    merged = {**data, **overrides}
+    args = {}
+    for name, f in top.items():
+        if f.default_factory is not MISSING:
+            args[name] = _section(f.default_factory, name, data.get(name), overrides)
+        elif name in merged:
+            args[name] = merged[name]
+    return RunConfig(**args)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, **overrides) -> RunConfig:
+    """The config in the YAML file at ``path``, with ``overrides`` set over
+    it as ``config_from_dict`` sets them."""
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
@@ -165,7 +194,7 @@ def load_config(path) -> RunConfig:
         raise ConfigurationError(f"{path}: config is not valid YAML: {e}") from None
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: config root must be a mapping")
-    return config_from_dict(data)
+    return config_from_dict(data, **overrides)
 
 
 def save_config(cfg: RunConfig, path) -> None:

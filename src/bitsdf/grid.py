@@ -97,7 +97,7 @@ def check_geometry(voxel_size, **points) -> None:
                 f"grid {name} must be three finite coordinates, got {point}")
 
 
-def _check_grid(dims, voxel_size, origin, memory_cap, h_max, t_occ) -> tuple:
+def check_grid(dims, voxel_size, origin, memory_cap, h_max, t_occ) -> tuple:
     """``dims`` as a tuple of ints, once the grid they describe passes
     new_grid's checks."""
     dims = tuple(int(d) for d in dims)
@@ -130,7 +130,7 @@ def new_grid(
     1 <= t_occ <= h_max <= 255, and ResourceError when the voxel
     payload would exceed ``memory_cap``.
     """
-    dims = _check_grid(dims, voxel_size, origin, memory_cap, h_max, t_occ)
+    dims = check_grid(dims, voxel_size, origin, memory_cap, h_max, t_occ)
     return VoxelGrid(
         dims=dims,
         voxel_size=float(voxel_size),
@@ -226,7 +226,7 @@ def from_records(
     Each slab's fields are copied straight into the grid's arrays, so
     decoding allocates the grid and nothing the size of it."""
     try:
-        dims = _check_grid(dims, voxel_size, origin, DEFAULT_MEMORY_CAP, h_max, t_occ)
+        dims = check_grid(dims, voxel_size, origin, DEFAULT_MEMORY_CAP, h_max, t_occ)
     except ConfigurationError as e:
         raise CorruptionError(f"bad grid header: {e}") from None
     if isinstance(records, np.ndarray):

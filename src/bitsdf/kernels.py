@@ -111,22 +111,6 @@ def _shadow_table(dirs, shadow_radius, model, cone_half_angle_deg, half_extent,
     return ball, table
 
 
-def build_shadow_mask(
-    direction,
-    shadow_radius: float,
-    model: str = HEMISPHERE,
-    cone_half_angle_deg: float = DEFAULT_CONE_HALF_ANGLE_DEG,
-    half_extent: int = DEFAULT_KERNEL_SIZE // 2,
-) -> np.ndarray:
-    """Offsets (n, 3) behind a return along ``direction``, in lexicographic
-    cube order (see ``_shadow_table`` for the rule)."""
-    ball, table = _shadow_table(
-        np.reshape(direction, (1, 3)), shadow_radius, model,
-        cone_half_angle_deg, half_extent, *_offset_cube(half_extent),
-    )
-    return ball[table[0]]
-
-
 def _check_counts(size, b_az, b_el):
     if size % 2 == 0 or size < 1 or b_az < 1 or b_el < 1:
         raise ConfigurationError("kernel size must be odd and positive and bin "

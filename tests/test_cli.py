@@ -17,7 +17,16 @@ from bitsdf import cli as cli_module
 from bitsdf import io as bio
 from bitsdf.cli import cli, fuse, main, run_fuse
 from bitsdf.config import KernelConfig, load_config
+from bitsdf.errors import (
+    BitsdfError,
+    ConfigurationError,
+    CorruptionError,
+    EvaluationError,
+    FormatError,
+    ResourceError,
+)
 from bitsdf.grid import new_grid
+from bitsdf.oracle import OracleGuardError
 
 from _synthetic import room_scan
 
@@ -202,6 +211,24 @@ class TestFuse:
                             "sweep_z.pcd, skipped"]
         assert snaps[0] == snaps[1]
 
+    def test_unstamped_file_among_stamped_is_skipped(self, dataset, tmp_path):
+        # One file without a stamp in its name does not switch the stamped
+        # scans to pairing by rank: it is skipped unread, with a warning.
+        root, cfg_path = dataset
+        scans = tmp_path / "scans"
+        scans.mkdir()
+        for path in sorted((root / "scans").iterdir())[:2]:
+            (scans / path.name).write_bytes(path.read_bytes())
+        (scans / "notes.txt").write_text("Two sweeps of the room, walking east.\n")
+        result = CliRunner().invoke(
+            cli, ["fuse", "--config", str(cfg_path), "--scans", str(scans),
+                  "--output-dir", str(tmp_path / "out"), "--json"]
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["frames"] == 2
+        assert result.stderr.count("warning:") == 1
+        assert "notes.txt" in result.stderr
+
     def test_no_fused_frame_keeps_thresholds(self, dataset, tmp_path):
         # scan_5.000000 is 4.1 s from the last pose, so no frame is fused
         root, cfg_path = dataset
@@ -245,6 +272,53 @@ class TestFuse:
                        "--trajectory", tmp_path / "absent.txt")
         assert res.returncode == 3
         assert "absent.txt" in res.stderr
+
+    def test_missing_trajectory_makes_no_output_dir(self, dataset, tmp_path):
+        _, cfg_path = dataset
+        res = run_main("fuse", "--config", cfg_path,
+                       "--trajectory", tmp_path / "absent.txt",
+                       "--output-dir", tmp_path / "out")
+        assert res.returncode == 3, res.stderr
+        assert not (tmp_path / "out").exists()
+
+    # Each bad setting, in the file or as an option, stops the run before it
+    # reads the trajectory, allocates the grid or makes the output directory.
+    @pytest.mark.parametrize("config, args", [
+        ({"integration": {"compensation": "bogus"}}, []),
+        ({"integration": {"downsample": 0}}, []),
+        ({"kernel": {"shadow_model": "bogus"}}, []),
+        ({"kernel": {"size": 4}}, []),
+        ({"kernel": {"cone_half_angle_deg": 200}}, []),
+        ({"grid": {"voxel_size": 0}}, []),
+        ({"integration": {"t_occ": 0}}, []),
+        ({}, ["--downsample", "0"]),
+        ({}, ["--voxel-size", "0"]),
+    ], ids=["compensation", "downsample", "shadow-model", "kernel-size",
+            "cone-angle", "voxel-size", "thresholds", "downsample-option",
+            "voxel-size-option"])
+    def test_bad_setting_fails_before_any_work(self, dataset, tmp_path, monkeypatch,
+                                               capsys, config, args):
+        out = tmp_path / "out"
+        path = config_into(dataset, out)
+        cfg = yaml.safe_load(path.read_text())
+        for section, keys in config.items():
+            cfg.setdefault(section, {}).update(keys)
+        path.write_text(yaml.safe_dump(cfg))
+        calls = []
+
+        def recording(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for module, name in ((cli_module, "new_grid"), (bio, "read_trajectory")):
+            monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+        code, err = fail_in_process(monkeypatch, capsys,
+                                    "fuse", "--config", path, *args)
+        assert code == 2, err
+        assert calls == []
+        assert not out.exists()
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -604,3 +678,10 @@ class TestThreads:
             _, _, snap = run_fuse(cfg, echo=lambda *_: None)
             blobs.append(snap.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def test_each_error_class_declares_its_exit_code():
+    codes = {BitsdfError: 1, ConfigurationError: 2, FormatError: 3,
+             CorruptionError: 4, EvaluationError: 5, ResourceError: 6,
+             OracleGuardError: 1}
+    assert {cls: cls.exit_code for cls in codes} == codes

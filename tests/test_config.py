@@ -62,6 +62,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="threads"):
             load_config(p)
 
+    @pytest.mark.parametrize("key, value", [("compensation", "bogus"),
+                                            ("downsample", 0)])
+    def test_bad_integration_value(self, tmp_path, key, value):
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump({"integration": {key: value}}))
+        with pytest.raises(ConfigurationError, match=key):
+            load_config(p)
+
     def test_threads(self):
         assert config_from_dict({"threads": 3}).threads == 3
 

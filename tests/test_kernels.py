@@ -6,11 +6,13 @@ import pytest
 from bitsdf import oracle
 from bitsdf.errors import ConfigurationError
 from bitsdf.kernels import (
+    DEFAULT_CONE_HALF_ANGLE_DEG,
+    _offset_cube,
+    _shadow_table,
     bin_directions,
     bin_index,
     bin_index_array,
     build_kernel_bank,
-    build_shadow_mask,
     default_shadow_radius,
 )
 
@@ -95,22 +97,49 @@ class TestDistanceMask:
             assert self.at(kernel, off) == base
 
 
+def shadow_row(direction, shadow_radius, model,
+                      cone_half_angle_deg=DEFAULT_CONE_HALF_ANGLE_DEG, half_extent=10):
+    """Offsets (n, 3) of the shadow behind a return along ``direction``, in
+    lexicographic cube order: one row of the table the bank is built from."""
+    ball, table = _shadow_table(
+        np.reshape(direction, (1, 3)), shadow_radius, model,
+        cone_half_angle_deg, half_extent, *_offset_cube(half_extent))
+    return ball[table[0]]
+
+
+def longhand_shadow(direction, shadow_radius, model, cone_half_angle_deg,
+                    half_extent):
+    """The shadow behind ``direction`` by the rule as the brute-force oracle
+    states it, offset by offset in lexicographic cube order: |o| <= r_s and
+    o . d >= 0 for the hemisphere, |o| <= r_s and o . d >= |o| cos(theta)
+    for the cone, and the center always."""
+    r = range(-half_extent, half_extent + 1)
+    offs = np.array([(x, y, z) for x in r for y in r for z in r], dtype=np.int64)
+    norms = np.linalg.norm(offs.astype(np.float64), axis=1)
+    dot = offs @ np.asarray(direction, dtype=np.float64)
+    if model == "hemisphere":
+        member = dot >= 0.0
+    else:
+        member = dot >= norms * math.cos(math.radians(cone_half_angle_deg))
+    return offs[(norms <= shadow_radius) & member | (norms == 0.0)]
+
+
 class TestShadowMask:
     def test_hemisphere_radius_one(self):
-        offs = build_shadow_mask((1, 0, 0), 1, "hemisphere")
+        offs = shadow_row((1, 0, 0), 1, "hemisphere")
         got = {tuple(o) for o in offs}
         assert got == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
                        (0, 0, -1)}
 
     def test_radius_zero_keeps_center(self):
         for model in ("hemisphere", "cone"):
-            offs = build_shadow_mask((0, 0, 1), 0, model)
+            offs = shadow_row((0, 0, 1), 0, model)
             assert [tuple(o) for o in offs] == [(0, 0, 0)]
 
     def test_cone_subset_of_hemisphere(self):
         d = (1, 0, 0)
-        hemi = {tuple(o) for o in build_shadow_mask(d, 2, "hemisphere")}
-        cone = {tuple(o) for o in build_shadow_mask(d, 2, "cone", 45.0)}
+        hemi = {tuple(o) for o in shadow_row(d, 2, "hemisphere")}
+        cone = {tuple(o) for o in shadow_row(d, 2, "cone", 45.0)}
         assert cone <= hemi
         assert (0, 0, 0) in cone
 
@@ -118,13 +147,13 @@ class TestShadowMask:
         # hemisphere for -d is the origin-reflection of the one for d
         d = np.array([0.3, -0.5, 0.81])
         d /= np.linalg.norm(d)
-        fwd = {tuple(o) for o in build_shadow_mask(d, 3, "hemisphere")}
-        bwd = {tuple(o) for o in build_shadow_mask(-d, 3, "hemisphere")}
+        fwd = {tuple(o) for o in shadow_row(d, 3, "hemisphere")}
+        bwd = {tuple(o) for o in shadow_row(-d, 3, "hemisphere")}
         assert bwd == {tuple(-np.asarray(o)) for o in fwd}
 
     def test_radius_exceeds_kernel(self):
         with pytest.raises(ConfigurationError):
-            build_shadow_mask((1, 0, 0), 11, "hemisphere")
+            shadow_row((1, 0, 0), 11, "hemisphere")
 
 
 class TestKernelBank:
@@ -186,7 +215,8 @@ class TestKernelBank:
                                  shadow_model=model)
         assert bank.shadow.shape == (7 * 13, bank.shadow_ball.shape[0])
         for b, d in enumerate(bin_directions(7, 13)):
-            expected = build_shadow_mask(d, radius, model, half_extent=4)
+            expected = longhand_shadow(d, radius, model, DEFAULT_CONE_HALF_ANGLE_DEG,
+                                       half_extent=4)
             assert np.array_equal(bank.shadow_ball[bank.shadow[b]], expected)
 
 

@@ -1,9 +1,11 @@
-"""Every function, class and method in src/bitsdf is used by the program.
+"""Every function, class, method and module-level constant in src/bitsdf
+is used by the program.
 
 A definition counts as used when some code in src/bitsdf outside the
-definition itself names it, as a plain name or as an attribute. Dunder
-methods, the public API in ``bitsdf.__all__``, the click commands and
-``main`` are used from outside; the names below are kept on purpose.
+definition itself names it, as a plain name or as an attribute; a constant,
+when some code there reads it. Dunder methods and names, the public API in
+``bitsdf.__all__``, the click commands and ``main`` are used from outside;
+the names below are kept on purpose.
 """
 
 import ast
@@ -18,8 +20,6 @@ KEPT = {
                        "integrator tests are stated on it",
     "write_pcd": "writes the PCD files that read_scan reads, for test data",
     "bin_index": "the scalar reference that bin_index_array is tested against",
-    "build_shadow_mask": "one bin's shadow, the reference for the bank's "
-                         "shadow table rows",
 }
 # The brute-force oracle is called only by tests, by design.
 KEPT_MODULES = {"oracle"}
@@ -34,8 +34,16 @@ def _is_command(node) -> bool:
     return False
 
 
+def _trees():
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
+def _is_dunder(name) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_definition_is_used():
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     # Where each name is referenced: the ids of the Name/Attribute nodes.
     uses = {}
     for tree in trees.values():
@@ -53,10 +61,35 @@ def test_every_definition_is_used():
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
-            if (name.startswith("__") and name.endswith("__")) or name in exempt \
-                    or _is_command(node):
+            if _is_dunder(name) or name in exempt or _is_command(node):
                 continue
             inside = {id(n) for n in ast.walk(node)}
             if not uses.get(name, set()) - inside:
                 unused.append(f"{module}.{name} (line {node.lineno})")
     assert not unused, "defined but never used in src/bitsdf: " + ", ".join(unused)
+
+
+def test_every_constant_is_read():
+    trees = _trees()
+    reads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name) and not _is_dunder(name.id)
+                            and name.id not in reads):
+                        unread.append(f"{module}.{name.id} (line {node.lineno})")
+    assert not unread, "constants never read in src/bitsdf: " + ", ".join(unread)
