@@ -10,7 +10,8 @@ import functools
 import json
 import statistics
 import sys
-from dataclasses import astuple, fields, replace
+from collections import namedtuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import click
@@ -20,12 +21,21 @@ from . import io as bio
 from .config import RunConfig, load_config, save_config
 from .errors import BitsdfError, ConfigurationError
 from .grid import SIGN_OCCUPIED, memory_bytes, new_grid, observed_array
-from .integrator import FrameStats, ScanFrame, fusion_path, integrate_frame
-from .kernels import build_kernel_bank
+from .integrator import (
+    COMPENSATION_MODES,
+    FrameStats,
+    ScanFrame,
+    fusion_path,
+    integrate_frame,
+)
+from .kernels import SHADOW_MODELS, build_kernel_bank
 from .mesher import extract_mesh, vertex_normals
 from .metrics import evaluate, sample_mesh
 
 SCAN_SUFFIXES = (".pcd", ".ply", ".xyz", ".txt")
+
+# One row of frame_stats.csv: the frame's index, then its FrameStats.
+FrameRow = namedtuple("FrameRow", ["frame", *(f.name for f in fields(FrameStats))])
 
 
 @click.group()
@@ -65,19 +75,27 @@ def _normalized_times(ts):
     return (ts - lo) / (hi - lo)
 
 
-def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
-    """Fuse all scans; returns (grid, stats rows, snapshot path). Every
-    setting is checked before any input is read or the grid allocated, and
-    ``output_dir`` is made only to write the outputs. Warnings about
-    skipped scans go to ``echo``, by default standard error."""
+def _check_run(cfg: RunConfig):
+    """The grid's (dims, origin) and the kernel bank of a fuse run of
+    ``cfg``; ConfigurationError for a setting that the run cannot use."""
     if cfg.paths.trajectory is None:
         raise ConfigurationError("paths.trajectory is not set")
     dims, origin = cfg.resolve_grid()
-    kc, ic = cfg.kernel, cfg.integration
+    kc = cfg.kernel
     bank = build_kernel_bank(
         size=kc.size, b_az=kc.azimuth_bins, b_el=kc.elevation_bins,
         shadow_radius=cfg.resolved_shadow_radius(), shadow_model=kc.shadow_model,
         cone_half_angle_deg=kc.cone_half_angle_deg)
+    return dims, origin, bank
+
+
+def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
+    """Fuse all scans; returns (grid, FrameRow per fused scan, snapshot
+    path). Every setting is checked before any input is read or the grid
+    allocated, and ``output_dir`` is made only to write the outputs.
+    Warnings about skipped scans go to ``echo``, by default standard error."""
+    dims, origin, bank = _check_run(cfg)
+    ic = cfg.integration
     traj = bio.read_trajectory(cfg.paths.trajectory)
     scans = (_list_scans(Path(cfg.paths.scans), traj.times, echo)
              if cfg.paths.scans else [])
@@ -106,15 +124,14 @@ def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
                          prev_pose=pose if prev_pose is None else prev_pose)
         prev_pose = pose
         stats = integrate_frame(grid, bank, scan, ic, threads=cfg.threads)
-        rows.append((frame_idx, *astuple(stats)))
+        rows.append(FrameRow(frame_idx, *astuple(stats)))
 
     out_dir = Path(cfg.paths.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     snapshot = out_dir / "map.dbtsdf"
     bio.save_grid(grid, snapshot)
     with open(out_dir / "frame_stats.csv", "w") as f:
-        header = ["frame", *(field.name for field in fields(FrameStats))]
-        for row in [header, *rows]:
+        for row in [FrameRow._fields, *rows]:
             f.write(",".join(f"{v:.3f}" if isinstance(v, float) else str(v)
                              for v in row) + "\n")
     save_config(cfg, out_dir / "config.resolved.yaml")
@@ -128,9 +145,9 @@ def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
 @click.option("--downsample", type=int, default=None)
 @click.option("--t-occ", type=int, default=None)
 @click.option("--h-max", type=int, default=None)
-@click.option("--compensation", type=click.Choice(["none", "yaw", "se3"]), default=None)
+@click.option("--compensation", type=click.Choice(COMPENSATION_MODES), default=None)
 @click.option("--shadow-radius", type=float, default=None)
-@click.option("--shadow-model", type=click.Choice(["hemisphere", "cone"]), default=None)
+@click.option("--shadow-model", type=click.Choice(SHADOW_MODELS), default=None)
 @click.option("--scans", type=click.Path(), default=None)
 @click.option("--trajectory", type=click.Path(), default=None)
 @click.option("--output-dir", type=click.Path(), default=None)
@@ -140,10 +157,10 @@ def fuse(config_path, as_json, **overrides):
     grid, rows, snapshot = run_fuse(load_config(config_path, **overrides))
     summary = {
         "frames": len(rows),
-        "points": int(sum(r[1] for r in rows)),
-        "discarded": int(sum(r[2] for r in rows)),
+        "points": int(sum(r.points_in for r in rows)),
+        "discarded": int(sum(r.points_discarded for r in rows)),
         "mean_frame_ms": (
-            float(statistics.fmean(r[4] for r in rows)) if rows else 0.0
+            float(statistics.fmean(r.elapsed_ms for r in rows)) if rows else 0.0
         ),
         "snapshot": str(snapshot),
         "memory_bytes": memory_bytes(grid),
@@ -214,8 +231,7 @@ def eval_cmd(pred, gt, threshold, samples, seed, out, as_json):
 @cli.command()
 @click.argument("snapshot", type=click.Path())
 @click.option("-o", "--out", required=True, type=click.Path())
-@click.option("--include", type=click.Choice(["observed", "occupied_only"]),
-              default="observed")
+@click.option("--include", type=click.Choice(bio.CSV_SELECTIONS), default="observed")
 @click.option("--json", "as_json", is_flag=True)
 def export(snapshot, out, include, as_json):
     """Export selected voxels of a snapshot as CSV."""
@@ -243,22 +259,23 @@ def bench(config_path, voxel_sizes, repeats, out, as_json):
         raise ConfigurationError(f"bad --voxel-sizes {voxel_sizes!r}") from None
     if not sizes:
         raise ConfigurationError("no voxel sizes given")
+    if repeats < 1:
+        raise ConfigurationError(f"--repeats must be at least 1, got {repeats}")
     if repeats < 2:
         click.echo("warning: fewer than 2 repeats, std is unreliable", err=True)
-    base = load_config(config_path)
+    out_dir = Path(load_config(config_path).paths.output_dir)
+    cfgs = [load_config(config_path, voxel_size=size,
+                        output_dir=str(out_dir / f"vs_{size}")) for size in sizes]
+    for cfg in cfgs:
+        _check_run(cfg)
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
     results = []
-    for size in sizes:
-        cfg = replace(
-            base, grid=replace(base.grid, voxel_size=size),
-            paths=replace(base.paths,
-                          output_dir=str(Path(base.paths.output_dir) / f"vs_{size}")),
-        )
+    for size, cfg in zip(sizes, cfgs):
         frames = []
-        for _ in range(max(repeats, 1)):
+        for _ in range(repeats):
             grid, rows, _snap = run_fuse(cfg, echo=lambda *_: None)
-            frames.extend(r[4:7] for r in rows)  # elapsed, prepare, pass ms
+            frames.extend((r.elapsed_ms, r.prepare_ms, r.pass_ms) for r in rows)
             mem = memory_bytes(grid)
         elapsed, prepare, pass_ms = np.array(frames).reshape(-1, 3).T
         results.append(

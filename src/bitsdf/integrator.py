@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.transform import Rotation, Slerp
@@ -63,7 +63,9 @@ class ScanFrame:
     """One LiDAR sweep: points in the sensor frame plus the end-of-sweep pose
     (4x4, map frame). ``prev_pose`` is the pose at the start of the sweep and
     is only needed for motion compensation. ``timestamps`` are normalized to
-    [0, 1] over the sweep; when absent they default to point order."""
+    [0, 1] over the sweep; when absent, deskew spreads times evenly over
+    the points kept after downsampling, in point order. Checked when made:
+    fusion reads the scan unchecked."""
 
     points: np.ndarray
     pose: np.ndarray
@@ -100,7 +102,7 @@ class IntegrationParams:
             raise ConfigurationError("downsample factor must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameStats:
     """Counts for one fused scan. ``points_discarded`` counts the returns
     dropped by the sensor-distance and bounds checks (not those dropped by
@@ -110,8 +112,9 @@ class FrameStats:
     voxels whose distance mask changed in the frame; a voxel that several
     returns lower counts once. ``elapsed_ms`` is the whole frame's time;
     ``prepare_ms`` that of the vectorized prepare (bounds, sort, bins), and
-    ``pass_ms`` that of the stamp: the call of the compiled pass, with its
-    workers, or the numpy code where it cannot be built."""
+    ``pass_ms`` that of the stamp: the plane cuts and the call of the
+    compiled pass, with its workers, or the numpy code where it cannot be
+    built."""
 
     points_in: int = 0
     points_discarded: int = 0
@@ -123,26 +126,21 @@ class FrameStats:
     discarded_bounds: int = 0
 
 
-def _scan_times(scan: ScanFrame) -> np.ndarray:
-    if scan.timestamps is not None:
-        return scan.timestamps
-    n = scan.points.shape[0]
-    return np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(n)
-
-
-def motion_compensate(scan: ScanFrame, mode: str) -> ScanFrame:
-    """Deskew: move each point to where it would have been observed from the
-    end-of-sweep sensor frame, interpolating prev_pose -> pose at the point's
-    normalized timestamp. mode "none" is the identity."""
+def motion_compensate(points, times, prev_pose, pose, mode: str) -> np.ndarray:
+    """Deskew: move each point (n, 3) to where it would have been observed
+    from the end-of-sweep sensor frame, interpolating prev_pose -> pose at
+    the point's normalized time; with ``times`` None, the times are spread
+    evenly over the points in their order. mode "none" is the identity."""
     if mode not in COMPENSATION_MODES:
         raise ConfigurationError(f"unknown compensation mode {mode!r}")
-    if mode == "none" or scan.points.shape[0] == 0:
-        return scan
-    if scan.prev_pose is None:
+    if mode == "none" or len(points) == 0:
+        return points
+    if prev_pose is None:
         raise ConfigurationError("motion compensation requires prev_pose")
 
-    ts = np.clip(_scan_times(scan), 0.0, 1.0)
-    T0, T1 = scan.prev_pose, scan.pose
+    ts = np.clip(np.linspace(0.0, 1.0, len(points)) if times is None else times,
+                 0.0, 1.0)
+    T0, T1 = prev_pose, pose
     trans = (1.0 - ts)[:, None] * T0[:3, 3] + ts[:, None] * T1[:3, 3]
     if mode == "se3":
         rots = Slerp(
@@ -158,13 +156,9 @@ def motion_compensate(scan: ScanFrame, mode: str) -> ScanFrame:
         rots = Rotation.from_euler("z", (y0 + ts * dy)[:, None]) * tilt
 
     mats = rots.as_matrix()  # (n, 3, 3)
-    p_map = np.einsum("nij,nj->ni", mats, scan.points) + trans
+    p_map = np.einsum("nij,nj->ni", mats, points) + trans
     # Express in the end-of-sweep sensor frame.
-    p_end = (p_map - T1[:3, 3]) @ T1[:3, :3]
-    return ScanFrame(
-        points=p_end, pose=scan.pose, timestamps=scan.timestamps,
-        prev_pose=scan.prev_pose,
-    )
+    return (p_map - T1[:3, 3]) @ T1[:3, :3]
 
 
 def fusion_path() -> str:
@@ -220,44 +214,41 @@ def _prepare(grid, bank, pts_map, sensor, first_return_per_voxel):
     return near, len(ok) - near - len(keep), cflat, bank.flat_bin(b_a, b_e)
 
 
-def _fuse(grid, bank, pts_map, sensor, params, stats, threads=1) -> int:
-    """Fuse map-frame returns seen from ``sensor``, setting ``stats``'
-    discard counts, voxels_written, prepare_ms and pass_ms. Returns the
-    number of returns not discarded."""
+def _fuse(grid, bank, pts_map, sensor, params, threads=1) -> FrameStats:
+    """Fuse map-frame returns seen from ``sensor``; returns the frame's
+    counts, prepare_ms and pass_ms (elapsed_ms is left 0)."""
     t0 = time.perf_counter()
     near, outside, cflat, bins = _prepare(grid, bank, pts_map, sensor,
                                           params.first_return_per_voxel)
     t1 = time.perf_counter()
-    stats.prepare_ms = (t1 - t0) * 1e3
-    stats.discarded_near, stats.discarded_bounds = near, outside
-    stats.points_discarded = near + outside
-    n_ok = len(pts_map) - near - outside
-    if n_ok == 0:
-        return 0
-    lib = _native.library()
-    if lib is None:
-        stats.voxels_written = _fuse_numpy(grid, bank, cflat, bins)
-        stats.pass_ms = (time.perf_counter() - t1) * 1e3
-    else:
-        nx, ny, nz = grid.dims
-        cuts = _plane_cuts(cflat // (nx * ny), nz, bank.size,
-                           min(threads, os.cpu_count() or 1, nz))
-        stats.voxels_written, stats.pass_ms = _fuse_compiled(
-            grid, bank, lib, cflat, bins, cuts)
-    return n_ok
+    written = 0
+    if len(cflat):
+        lib = _native.library()
+        if lib is None:
+            written = _fuse_numpy(grid, bank, cflat, bins)
+        else:
+            nx, ny, nz = grid.dims
+            cuts = _plane_cuts(cflat // (nx * ny), nz, bank.size,
+                               min(threads, os.cpu_count() or 1, nz))
+            written = _fuse_compiled(grid, bank, lib, cflat, bins, cuts)
+    t2 = time.perf_counter()
+    return FrameStats(
+        points_in=len(pts_map), points_discarded=near + outside,
+        voxels_written=written, prepare_ms=(t1 - t0) * 1e3,
+        pass_ms=(t2 - t1) * 1e3, discarded_near=near, discarded_bounds=outside)
 
 
-def _fuse_compiled(grid, bank, lib, cflat, bins, cuts) -> tuple[int, float]:
+def _fuse_compiled(grid, bank, lib, cflat, bins, cuts) -> int:
     """Run ``lib``'s frame entry over the sorted returns on the bands of z
     planes between ``cuts`` (int64, as ``_plane_cuts`` gives); each band
     finds the returns whose blocks reach its planes. Returns the changed-voxel
-    count and the call's ms. The pass reads the x-fastest grid and kernel as
-    the C-ordered (nz, ny, nx) and (z, y, x) arrays they are, unchecked:
-    VoxelGrid and KernelBank check them when they are made."""
+    count. The pass reads the x-fastest grid and kernel as the C-ordered
+    (nz, ny, nx) and (z, y, x) arrays they are, unchecked: VoxelGrid and
+    KernelBank check them when they are made."""
     nx, ny, nz = grid.dims
     ball = bank.shadow_ball @ np.array([1, nx, nx * ny])
-    # Bare addresses, taken before the clock starts, of arrays that the
-    # arguments and locals here keep alive through the call.
+    # Bare addresses of arrays that the arguments and locals here keep alive
+    # through the call.
     frame = _native.Frame(
         mask=grid.mask.ctypes.data, hits=grid.hits.ctypes.data,
         sign=grid.sign.ctypes.data, nz=nz, ny=ny, nx=nx, cuts=cuts.ctypes.data,
@@ -266,12 +257,10 @@ def _fuse_compiled(grid, bank, lib, cflat, bins, cuts) -> tuple[int, float]:
         n=len(cflat), shadow=bank.shadow.ctypes.data, ball=ball.ctypes.data,
         m=len(ball), h_max=grid.h_max, t_occ=grid.t_occ,
         avx512=lib.path == "avx512")
-    t = time.perf_counter()
     written = lib.fuse(frame)
-    pass_ms = (time.perf_counter() - t) * 1e3
     if written < 0:
         raise MemoryError("cannot allocate a z plane's changed-voxel bitmap")
-    return written, pass_ms
+    return written
 
 
 def _plane_cuts(planes, nz, k, workers) -> np.ndarray:
@@ -335,8 +324,8 @@ def integrate_point(
     """Fuse one map-frame return; returns "applied" or "discarded"."""
     p_map = np.asarray(p_map, dtype=np.float64).reshape(1, 3)
     sensor_pos = np.asarray(sensor_pos, dtype=np.float64)
-    applied = _fuse(grid, bank, p_map, sensor_pos, params, FrameStats())
-    return "applied" if applied else "discarded"
+    stats = _fuse(grid, bank, p_map, sensor_pos, params)
+    return "discarded" if stats.points_discarded else "applied"
 
 
 def integrate_frame(
@@ -353,23 +342,13 @@ def integrate_frame(
     runs on one. The grid and the stats do not depend on ``threads``, which
     must be an integer of at least 1 (ConfigurationError otherwise)."""
     threads = check_threads(threads)
+    if len(scan.points) == 0:
+        return FrameStats()
     t0 = time.perf_counter()
-    stats = FrameStats()
-    pts = scan.points
-    if pts.shape[0] == 0:
-        return stats
-
-    if params.downsample > 1:
-        keep = slice(None, None, params.downsample)
-        scan = ScanFrame(
-            points=pts[keep], pose=scan.pose,
-            timestamps=None if scan.timestamps is None else scan.timestamps[keep],
-            prev_pose=scan.prev_pose,
-        )
-    scan = motion_compensate(scan, params.compensation)
-
-    pts_map = scan.points @ scan.pose[:3, :3].T + scan.pose[:3, 3]
-    stats.points_in = pts_map.shape[0]
-    _fuse(grid, bank, pts_map, scan.pose[:3, 3], params, stats, threads)
-    stats.elapsed_ms = (time.perf_counter() - t0) * 1e3
-    return stats
+    keep = slice(None, None, params.downsample)
+    times = None if scan.timestamps is None else scan.timestamps[keep]
+    pts = motion_compensate(scan.points[keep], times, scan.prev_pose, scan.pose,
+                            params.compensation)
+    pts_map = pts @ scan.pose[:3, :3].T + scan.pose[:3, 3]
+    stats = _fuse(grid, bank, pts_map, scan.pose[:3, 3], params, threads)
+    return replace(stats, elapsed_ms=(time.perf_counter() - t0) * 1e3)

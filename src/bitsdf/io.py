@@ -507,6 +507,7 @@ def load_grid(path) -> VoxelGrid:
 
 
 CSV_HEADER = "x,y,z,sdf,hits,sign"
+CSV_SELECTIONS = ("observed", "occupied_only")  # export_grid_csv's include
 
 
 def _csv_tails(pc, sign, hits, voxel_size: float) -> list:
@@ -518,8 +519,8 @@ def _csv_tails(pc, sign, hits, voxel_size: float) -> list:
 
 def export_grid_csv(grid: VoxelGrid, path, include: str = "observed") -> int:
     """Dump selected voxels as CSV rows (voxel centers in meters) in
-    np.nonzero order; returns the row count. include: "observed" or
-    "occupied_only".
+    np.nonzero order; returns the row count. include: one of
+    CSV_SELECTIONS.
 
     A row has few distinct fields: a center coordinate takes one value per
     index along its axis, and "sdf,hits,sign" depends only on (popcount,
@@ -529,7 +530,7 @@ def export_grid_csv(grid: VoxelGrid, path, include: str = "observed") -> int:
     np.nonzero order, and their fields are gathered from the grid. Rows are
     written _ROWS_PER_CHUNK at a time, so extra memory does not grow with
     the row count."""
-    if include not in ("observed", "occupied_only"):
+    if include not in CSV_SELECTIONS:
         raise FormatError(f"unknown CSV selection {include!r}")
     nx, ny, nz = grid.dims
     # Same float operations, in the same order, as origin + (i + 0.5) * size

@@ -26,6 +26,7 @@ DEFAULT_CONE_HALF_ANGLE_DEG = 30.0
 
 HEMISPHERE = "hemisphere"
 CONE = "cone"
+SHADOW_MODELS = (HEMISPHERE, CONE)
 
 TWO_PI = 2.0 * math.pi
 
@@ -82,31 +83,21 @@ def _offset_cube(half_extent: int):
     return offs, norms
 
 
-def _shadow_table(dirs, shadow_radius, model, cone_half_angle_deg, half_extent,
-                  offs, norms):
+def _shadow_table(dirs, shadow_radius, model, cone_half_angle_deg, offs, norms):
     """The offsets (m, 3) with |o| <= r_s, in lexicographic cube order, and a
     bool table (len(dirs), m) whose row i marks the shadow behind ``dirs[i]``;
-    ``offs, norms`` is ``_offset_cube(half_extent)``.
+    ``offs, norms`` is ``_offset_cube`` of a half-extent of at least r_s.
 
     Hemisphere: o . d >= 0. Cone: additionally within ``cone_half_angle_deg``
     of the axis, an angle in (0, 90]. The center offset is always included.
     """
-    if not 0 <= shadow_radius <= half_extent:
-        raise ConfigurationError(
-            f"shadow radius {shadow_radius} outside [0, {half_extent}]"
-        )
-    if not 0.0 < cone_half_angle_deg <= 90.0:
-        raise ConfigurationError(
-            f"cone half-angle {cone_half_angle_deg} degrees outside (0, 90]")
     inside = norms <= shadow_radius
     ball, norms = offs[inside], norms[inside]
     dot = np.asarray(dirs, dtype=np.float64) @ ball.T
     if model == HEMISPHERE:
         table = dot >= 0.0
-    elif model == CONE:
-        table = dot >= norms * math.cos(math.radians(cone_half_angle_deg))
     else:
-        raise ConfigurationError(f"unknown shadow model {model!r}")
+        table = dot >= norms * math.cos(math.radians(cone_half_angle_deg))
     table[:, norms == 0.0] = True
     return ball, table
 
@@ -176,15 +167,23 @@ def build_kernel_bank(
     shadow_model: str = HEMISPHERE,
     cone_half_angle_deg: float = DEFAULT_CONE_HALF_ANGLE_DEG,
 ) -> KernelBank:
-    """Build the full bank; deterministic for identical parameters."""
+    """Build the full bank; deterministic for identical parameters. Every
+    parameter is checked before any array is built."""
     _check_counts(size, b_az, b_el)
     half = size // 2
+    if not 0 <= shadow_radius <= half:
+        raise ConfigurationError(f"shadow radius {shadow_radius} outside [0, {half}]")
+    if not 0.0 < cone_half_angle_deg <= 90.0:
+        raise ConfigurationError(
+            f"cone half-angle {cone_half_angle_deg} degrees outside (0, 90]")
+    if shadow_model not in SHADOW_MODELS:
+        raise ConfigurationError(f"unknown shadow model {shadow_model!r}")
     offs, norms = _offset_cube(half)
     runs = np.minimum(np.ceil(norms).astype(np.int64), 32)
     lut = np.array([run_mask(int(k)) for k in range(33)], dtype=np.uint32)
     distance_kernel = np.asfortranarray(lut[runs].reshape(size, size, size))
     shadow_ball, shadow = _shadow_table(
         bin_directions(b_az, b_el), shadow_radius, shadow_model,
-        cone_half_angle_deg, half, offs, norms,
+        cone_half_angle_deg, offs, norms,
     )
     return KernelBank(size, b_az, b_el, distance_kernel, shadow_ball, shadow)

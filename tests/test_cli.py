@@ -666,6 +666,28 @@ class TestBench:
         for r in payload["results"]:
             assert 0 < r["prepare_ms"] + r["pass_ms"] <= r["mean_ms"]
 
+    @pytest.mark.parametrize("config, args, named", [
+        ({"kernel": {"size": 4}}, [], "kernel size"),
+        ({}, ["--voxel-sizes", "0.2,0"], "voxel_size"),
+        ({}, ["--repeats", "0"], "--repeats"),
+        ({}, ["--repeats", "-3"], "--repeats"),
+    ], ids=["kernel-size", "zero-voxel-size", "zero-repeats", "negative-repeats"])
+    def test_bad_setting_makes_no_output_dir(self, dataset, tmp_path, monkeypatch,
+                                             capsys, config, args, named):
+        # Every size's grid and kernel bank are checked before the sweep
+        # fuses anything or the -o directory is made.
+        path = config_into(dataset, tmp_path / "runs")
+        cfg = yaml.safe_load(path.read_text())
+        for section, keys in config.items():
+            cfg[section].update(keys)
+        path.write_text(yaml.safe_dump(cfg))
+        code, err = fail_in_process(monkeypatch, capsys, "bench", "--config", path,
+                                    *args, "-o", tmp_path / "newdir" / "b.csv")
+        assert code == 2, err
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "newdir").exists()
+        assert not (tmp_path / "runs").exists()
+
 
 class TestThreads:
     def test_snapshot_identical_across_thread_counts(self, dataset, tmp_path):

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.spatial.transform import Rotation
+from scipy.spatial.transform import Rotation, Slerp
 
 from bitsdf import _native, integrator
 from bitsdf.errors import ConfigurationError
@@ -43,6 +43,13 @@ def interpolate_pose_yaw(T0, T1, t):
     tilt = Rotation.from_euler("z", -y1) * Rotation.from_matrix(T1[:3, :3])
     rot = Rotation.from_euler("z", y0 + t * dy) * tilt
     return make_pose(rot, (1.0 - t) * T0[:3, 3] + t * T1[:3, 3])
+
+
+def interpolate_pose_se3(T0, T1, t):
+    """SE(3) pose interpolation, one pose at a time: translation lerp plus a
+    rotation slerp."""
+    rots = Rotation.from_matrix(np.stack([T0[:3, :3], T1[:3, :3]]))
+    return make_pose(Slerp([0.0, 1.0], rots)(t), (1.0 - t) * T0[:3, 3] + t * T1[:3, 3])
 
 
 def identity_pose():
@@ -84,27 +91,24 @@ class TestMotionCompensate:
     def test_none_is_identity(self):
         scan = ScanFrame(points=np.random.default_rng(0).normal(size=(10, 3)),
                          pose=identity_pose())
-        out = motion_compensate(scan, "none")
-        assert np.array_equal(out.points, scan.points)
+        out = motion_compensate(scan.points, None, None, scan.pose, "none")
+        assert np.array_equal(out, scan.points)
 
     def test_zero_motion_is_identity(self):
         pose = make_pose(Rotation.from_euler("z", 0.3), (1, 2, 3))
         pts = np.random.default_rng(1).normal(size=(20, 3))
-        scan = ScanFrame(points=pts, pose=pose, prev_pose=pose.copy())
         for mode in ("yaw", "se3"):
-            out = motion_compensate(scan, mode)
-            assert np.allclose(out.points, pts, atol=1e-12)
+            out = motion_compensate(pts, None, pose.copy(), pose, mode)
+            assert np.allclose(out, pts, atol=1e-12)
 
     def test_pure_translation_midpoint(self):
         # 1 m of +x motion over the sweep; the t=0.5 point shifts half of it
         prev = make_pose(Rotation.identity(), (0, 0, 0))
         cur = make_pose(Rotation.identity(), (1, 0, 0))
         pts = np.array([[2.0, 0.0, 0.0], [5.0, 1.0, -1.0]])
-        scan = ScanFrame(points=pts, pose=cur, prev_pose=prev,
-                         timestamps=[0.5, 0.5])
         for mode in ("yaw", "se3"):
-            out = motion_compensate(scan, mode)
-            assert np.allclose(out.points, pts - [0.5, 0.0, 0.0])
+            out = motion_compensate(pts, np.array([0.5, 0.5]), prev, cur, mode)
+            assert np.allclose(out, pts - [0.5, 0.0, 0.0])
 
     def test_heading_change_yaw_matches_se3(self):
         # Per-point headings must follow each point's own timestamp, also when
@@ -114,9 +118,8 @@ class TestMotionCompensate:
         for y0, y1 in ((0.2, 0.9), (np.pi - 0.1, -np.pi + 0.15)):
             prev = make_pose(Rotation.from_euler("z", y0), (0.5, -1.0, 0.2))
             cur = make_pose(Rotation.from_euler("z", y1), (1.5, 0.5, 0.3))
-            scan = ScanFrame(points=pts, pose=cur, prev_pose=prev, timestamps=ts)
-            yaw = motion_compensate(scan, "yaw").points
-            se3 = motion_compensate(scan, "se3").points
+            yaw = motion_compensate(pts, ts, prev, cur, "yaw")
+            se3 = motion_compensate(pts, ts, prev, cur, "se3")
             assert np.allclose(yaw, se3, atol=1e-12)
             per_point = np.array([
                 (np.linalg.inv(cur) @ interpolate_pose_yaw(prev, cur, t)
@@ -130,15 +133,13 @@ class TestMotionCompensate:
         prev = make_pose(Rotation.identity(), (0, 0, 0))
         cur = make_pose(Rotation.identity(), (1, 0, 0))
         pts = np.zeros((3, 3))
-        out = motion_compensate(ScanFrame(points=pts, pose=cur, prev_pose=prev),
-                                "se3")
+        out = motion_compensate(pts, None, prev, cur, "se3")
         # t = 0, 0.5, 1 -> shifts -1, -0.5, 0 along x
-        assert np.allclose(out.points[:, 0], [-1.0, -0.5, 0.0])
+        assert np.allclose(out[:, 0], [-1.0, -0.5, 0.0])
 
     def test_missing_prev_pose(self):
-        scan = ScanFrame(points=np.zeros((2, 3)), pose=identity_pose())
         with pytest.raises(ConfigurationError):
-            motion_compensate(scan, "se3")
+            motion_compensate(np.zeros((2, 3)), None, None, identity_pose(), "se3")
 
     def test_rotation_validated(self):
         bad = np.eye(4)
@@ -287,6 +288,43 @@ class TestIntegrateFrame:
         g = fresh_grid()
         stats = integrate_frame(g, bank, scan, IntegrationParams(downsample=4))
         assert stats.points_in == 25
+
+    @pytest.mark.parametrize("timed", [True, False], ids=["times", "no-times"])
+    @pytest.mark.parametrize("mode", ["yaw", "se3"])
+    def test_downsample_then_deskew(self, bank, mode, timed):
+        # Each kept return is deskewed at its own time or, in a scan without
+        # times, at times spread over the kept returns, not over the scan.
+        rng = np.random.default_rng(18)
+        prev = make_pose(Rotation.from_euler("z", 0.1), (1.8, 1.9, 2.0))
+        cur = make_pose(Rotation.from_euler("zyx", (0.6, 0.05, -0.04)),
+                        (2.2, 2.1, 2.05))
+        pts = rng.uniform(-0.8, 0.8, size=(120, 3))
+        ts = rng.uniform(0.0, 1.0, size=120) if timed else None
+        g = fresh_grid()
+        stats = integrate_frame(
+            g, bank, ScanFrame(points=pts, pose=cur, timestamps=ts, prev_pose=prev),
+            IntegrationParams(compensation=mode, downsample=3))
+        kept = pts[::3]
+        interpolate = interpolate_pose_yaw if mode == "yaw" else interpolate_pose_se3
+
+        def by_hand(times):
+            deskewed = np.array([
+                (np.linalg.inv(cur) @ interpolate(prev, cur, t) @ np.append(p, 1.0))[:3]
+                for p, t in zip(kept, times)])
+            ref = fresh_grid()
+            st = integrate_frame(ref, bank, ScanFrame(points=deskewed, pose=cur),
+                                 IntegrationParams())
+            return (to_records(ref).tobytes(),
+                    (st.points_in, st.points_discarded, st.voxels_written))
+
+        got = (to_records(g).tobytes(),
+               (stats.points_in, stats.points_discarded, stats.voxels_written))
+        assert got == by_hand(ts[::3] if timed else np.linspace(0.0, 1.0, len(kept)))
+        assert stats.points_in == 40 and stats.voxels_written > 0
+        # The times matter: no deskew, or times spread over the whole scan,
+        # give another grid.
+        other = np.ones(len(kept)) if timed else np.linspace(0.0, 1.0, len(pts))[::3]
+        assert by_hand(other)[0] != got[0]
 
     def test_downsample_reduces_latency(self, bank):
         scan = random_frame(np.random.default_rng(16), n=20_000)
@@ -455,7 +493,7 @@ def band_pass(grid, bank, centers, bins, p0, p1):
     cflat = centers @ np.array([1, grid.dims[0], grid.dims[0] * grid.dims[1]])
     order = np.argsort(cflat)
     return integrator._fuse_compiled(grid, bank, _native.library(), cflat[order],
-                                     bins[order], np.array([p0, p1]))[0]
+                                     bins[order], np.array([p0, p1]))
 
 
 class TestPlaneSplit:
@@ -679,11 +717,10 @@ class TestPrepare:
                       [nx + 4, 5, 5]])
         kept = at([[15 + i, 20, 12] for i in range(11)])
         pts = np.concatenate([near, outside, kept])
-        stats = FrameStats()
-        applied = integrator._fuse(grid, bank, pts, sensor, IntegrationParams(), stats)
+        stats = integrator._fuse(grid, bank, pts, sensor, IntegrationParams())
         assert (stats.discarded_near, stats.discarded_bounds) == (5, 11)
         assert stats.points_discarded == 16
-        assert applied == 11
+        assert stats.points_in - stats.points_discarded == 11
 
 
 class TestNativeBuild:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bitsdf import oracle
+from bitsdf import kernels, oracle
 from bitsdf.errors import ConfigurationError
 from bitsdf.kernels import (
     DEFAULT_CONE_HALF_ANGLE_DEG,
@@ -103,7 +103,7 @@ def shadow_row(direction, shadow_radius, model,
     lexicographic cube order: one row of the table the bank is built from."""
     ball, table = _shadow_table(
         np.reshape(direction, (1, 3)), shadow_radius, model,
-        cone_half_angle_deg, half_extent, *_offset_cube(half_extent))
+        cone_half_angle_deg, *_offset_cube(half_extent))
     return ball[table[0]]
 
 
@@ -152,8 +152,10 @@ class TestShadowMask:
         assert bwd == {tuple(-np.asarray(o)) for o in fwd}
 
     def test_radius_exceeds_kernel(self):
+        # The radius is bounded by the half-extent of the bank's own kernel.
+        assert build_kernel_bank(size=7, shadow_radius=3).shadow_ball.max() == 3
         with pytest.raises(ConfigurationError):
-            shadow_row((1, 0, 0), 11, "hemisphere")
+            build_kernel_bank(size=7, shadow_radius=3.5)
 
 
 class TestKernelBank:
@@ -204,9 +206,15 @@ class TestKernelBank:
          *({"shadow_radius": 2, "shadow_model": "cone", "cone_half_angle_deg": a}
            for a in (math.nan, 0, 91, math.inf))],
     )
-    def test_bad_shadow_parameters_rejected(self, kwargs):
+    def test_bad_shadow_parameters_rejected(self, kwargs, monkeypatch):
+        calls = []
+        cube = kernels._offset_cube
+        monkeypatch.setattr(kernels, "_offset_cube",
+                            lambda *args: calls.append(args) or cube(*args))
         with pytest.raises(ConfigurationError):
             build_kernel_bank(**kwargs)
+        # Rejected before any array is built.
+        assert calls == []
 
     @pytest.mark.parametrize("model", ["hemisphere", "cone"])
     @pytest.mark.parametrize("radius", [0, 1, 2.5, 4])
