@@ -1,11 +1,15 @@
-/* One frame of bitmask fusion, split into bands of z planes.
+/* One frame of bitmask fusion, split into bands of z planes, and the two
+ * grid- and key-sized steps of marching cubes.
  *
  * Built and loaded by bitsdf/_native.py; integrator._fuse_compiled fills the
  * one struct frame by field name through its ctypes mirror, _native.Frame,
- * and calls the one frame entry with it. The integrator's numpy code does
- * the same work where this cannot be built. The grid stores voxel (x, y, z)
- * of dims (nx, ny, nz) at word x + nx * (y + ny * z), x fastest, and the
- * pass gets that memory as the C-ordered (nz, ny, nx) arrays it is, and the
+ * and calls the one frame entry with it. mesher.extract_mesh calls
+ * bitsdf_classify_cells once per slab of z planes and bitsdf_rank_keys once
+ * per mesh, with scratch arrays it allocates (see each entry). The
+ * integrator's and the mesher's numpy code do the same work where this
+ * cannot be built. The grid stores voxel (x, y, z) of dims (nx, ny, nz) at
+ * word x + nx * (y + ny * z), x fastest, and the entries get that memory as
+ * the C-ordered (nz, ny, nx) arrays it is, and the fusion pass the
  * K^3 kernel, also stored x fastest, as (z, y, x). So a z plane of the grid
  * is nx * ny contiguous words, a row runs along x, and a band of z planes is
  * one contiguous range of words. The caller guarantees that every return's
@@ -23,6 +27,14 @@
  * loop the compiler vectorizes: the one frame entry takes the caller's
  * choice, made once per process, and both give the same words and changed
  * bits.
+ *
+ * The mesh entries have one portable loop each. Cell classification reads
+ * a slab plane by plane: it folds each voxel plane into one byte per cell
+ * lower corner (the inside and unobserved bits of the cell's four corners
+ * in that plane), and two such planes give the codes of the cells between
+ * them. Key ranking sets one bit per lattice-edge key in a bitmap and reads
+ * each key's rank off the popcounts of the words up to it, which is
+ * np.unique's sorted order and inverse.
  */
 #include <pthread.h>
 #include <stdint.h>
@@ -288,3 +300,143 @@ int bitsdf_has_avx512(void)
     return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("popcnt");
 }
 #endif
+
+/* Population count of a 32-bit word (any word, not only a run) without
+ * the POPCNT instruction, in a form the compiler vectorizes. */
+static inline uint32_t popcount32(uint32_t m)
+{
+    m -= (m >> 1) & 0x55555555u;
+    m = (m & 0x33333333u) + ((m >> 2) & 0x33333333u);
+    m = (m + (m >> 4)) & 0x0F0F0F0Fu;
+    return (m * 0x01010101u) >> 24;
+}
+
+/* The same for a 64-bit word. */
+static inline uint64_t popcount64(uint64_t m)
+{
+    m -= (m >> 1) & 0x5555555555555555ull;
+    m = (m & 0x3333333333333333ull) + ((m >> 2) & 0x3333333333333333ull);
+    m = (m + (m >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+    return (m * 0x0101010101010101ull) >> 56;
+}
+
+/* The quad of each cell lower corner (x, y) < (nx - 1, ny - 1) of a voxel
+ * plane of ny * nx voxels, into q: bit dx + 2 * dy set when corner
+ * (x + dx, y + dy) is inside, bit 4 + dx + 2 * dy when it is unobserved
+ * (mask all ones and no hits). A voxel is inside when its mask popcount d
+ * is at least a on an occupied voxel (sign 0), or below b on any other. */
+static void quad_plane(const uint32_t *restrict mask,
+                       const uint8_t *restrict sign,
+                       const uint8_t *restrict hits, int64_t ny, int64_t nx,
+                       uint32_t a, uint32_t b, uint8_t *restrict q)
+{
+    for (int64_t v = 0; v < ny * nx; v++) {
+        const uint32_t d = popcount32(mask[v]);
+        const uint8_t occupied = sign[v] == 0;
+        const uint8_t inside = (occupied & (d >= a)) | (!occupied & (d < b));
+        const uint8_t unobserved = (mask[v] == 0xFFFFFFFFu) & (hits[v] == 0);
+        q[v] = inside | (uint8_t)(unobserved << 4);
+    }
+    /* In place: row y reads rows y and y + 1, and x reads x and x + 1,
+     * neither of them written yet. */
+    for (int64_t y = 0; y < ny - 1; y++) {
+        uint8_t *row = q + y * nx;
+        for (int64_t x = 0; x < nx - 1; x++)
+            row[x] = row[x] | (uint8_t)(row[x + 1] << 1)
+                   | (uint8_t)(row[x + nx] << 2) | (uint8_t)(row[x + nx + 1] << 3);
+    }
+}
+
+/* Classify the marching-cubes cells of cell planes z0 <= z < z1 <= nz - 1
+ * of the (nz, ny, nx) grid arrays (cell plane z lies between voxel planes z
+ * and z + 1), with the popcount thresholds a and b of quad_plane, and write
+ * each active cell, in (z, y, x) order, to out as
+ * (((x * ny + y) * nz + z) << 8) | code: its lower corner's x-major voxel
+ * index and its code, whose bit dx + 2 * dy + 4 * dz is corner
+ * (dx, dy, dz)'s inside bit. A cell is active when its eight corners are
+ * observed and some but not all are inside. `quads` holds two planes of
+ * ny * nx bytes, and `out` room for every cell of the planes,
+ * (z1 - z0) * (ny - 1) * (nx - 1). Consecutive ranges, the first from
+ * z0 = 0, share `quads`: a call leaves the quads of voxel plane z1 in its
+ * first plane, and the call for the next range reads them there. Returns
+ * the number of active cells. */
+int64_t bitsdf_classify_cells(const uint32_t *mask, const uint8_t *sign,
+                              const uint8_t *hits, int64_t nz, int64_t ny,
+                              int64_t nx, int64_t z0, int64_t z1, int64_t a,
+                              int64_t b, uint8_t *quads, int64_t *out)
+{
+    const int64_t sz = ny * nx;
+    uint8_t *lo = quads, *hi = quads + sz;
+    int64_t n = 0;
+    if (z0 == 0)
+        quad_plane(mask, sign, hits, ny, nx, (uint32_t)a, (uint32_t)b, lo);
+    for (int64_t z = z0; z < z1; z++) {
+        const int64_t up = (z + 1) * sz;
+        quad_plane(mask + up, sign + up, hits + up, ny, nx, (uint32_t)a,
+                   (uint32_t)b, hi);
+        /* Plane z's quads are read for the last time: overwrite each with
+         * its cell's code where the cell is active (every corner observed,
+         * code 1..254), else 0, and 0 past the last cell of a row. */
+        for (int64_t y = 0; y < ny - 1; y++) {
+            uint8_t *restrict q0 = lo + y * nx;
+            const uint8_t *restrict q1 = hi + y * nx;
+            for (int64_t x = 0; x < nx - 1; x++) {
+                const uint8_t code = (q0[x] & 0x0F) | (uint8_t)(q1[x] << 4);
+                const uint8_t active = ((q0[x] | q1[x]) & 0xF0) == 0
+                                     && (uint8_t)(code - 1) < 254;
+                q0[x] = active ? code : 0;
+            }
+            q0[nx - 1] = 0;
+        }
+        /* The active cells are few: skip 8 inactive ones at a time. */
+        const int64_t len = (ny - 1) * nx;
+        int64_t at = 0;
+        for (; at + 8 <= len; at += 8) {
+            uint64_t w;
+            memcpy(&w, lo + at, sizeof w);
+            if (w == 0)
+                continue;
+            for (int64_t i = at; i < at + 8; i++) {
+                if (lo[i] != 0)
+                    out[n++] = (((i % nx * ny + i / nx) * nz + z) << 8) | lo[i];
+            }
+        }
+        for (; at < len; at++) {
+            if (lo[at] != 0)
+                out[n++] = (((at % nx * ny + at / nx) * nz + z) << 8) | lo[at];
+        }
+        uint8_t *t = lo;
+        lo = hi;
+        hi = t;
+    }
+    if (lo != quads)
+        memcpy(quads, lo, (size_t)sz);
+    return n;
+}
+
+/* np.unique(keys, return_inverse=True) for n keys in lo <= key < lo + 64 *
+ * words: set each key's bit in the zeroed bitmap `bits` (bit key - lo),
+ * write each word's count of set bits before it to base, write the set
+ * keys in ascending order to uniq (room for n), and overwrite each key
+ * with its rank among them. Returns the number of distinct keys. */
+int64_t bitsdf_rank_keys(int64_t *keys, int64_t n, int64_t lo,
+                         uint64_t *bits, int64_t words, int64_t *base,
+                         int64_t *uniq)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t k = keys[i] - lo;
+        bits[k >> 6] |= 1ull << (k & 63);
+    }
+    int64_t count = 0;
+    for (int64_t w = 0; w < words; w++) {
+        base[w] = count;
+        for (uint64_t m = bits[w]; m; m &= m - 1)
+            uniq[count++] = lo + w * 64 + __builtin_ctzll(m);
+    }
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t k = keys[i] - lo;
+        const uint64_t below = (1ull << (k & 63)) - 1;
+        keys[i] = base[k >> 6] + (int64_t)popcount64(bits[k >> 6] & below);
+    }
+    return count;
+}

@@ -1,14 +1,17 @@
-"""Build and load the compiled fusion pass in ``_fuse.c``, and mirror its
-one argument, ``struct frame``, as ``Frame``.
+"""Build and load the compiled library in ``_fuse.c``, and mirror the one
+argument of its fusion entry, ``struct frame``, as ``Frame``.
 
-The first fusion in a process asks for the library. It is compiled with the
-system C compiler (``cc`` with ``CFLAGS``) into the package's
-``__pycache__/``, under a name holding the SHA-256 of the source, so a
-library is built once per source and a stale one is never loaded. The file is
-written under a temporary name and renamed into place, so a concurrent
-process sees either no library or a whole one. When compiling or loading
-fails (no compiler, read-only install), one line goes to stderr and fusion
-runs its numpy code, which gives the same grid.
+The library has two users: fusion (``integrator``), which fuses each frame
+with one call, and meshing (``mesher``), which classifies the cells of the
+grid and ranks the edge keys of the mesh with it. The first fusion or mesh
+in a process asks for the library. It is compiled with the system C
+compiler (``cc`` with ``CFLAGS``) into the package's ``__pycache__/``, under
+a name holding the SHA-256 of the source, so a library is built once per
+source and a stale one is never loaded. The file is written under a
+temporary name and renamed into place, so a concurrent process sees either
+no library or a whole one. When compiling or loading fails (no compiler,
+read-only install), one line goes to stderr and fusion and meshing run
+their numpy code, which gives the same grids and meshes.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ CC = "cc"
 # The flags the library is built with; the warnings test compiles with them.
 CFLAGS = ("-O3", "-shared", "-fPIC", "-pthread")
 
-# The loaded Library: None until the first fusion asks, False when it could
-# not be built or loaded.
+# The loaded Library: None until the first fusion or mesh asks, False when it
+# could not be built or loaded.
 _lib = None
 
 
@@ -51,13 +54,18 @@ class Frame(ctypes.Structure):
 
 @dataclass(frozen=True)
 class Library:
-    """The frame entry point of the compiled pass, ``fuse``, called with one
-    ``Frame``, and the row stamp it runs in this process, picked once when
-    the library is loaded: "avx512" where the CPU has AVX-512F, else
-    "portable". Both give the same grid."""
+    """The entry points of the compiled library. For fusion: the frame entry
+    ``fuse``, called with one ``Frame``, and the row stamp it runs in this
+    process, ``path``, picked once when the library is loaded: "avx512"
+    where the CPU has AVX-512F, else "portable"; both give the same grid.
+    For meshing: ``classify_cells`` and ``rank_keys``, called with the
+    addresses and sizes that ``_fuse.c`` documents for
+    ``bitsdf_classify_cells`` and ``bitsdf_rank_keys``."""
 
     fuse: Callable
     path: str
+    classify_cells: Callable
+    rank_keys: Callable
 
 
 def build(source: Path, cache_dir: Path, cc: str) -> Path:
@@ -90,11 +98,16 @@ def _bind(path: Path) -> Library:
     lib.bitsdf_fuse_frame.restype = _I64
     # bitsdf_has_avx512 exists where the compiler targets x86.
     avx512 = hasattr(lib, "bitsdf_has_avx512") and lib.bitsdf_has_avx512()
-    return Library(lib.bitsdf_fuse_frame, "avx512" if avx512 else "portable")
+    lib.bitsdf_classify_cells.argtypes = [_P] * 3 + [_I64] * 7 + [_P] * 2
+    lib.bitsdf_classify_cells.restype = _I64
+    lib.bitsdf_rank_keys.argtypes = [_P, _I64, _I64, _P, _I64, _P, _P]
+    lib.bitsdf_rank_keys.restype = _I64
+    return Library(lib.bitsdf_fuse_frame, "avx512" if avx512 else "portable",
+                   lib.bitsdf_classify_cells, lib.bitsdf_rank_keys)
 
 
 def library() -> Library | None:
-    """The compiled pass, or None when it is unavailable."""
+    """The compiled library, or None when it is unavailable."""
     global _lib
     if _lib is None:
         try:
@@ -103,8 +116,9 @@ def library() -> Library | None:
             detail = e.stderr.decode(errors="replace") if getattr(e, "stderr", None) else str(e)
             first = (detail.strip().splitlines() or [type(e).__name__])[0]
             print(
-                f"warning: cannot build the compiled fusion pass ({first}); "
-                "fusing with numpy, which gives the same grid more slowly",
+                f"warning: cannot build the compiled library ({first}); "
+                "fusing and meshing with numpy, which gives the same grids "
+                "and meshes more slowly",
                 file=sys.stderr,
             )
             _lib = False

@@ -20,7 +20,13 @@ import numpy as np
 from . import io as bio
 from .config import RunConfig, load_config, save_config
 from .errors import BitsdfError, ConfigurationError
-from .grid import SIGN_OCCUPIED, memory_bytes, new_grid, observed_array
+from .grid import (
+    SIGN_OCCUPIED,
+    memory_bytes,
+    new_grid,
+    observed_array,
+    voxel_fault,
+)
 from .integrator import (
     COMPENSATION_MODES,
     FrameStats,
@@ -159,6 +165,8 @@ def fuse(config_path, as_json, **overrides):
         "frames": len(rows),
         "points": int(sum(r.points_in for r in rows)),
         "discarded": int(sum(r.points_discarded for r in rows)),
+        "discarded_downsample": int(sum(r.discarded_downsample for r in rows)),
+        "discarded_duplicate": int(sum(r.discarded_duplicate for r in rows)),
         "mean_frame_ms": (
             float(statistics.fmean(r.elapsed_ms for r in rows)) if rows else 0.0
         ),
@@ -312,8 +320,11 @@ def bench(config_path, voxel_sizes, repeats, out, as_json):
 @click.argument("snapshot", type=click.Path())
 @click.option("--json", "as_json", is_flag=True)
 def info(snapshot, as_json):
-    """Print snapshot header and occupancy summary."""
+    """Print snapshot header, occupancy summary and the first voxel fault
+    (a mask that is not a low-bit run, a sign that disagrees with the hits,
+    hits above h_max), if any; the exit code is 0 either way."""
     grid = bio.load_grid(snapshot)
+    fault = voxel_fault(grid)
     observed = int(np.count_nonzero(observed_array(grid.mask, grid.hits)))
     occupied = int(np.count_nonzero(grid.sign == SIGN_OCCUPIED))
     payload = {
@@ -326,6 +337,8 @@ def info(snapshot, as_json):
         "observed": observed,
         "occupied": occupied,
         "memory_bytes": memory_bytes(grid),
+        "valid": fault is None,
+        "fault": fault,
     }
     if as_json:
         click.echo(json.dumps(payload, indent=2))

@@ -66,8 +66,9 @@ class VoxelGrid:
     t_occ: int
 
     def __post_init__(self):
-        # The compiled fusion pass and the snapshot code index the arrays
-        # as flat x-fastest buffers, unchecked, and fusion writes them.
+        # The compiled library (fusion and meshing) and the snapshot code
+        # index the arrays as flat x-fastest buffers, unchecked, and fusion
+        # writes them.
         for name, dtype in _FIELD_DTYPES.items():
             a = getattr(self, name)
             if (a.dtype != dtype or a.shape != self.dims or not a.flags.f_contiguous
@@ -198,6 +199,28 @@ def observed_array(mask: np.ndarray, hits: np.ndarray) -> np.ndarray:
     """Boolean array marking voxels touched by at least one integration,
     from their masks and hit counts (any matching shapes)."""
     return ~((mask == FULL_MASK) & (hits == 0))
+
+
+def voxel_fault(grid: VoxelGrid) -> str | None:
+    """The first fault among the grid's voxels in record order, or None
+    when there is none. A voxel is at fault when its mask is not a low-bit
+    run, when its sign is not SIGN_OCCUPIED exactly when its hits reach
+    t_occ, or when its hits exceed h_max; a voxel with several faults is
+    reported by the first of these. Fusion never writes such a voxel, but a
+    snapshot is loaded without these checks."""
+    m, s, h = (getattr(grid, name).ravel(order="F") for name in _FIELD_DTYPES)
+    bad = ((m & (m + 1)) != 0,
+           s != np.where(h >= grid.t_occ, SIGN_OCCUPIED, SIGN_FREE),
+           h > grid.h_max)
+    at = [int(np.argmax(b)) if b.any() else m.size for b in bad]
+    i = min(at)
+    if i == m.size:
+        return None
+    x, y, z = (int(c) for c in np.unravel_index(i, grid.dims, order="F"))
+    what = (f"mask {int(m[i]):#010x} is not a low-bit run",
+            f"sign {s[i]} disagrees with {h[i]} hits at t_occ {grid.t_occ}",
+            f"{h[i]} hits exceed h_max {grid.h_max}")[at.index(i)]
+    return f"voxel ({x}, {y}, {z}): {what}"
 
 
 def to_records(grid: VoxelGrid) -> np.ndarray:

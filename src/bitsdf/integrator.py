@@ -104,13 +104,16 @@ class IntegrationParams:
 
 @dataclass(frozen=True)
 class FrameStats:
-    """Counts for one fused scan. ``points_discarded`` counts the returns
-    dropped by the sensor-distance and bounds checks (not those dropped by
-    ``first_return_per_voxel``): ``discarded_near`` those closer than one
-    voxel to the sensor, and ``discarded_bounds`` the others, whose K^3
-    block leaves the grid. ``voxels_written`` is the number of distinct
-    voxels whose distance mask changed in the frame; a voxel that several
-    returns lower counts once. ``elapsed_ms`` is the whole frame's time;
+    """Counts for one fused scan. ``points_in`` counts the returns kept by
+    downsampling; ``discarded_downsample`` those it dropped.
+    ``points_discarded`` counts the returns dropped by the sensor-distance
+    and bounds checks: ``discarded_near`` those closer than one voxel to the
+    sensor, and ``discarded_bounds`` the others, whose K^3 block leaves the
+    grid. ``discarded_duplicate`` counts the returns that passed both checks
+    but were not stamped because ``first_return_per_voxel`` keeps only the
+    first return of each center voxel. ``voxels_written`` is the number of
+    distinct voxels whose distance mask changed in the frame; a voxel that
+    several returns lower counts once. ``elapsed_ms`` is the whole frame's time;
     ``prepare_ms`` that of the vectorized prepare (bounds, sort, bins), and
     ``pass_ms`` that of the stamp: the plane cuts and the call of the
     compiled pass, with its workers, or the numpy code where it cannot be
@@ -124,6 +127,8 @@ class FrameStats:
     pass_ms: float = 0.0
     discarded_near: int = 0
     discarded_bounds: int = 0
+    discarded_downsample: int = 0
+    discarded_duplicate: int = 0
 
 
 def motion_compensate(points, times, prev_pose, pose, mode: str) -> np.ndarray:
@@ -235,7 +240,8 @@ def _fuse(grid, bank, pts_map, sensor, params, threads=1) -> FrameStats:
     return FrameStats(
         points_in=len(pts_map), points_discarded=near + outside,
         voxels_written=written, prepare_ms=(t1 - t0) * 1e3,
-        pass_ms=(t2 - t1) * 1e3, discarded_near=near, discarded_bounds=outside)
+        pass_ms=(t2 - t1) * 1e3, discarded_near=near, discarded_bounds=outside,
+        discarded_duplicate=len(pts_map) - near - outside - len(cflat))
 
 
 def _fuse_compiled(grid, bank, lib, cflat, bins, cuts) -> int:
@@ -351,4 +357,5 @@ def integrate_frame(
                             params.compensation)
     pts_map = pts @ scan.pose[:3, :3].T + scan.pose[:3, 3]
     stats = _fuse(grid, bank, pts_map, scan.pose[:3, 3], params, threads)
-    return replace(stats, elapsed_ms=(time.perf_counter() - t0) * 1e3)
+    return replace(stats, elapsed_ms=(time.perf_counter() - t0) * 1e3,
+                   discarded_downsample=len(scan.points) - len(pts))

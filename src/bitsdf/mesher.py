@@ -15,15 +15,36 @@ simply "occupied".
 
 Cells are classified one z-slab of about grid._SLAB_VOXELS voxels (whole z
 planes, at least one) at a time, on the grid's C-ordered ``.T`` views, where
-a slab is one contiguous block.
-Each voxel becomes ``inside | unobserved << 8`` (uint16), and three shifted
-ORs, along x, then y, then z, give each cell a 16-bit code whose bit
-``dx + 2*dy + 4*dz`` is corner (dx, dy, dz)'s inside bit and whose bit
-``8 + dx + 2*dy + 4*dz`` its unobserved bit. A cell is active exactly when
-its code is in 1..254: every corner observed and the cube mixed. The case
-table is permuted once, at import, from the classic corner order to this
-binary code. Only active cells, their triangles and their edges are stored
-beyond the slab, so extra memory is O(slab + surface).
+a slab is one contiguous block. Each cell gets a code whose bit
+``dx + 2*dy + 4*dz`` is corner (dx, dy, dz)'s inside bit, and is active
+exactly when its eight corners are observed and the code is in 1..254 (the
+cube is mixed). The case table is permuted once, at import, from the
+classic corner order to this binary code. Only active cells, their
+triangles and their edges are stored beyond the slab, so extra memory is
+O(slab + surface).
+
+The two grid- and key-sized steps run in the compiled library that
+``_native`` builds from ``_fuse.c``, where it can be built:
+
+- ``bitsdf_classify_cells`` walks a slab plane by plane. It turns each
+  voxel plane into one byte per cell lower corner holding the inside and
+  unobserved bits of the cell's four corners in that plane, combines two
+  such planes into the codes of the cells between them, and writes each
+  active cell as ``(x-major index << 8) | code``. The byte planes of the
+  last voxel plane carry over to the next slab.
+- ``bitsdf_rank_keys`` stands in for ``np.unique(keys,
+  return_inverse=True)`` on the triangles' lattice-edge keys: it sets one
+  bit per key in a bitmap of the edges between the first and the last
+  active cell, reads the set bits off in order as the unique keys, and
+  gives each key its rank from the popcounts of the bitmap words before
+  and in its own word.
+
+Elsewhere the same steps run in numpy: each voxel becomes
+``inside | unobserved << 8`` (uint16), and three shifted ORs, along x, then
+y, then z, give each cell a 16-bit code whose high byte is its corners'
+unobserved bits; then ``np.unique``. Both give the same bytes, and every
+scratch buffer of the compiled steps is a numpy array that the caller
+allocates.
 """
 
 from __future__ import annotations
@@ -33,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from ._mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
 from .errors import ConfigurationError
 from .grid import (
@@ -71,43 +93,63 @@ def empty_mesh() -> TriangleMesh:
     )
 
 
-def _active_cells(grid: VoxelGrid, iso: float):
+def _active_cells(grid: VoxelGrid, iso: float, lib):
     """Active cells, in np.nonzero order of the cell lattice, as their lower
     corners' x-major voxel indices ((x*ny + y)*nz + z) and binary corner
-    codes."""
+    codes; classified by ``lib``, the compiled library, or by numpy where
+    it is None."""
     nx, ny, nz = grid.dims
     d = np.arange(MAX_DISTANCE_CELLS + 1)
     a = np.count_nonzero(signed_distances(d, SIGN_OCCUPIED, grid.voxel_size) > iso)
     b = np.count_nonzero(signed_distances(d, SIGN_FREE, grid.voxel_size) < iso)
-    mask, sign, hits = grid.mask.T, grid.sign.T, grid.hits.T  # (nz, ny, nx), C order
-    plane_cells = (ny - 1) * (nx - 1)
     planes = max(1, _SLAB_VOXELS // (nx * ny))
-    found = []
-    for z0 in range(0, nz - 1, planes):
-        z1 = min(z0 + planes, nz - 1) + 1  # voxel planes z0..z1-1 hold cells z0..z1-2
-        pc = np.bitwise_count(mask[z0:z1])
-        occupied = sign[z0:z1] == SIGN_OCCUPIED
-        inside = (occupied & (pc >= a)) | (~occupied & (pc < b))
-        # Unobserved: all mask bits set (popcount 32) and no hits.
-        v = ((pc == MAX_DISTANCE_CELLS) & (hits[z0:z1] == 0)).astype(np.uint16)
-        v <<= 8
-        v |= inside
-        # Corner (dx, dy, dz)'s bits go up by dx + 2*dy + 4*dz.
-        w = v[:, :, 1:] << 1
-        w |= v[:, :, :-1]
-        v = w[:, 1:] << 2
-        v |= w[:, :-1]
-        w = v[1:] << 4
-        w |= v[:-1]
-        v = w.reshape(-1)
-        v -= 1  # active codes 1..254 become 0..253
-        flat = np.flatnonzero(v < 254)
-        cz, cyx = np.divmod(flat, plane_cells)
-        cy, cx = np.divmod(cyx, nx - 1)
-        # Cell index and code in one int64, to put cells in order with one sort.
-        found.append((((cx * ny + cy) * nz + cz + z0) << 8) | (v[flat] + 1))
+    slabs = [(z0, min(z0 + planes, nz - 1)) for z0 in range(0, nz - 1, planes)]
+    if lib is None:
+        found = [_slab_cells(grid, z0, z1, a, b) for z0, z1 in slabs]
+    else:
+        # Two planes of corner quads, carried from slab to slab, and room
+        # for every cell of a slab.
+        quads = np.empty(2 * ny * nx, np.uint8)
+        out = np.empty(min(planes, nz - 1) * (ny - 1) * (nx - 1), np.int64)
+        found = []
+        for z0, z1 in slabs:
+            n = lib.classify_cells(grid.mask.ctypes.data, grid.sign.ctypes.data,
+                                   grid.hits.ctypes.data, nz, ny, nx, z0, z1, a, b,
+                                   quads.ctypes.data, out.ctypes.data)
+            found.append(out[:n].copy())
+    # Cell index and code in one int64, to put cells in order with one sort.
     found = np.sort(np.concatenate(found))
     return found >> 8, (found & 0xFF).astype(np.uint8)
+
+
+def _slab_cells(grid: VoxelGrid, z0: int, z1: int, a: int, b: int):
+    """The active cells of cell planes z0..z1-1 in numpy, as
+    ``(x-major index << 8) | code`` in (z, y, x) order; a voxel is inside
+    when its popcount is at least ``a`` on an occupied voxel, or below
+    ``b`` on the others."""
+    nx, ny, nz = grid.dims
+    # Voxel planes z0..z1 hold cells z0..z1-1; (nz, ny, nx) views, C order.
+    mask, sign, hits = (f.T[z0 : z1 + 1] for f in (grid.mask, grid.sign, grid.hits))
+    pc = np.bitwise_count(mask)
+    occupied = sign == SIGN_OCCUPIED
+    inside = (occupied & (pc >= a)) | (~occupied & (pc < b))
+    # Unobserved: all mask bits set (popcount 32) and no hits.
+    v = ((pc == MAX_DISTANCE_CELLS) & (hits == 0)).astype(np.uint16)
+    v <<= 8
+    v |= inside
+    # Corner (dx, dy, dz)'s bits go up by dx + 2*dy + 4*dz.
+    w = v[:, :, 1:] << 1
+    w |= v[:, :, :-1]
+    v = w[:, 1:] << 2
+    v |= w[:, :-1]
+    w = v[1:] << 4
+    w |= v[:-1]
+    v = w.reshape(-1)
+    v -= 1  # active codes 1..254 become 0..253
+    flat = np.flatnonzero(v < 254)
+    cz, cyx = np.divmod(flat, (ny - 1) * (nx - 1))
+    cy, cx = np.divmod(cyx, nx - 1)
+    return (((cx * ny + cy) * nz + cz + z0) << 8) | (v[flat] + 1)
 
 
 def _triangle_keys(cell, code, dims):
@@ -135,14 +177,37 @@ def extract_mesh(grid: VoxelGrid, iso: float = 0.0) -> TriangleMesh:
     nx, ny, nz = grid.dims
     if min(nx, ny, nz) < 2:
         return empty_mesh()
-    cell, code = _active_cells(grid, iso)
+    lib = _native.library()
+    cell, code = _active_cells(grid, iso, lib)
     if cell.size == 0:
         return empty_mesh()
-    uniq, inverse = np.unique(_triangle_keys(cell, code, grid.dims), return_inverse=True)
+    keys = _triangle_keys(cell, code, grid.dims)
+    if lib is None:
+        uniq, inverse = np.unique(keys, return_inverse=True)
+    else:
+        uniq, inverse = _rank_keys(lib, keys, cell, grid.dims)
     return TriangleMesh(
         vertices=_edge_vertices(grid, uniq, iso),
         triangles=inverse.reshape(-1, 3).astype(np.int64, copy=False),
     )
+
+
+def _rank_keys(lib, keys, cell, dims):
+    """``np.unique(keys, return_inverse=True)`` by ``lib``'s edge bitmap,
+    given the sorted cells whose edges the keys are. The keys are
+    overwritten with their ranks, and returned as the inverse."""
+    _, ny, nz = dims
+    # A cell's edges start at its corners, so its keys lie from its own
+    # index times 3 to before its far corner's index plus one, times 3.
+    lo = cell[0] * 3
+    words = ((cell[-1] + (ny + 1) * nz + 2) * 3 - lo + 63) // 64
+    bits = np.zeros(words, np.uint64)
+    base = np.empty(words, np.int64)
+    uniq = np.empty(keys.size, np.int64)
+    n = lib.rank_keys(keys.ctypes.data, keys.size, lo, bits.ctypes.data, words,
+                      base.ctypes.data, uniq.ctypes.data)
+    # A copy, so that the buffer of room for every key is freed first.
+    return uniq[:n].copy(), keys
 
 
 def _edge_vertices(grid: VoxelGrid, keys, iso: float):

@@ -13,6 +13,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from bitsdf import _native
 from bitsdf import cli as cli_module
 from bitsdf import io as bio
 from bitsdf.cli import cli, fuse, main, run_fuse
@@ -132,7 +133,8 @@ class TestFuse:
         stats = (root / "out" / "frame_stats.csv").read_text().splitlines()
         assert stats[0] == ("frame,points_in,points_discarded,voxels_written,"
                             "elapsed_ms,prepare_ms,pass_ms,discarded_near,"
-                            "discarded_bounds")
+                            "discarded_bounds,discarded_downsample,"
+                            "discarded_duplicate")
         assert len(stats) == 11
         # The pass and the prepare are parts of the frame's time.
         for line in stats[1:]:
@@ -140,8 +142,41 @@ class TestFuse:
             elapsed, prepare, pass_ms = map(float, fields[4:7])
             assert 0 < prepare + pass_ms <= elapsed
             # The discards split by reason add up to the discards.
-            near, outside = map(int, fields[7:])
+            near, outside = map(int, fields[7:9])
             assert near + outside == int(fields[2])
+
+    def test_discards_of_downsample_and_duplicates(self, dataset, tmp_path):
+        # Every third return is kept, and only the first return of each
+        # center voxel is stamped.
+        root, cfg_path = dataset
+        cfg = yaml.safe_load(cfg_path.read_text())
+        runs = {}
+        for first in (False, True):
+            cfg["integration"].update(downsample=3, first_return_per_voxel=first)
+            cfg["paths"]["output_dir"] = str(tmp_path / str(first))
+            path = tmp_path / f"{first}.yaml"
+            path.write_text(yaml.safe_dump(cfg))
+            result = CliRunner().invoke(cli, ["fuse", "--config", str(path), "--json"])
+            assert result.exit_code == 0, result.output
+            lines = (tmp_path / str(first) / "frame_stats.csv").read_text().splitlines()
+            rows = [dict(zip(lines[0].split(","), map(float, line.split(","))))
+                    for line in lines[1:]]
+            runs[first] = json.loads(result.stdout), rows
+        sizes = [len(bio.read_scan(p).points) for p in sorted((root / "scans").iterdir())]
+        for first, (summary, rows) in runs.items():
+            assert [r["points_in"] for r in rows] == [-(-n // 3) for n in sizes]
+            assert [r["discarded_downsample"] for r in rows] == [
+                n - -(-n // 3) for n in sizes]
+            for key in ("discarded_downsample", "discarded_duplicate"):
+                assert summary[key] == sum(r[key] for r in rows)
+        # Dropping duplicates leaves the other counts as they were.
+        (_, every), (summary, firsts) = runs[False], runs[True]
+        for a, b in zip(every, firsts):
+            for key in ("points_in", "points_discarded", "discarded_near",
+                        "discarded_bounds", "discarded_downsample"):
+                assert a[key] == b[key]
+            assert a["discarded_duplicate"] == 0
+        assert summary["discarded_duplicate"] > 0
 
     @pytest.mark.parametrize("mode", ["yaw", "se3"])
     def test_compensation_fuses_every_frame(self, dataset, tmp_path, mode):
@@ -516,6 +551,24 @@ class TestMeshEvalExportInfo:
         res = run_main("eval", "--pred", empty, "--gt", gt)
         assert res.returncode == 5
 
+    def test_mesh_without_compiler_same_file(self, dataset, tmp_path, monkeypatch):
+        root, _ = dataset
+        snapshot = str(root / "out" / "map.dbtsdf")
+        out = {}
+        for path in ("compiled", "numpy"):
+            if path == "numpy":
+                monkeypatch.setattr(_native, "_lib", None)
+                monkeypatch.setattr(_native, "CACHE_DIR", tmp_path)
+                monkeypatch.setattr(_native, "CC", str(tmp_path / "no-such-cc"))
+            out[path] = tmp_path / f"{path}.ply"
+            result = CliRunner().invoke(cli, ["mesh", snapshot, "-o", str(out[path])])
+            assert result.exit_code == 0, result.output
+        # One warning line, and the same mesh file.
+        assert _native._lib is False
+        assert len(result.stderr.splitlines()) == 1
+        assert "meshing with numpy" in result.stderr
+        assert out["numpy"].read_bytes() == out["compiled"].read_bytes()
+
     @pytest.mark.parametrize("iso", ["nan", "inf", "-inf"])
     def test_mesh_non_finite_iso_exit_2(self, dataset, tmp_path, iso):
         root, _ = dataset
@@ -547,6 +600,25 @@ class TestMeshEvalExportInfo:
         assert payload["voxel_size"] == 0.1
         assert payload["observed"] > 0
         assert payload["memory_bytes"] == int(np.prod(payload["dims"])) * 8
+        assert payload["valid"] is True
+        assert payload["fault"] is None
+
+    def test_info_reports_first_fault(self, dataset, tmp_path):
+        # One voxel's mask, 0b101, is not a low-bit run: info says so and
+        # still exits 0; mesh and export load the snapshot unchecked.
+        root, _ = dataset
+        grid = bio.load_grid(root / "out" / "map.dbtsdf")
+        grid.mask[3, 2, 1] = 0b101
+        bad = tmp_path / "bad.dbtsdf"
+        bio.save_grid(grid, bad)
+        res = run_main("info", bad, "--json")
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        assert payload["valid"] is False
+        assert payload["fault"] == "voxel (3, 2, 1): mask 0x00000005 is not a low-bit run"
+        res = run_main("info", bad)
+        assert res.returncode == 0, res.stderr
+        assert "valid: False" in res.stdout.splitlines()
 
     def test_corrupt_snapshot_exit_4(self, tmp_path):
         bad = tmp_path / "bad.dbtsdf"

@@ -18,6 +18,7 @@ from bitsdf.grid import (
     run_mask,
     signed_distance,
     to_records,
+    voxel_fault,
 )
 
 from _synthetic import grid_state
@@ -234,6 +235,43 @@ class TestRecords:
 
         with pytest.raises(CorruptionError, match="bad grid header"):
             from_records(slabs(), (2, 2, 2), float("nan"), (0, 0, 0))
+
+
+class TestVoxelFault:
+    def test_fused_states_have_none(self):
+        g = new_grid((4, 5, 6), 0.1, h_max=3, t_occ=2)
+        g.mask[...] = run_mask(7)
+        g.hits[0], g.hits[1], g.hits[2] = 1, 2, 3
+        g.sign[1:3] = SIGN_OCCUPIED
+        g.mask[3, 0, 0] = 0
+        assert voxel_fault(g) is None
+        assert voxel_fault(new_grid((2, 2, 2), 0.1)) is None
+
+    def test_each_fault_named_at_its_voxel(self):
+        g = new_grid((4, 5, 6), 0.1, h_max=3, t_occ=2)
+        g.mask[1, 2, 3] = 0b101
+        assert voxel_fault(g) == "voxel (1, 2, 3): mask 0x00000005 is not a low-bit run"
+        g = new_grid((4, 5, 6), 0.1, h_max=3, t_occ=2)
+        g.sign[2, 0, 1] = SIGN_OCCUPIED  # with no hits
+        assert voxel_fault(g) == "voxel (2, 0, 1): sign 0 disagrees with 0 hits at t_occ 2"
+        g.sign[2, 0, 1], g.hits[2, 0, 1] = SIGN_FREE, 2  # free with t_occ hits
+        assert "sign 1 disagrees with 2 hits" in voxel_fault(g)
+        g.sign[2, 0, 1], g.hits[2, 0, 1] = 7, 0  # neither sign
+        assert "sign 7 disagrees" in voxel_fault(g)
+        g = new_grid((4, 5, 6), 0.1, h_max=3, t_occ=2)
+        g.hits[3, 4, 5], g.sign[3, 4, 5] = 4, SIGN_OCCUPIED
+        assert voxel_fault(g) == "voxel (3, 4, 5): 4 hits exceed h_max 3"
+
+    def test_first_voxel_in_record_order(self):
+        # x is fastest in record order; at one voxel a bad mask comes first.
+        g = new_grid((4, 5, 6), 0.1, h_max=3, t_occ=2)
+        g.hits[0, 0, 1], g.sign[0, 0, 1] = 4, SIGN_OCCUPIED
+        g.mask[3, 1, 0] = 0b110
+        g.mask[0, 1, 0] = 0b1000
+        g.sign[0, 1, 0] = SIGN_OCCUPIED
+        assert voxel_fault(g).startswith("voxel (0, 1, 0): mask 0x00000008")
+        g.mask[0, 1, 0] = run_mask(3)
+        assert voxel_fault(g).startswith("voxel (0, 1, 0): sign 0")
 
 
 class TestMaskAlgebraProperties:

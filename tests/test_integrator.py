@@ -73,7 +73,7 @@ def use_path(path, monkeypatch):
             pytest.fail("a C compiler is present but _fuse.c did not build")
         pytest.skip("no C compiler")
     if path == "portable":
-        monkeypatch.setattr(_native, "_lib", _native.Library(lib.fuse, "portable"))
+        monkeypatch.setattr(_native, "_lib", replace(lib, path="portable"))
 
 
 @pytest.fixture

@@ -1,13 +1,21 @@
 import math
+import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bitsdf import mesher
+from bitsdf import _native, mesher
 from bitsdf._mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
 from bitsdf.errors import ConfigurationError
-from bitsdf.grid import SIGN_OCCUPIED, memory_bytes, new_grid, observed_array, run_mask
+from bitsdf.grid import (
+    FULL_MASK,
+    SIGN_OCCUPIED,
+    memory_bytes,
+    new_grid,
+    observed_array,
+    run_mask,
+)
 from bitsdf.integrator import IntegrationParams, ScanFrame, integrate_frame
 from bitsdf.kernels import build_kernel_bank
 from bitsdf.mesher import TriangleMesh, extract_mesh, vertex_normals
@@ -205,6 +213,126 @@ class TestExtractMesh:
         frac = (m.vertices / 0.05) - 0.5
         on_center = np.abs(frac - np.round(frac)) < 1e-9
         assert np.all(on_center.sum(axis=1) >= 2)
+
+
+def compiled_library():
+    """The compiled library; skips the test where there is no C compiler."""
+    lib = _native.library()
+    if lib is None:
+        if shutil.which(_native.CC):
+            pytest.fail("a C compiler is present but _fuse.c did not build")
+        pytest.skip("no C compiler")
+    return lib
+
+
+def random_grid(rng, dims):
+    """A grid of arbitrary voxels: masks of 0..4 or 28..32 bits anywhere
+    (few of them runs) and some fully random, sign bytes 0, 1, 2 and 255,
+    and 0..2 hits, so some voxels are unobserved."""
+    g = new_grid(dims, 0.1, origin=(0.3, -1.2, 0.05))
+    n = g.num_voxels
+    k = rng.choice([0, 1, 2, 3, 4, 28, 29, 30, 31, 32], size=n)
+    bits = rng.random((n, 32)).argsort(axis=1) < k[:, None]  # k random bits
+    masks = (bits.astype(np.uint64) << np.arange(32, dtype=np.uint64)).sum(axis=1)
+    masks = np.where(rng.random(n) < 0.2, rng.integers(0, 1 << 32, size=n), masks)
+    g.mask[...] = masks.astype(np.uint32).reshape(dims, order="F")
+    g.sign[...] = rng.choice([0, 1, 2, 255], size=dims)
+    g.hits[...] = rng.integers(0, 3, size=dims)
+    return g
+
+
+ISOS = np.array([0.0, 1.0, -1.0, 2.5, -2.5])  # voxels
+
+
+class TestCompiledSteps:
+    """The compiled classification and key ranking against the numpy code
+    that runs where the library cannot be built."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_classification_matches_numpy(self, seed, monkeypatch):
+        lib = compiled_library()
+        rng = np.random.default_rng(seed)
+        default_slab = mesher._SLAB_VOXELS
+        for dims in ((9, 7, 11), (23, 19, 2), (2, 13, 17), (6, 2, 9)):
+            g = random_grid(rng, dims)
+            assert np.any(g.mask & (g.mask + 1))  # masks that are not runs
+            nx, ny, _ = dims
+            for iso in ISOS * g.voxel_size:
+                ref = mesher._active_cells(g, iso, None)
+                assert ref[0].size > 0
+                # Slabs of one, two and three cell planes cross seams.
+                for slab in (nx * ny, 2 * nx * ny, 3 * nx * ny, default_slab):
+                    monkeypatch.setattr(mesher, "_SLAB_VOXELS", slab)
+                    cell, code = mesher._active_cells(g, iso, lib)
+                    assert np.array_equal(cell, ref[0])
+                    assert np.array_equal(code, ref[1])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rank_matches_unique(self, seed):
+        lib = compiled_library()
+        rng = np.random.default_rng(seed)
+        for dims in ((9, 7, 11), (2, 2, 2), (40, 3, 70)):
+            nx, ny, nz = dims
+            cells = np.indices((nx - 1, ny - 1, nz - 1)).reshape(3, -1).T
+            flat = (cells[:, 0] * ny + cells[:, 1]) * nz + cells[:, 2]
+            some = np.sort(rng.choice(flat, size=min(3, flat.size), replace=False))
+            # The first and last cells of the lattice bound the bitmap.
+            for cell in (flat[:1], flat[-1:], flat[[0, -1]], some, flat):
+                code = rng.integers(1, 255, size=cell.size).astype(np.uint8)
+                keys = mesher._triangle_keys(cell, code, dims)
+                uniq, inverse = np.unique(keys, return_inverse=True)
+                got_uniq, got_inverse = mesher._rank_keys(lib, keys.copy(), cell, dims)
+                assert got_uniq.tobytes() == uniq.tobytes()
+                assert got_inverse.tobytes() == inverse.reshape(-1, 3).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mesh_bytes_match_numpy(self, seed, monkeypatch):
+        compiled_library()
+        rng = np.random.default_rng(seed)
+        grids = [random_grid(rng, (11, 9, 13)), random_grid(rng, (2, 15, 12)),
+                 sphere_grid()]
+        meshes = {}
+        for path in ("compiled", "numpy"):
+            if path == "numpy":
+                monkeypatch.setattr(_native, "_lib", False)
+            meshes[path] = [extract_mesh(g, iso * g.voxel_size)
+                            for g in grids for iso in ISOS]
+        for a, b in zip(meshes["compiled"], meshes["numpy"]):
+            assert a.triangles.tobytes() == b.triangles.tobytes()
+            assert a.vertices.tobytes() == b.vertices.tobytes()
+        assert sum(m.triangles.shape[0] > 0 for m in meshes["compiled"]) >= 12
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_grids_without_active_cells(self, path, monkeypatch):
+        lib = compiled_library() if path == "compiled" else None
+        unobserved = new_grid((6, 5, 4), 0.1)
+        free = new_grid((6, 5, 4), 0.1)
+        free.mask[...], free.hits[...] = run_mask(3), 1
+        # Occupied voxels, each beside an unobserved one.
+        fringe = new_grid((6, 5, 4), 0.1)
+        fringe.mask[::2], fringe.hits[::2], fringe.sign[::2] = 0, 2, SIGN_OCCUPIED
+        for g in (unobserved, free, fringe):
+            for iso in ISOS * g.voxel_size:
+                cell, code = mesher._active_cells(g, iso, lib)
+                assert cell.size == 0 and code.size == 0
+            if path == "numpy":
+                monkeypatch.setattr(_native, "_lib", False)
+            assert extract_mesh(g).is_empty
+        assert np.all(unobserved.mask == FULL_MASK)
+
+    def test_missing_compiler_meshes_same_bytes(self, tmp_path, monkeypatch, capsys):
+        g = sphere_grid()
+        ref = extract_mesh(g)
+        capsys.readouterr()
+        monkeypatch.setattr(_native, "_lib", None)
+        monkeypatch.setattr(_native, "CACHE_DIR", tmp_path)
+        monkeypatch.setattr(_native, "CC", str(tmp_path / "no-such-cc"))
+        m = extract_mesh(g)
+        assert _native._lib is False
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "meshing with numpy" in err[0]
+        assert m.triangles.tobytes() == ref.triangles.tobytes()
+        assert m.vertices.tobytes() == ref.vertices.tobytes()
 
 
 def test_only_uniform_cubes_have_no_triangles():
