@@ -11,7 +11,7 @@ import json
 import statistics
 import sys
 from collections import namedtuple
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import click
@@ -130,6 +130,7 @@ def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
                          prev_pose=pose if prev_pose is None else prev_pose)
         prev_pose = pose
         stats = integrate_frame(grid, bank, scan, ic, threads=cfg.threads)
+        stats = replace(stats, discarded_nonfinite=data.dropped)
         rows.append(FrameRow(frame_idx, *astuple(stats)))
 
     out_dir = Path(cfg.paths.output_dir)
@@ -165,8 +166,8 @@ def fuse(config_path, as_json, **overrides):
         "frames": len(rows),
         "points": int(sum(r.points_in for r in rows)),
         "discarded": int(sum(r.points_discarded for r in rows)),
-        "discarded_downsample": int(sum(r.discarded_downsample for r in rows)),
-        "discarded_duplicate": int(sum(r.discarded_duplicate for r in rows)),
+        **{key: int(sum(getattr(r, key) for r in rows)) for key in
+           ("discarded_downsample", "discarded_duplicate", "discarded_nonfinite")},
         "mean_frame_ms": (
             float(statistics.fmean(r.elapsed_ms for r in rows)) if rows else 0.0
         ),

@@ -123,7 +123,7 @@ class RunConfig:
                 origin.append(lo - pad * g.voxel_size)
         origin = tuple(float(v) for v in origin)
         return check_grid(dims, g.voxel_size, origin, g.memory_cap_bytes,
-                          ic.h_max, ic.t_occ), origin
+                          ic.h_max, ic.t_occ)["dims"], origin
 
 
 # The YAML values of each type name in a config field's annotation.

@@ -98,9 +98,10 @@ def check_geometry(voxel_size, **points) -> None:
                 f"grid {name} must be three finite coordinates, got {point}")
 
 
-def check_grid(dims, voxel_size, origin, memory_cap, h_max, t_occ) -> tuple:
-    """``dims`` as a tuple of ints, once the grid they describe passes
-    new_grid's checks."""
+def check_grid(dims, voxel_size, origin, memory_cap, h_max, t_occ) -> dict:
+    """The grid header, normalized as VoxelGrid takes it (int dims, float
+    voxel size, a copy of the origin, int h_max and t_occ), once the grid
+    it describes passes new_grid's checks."""
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise ConfigurationError(f"grid dims must be three positive counts, got {dims}")
@@ -112,7 +113,9 @@ def check_grid(dims, voxel_size, origin, memory_cap, h_max, t_occ) -> tuple:
         raise ResourceError(
             f"grid payload {payload} bytes exceeds memory cap {memory_cap}"
         )
-    return dims
+    return dict(dims=dims, voxel_size=float(voxel_size),
+                origin=np.array(origin, dtype=np.float64), h_max=int(h_max),
+                t_occ=int(t_occ))
 
 
 def new_grid(
@@ -131,16 +134,13 @@ def new_grid(
     1 <= t_occ <= h_max <= 255, and ResourceError when the voxel
     payload would exceed ``memory_cap``.
     """
-    dims = check_grid(dims, voxel_size, origin, memory_cap, h_max, t_occ)
+    header = check_grid(dims, voxel_size, origin, memory_cap, h_max, t_occ)
+    dims = header["dims"]
     return VoxelGrid(
-        dims=dims,
-        voxel_size=float(voxel_size),
-        origin=np.asarray(origin, dtype=np.float64).copy(),
         mask=np.full(dims, FULL_MASK, dtype=np.uint32, order="F"),
         sign=np.full(dims, SIGN_FREE, dtype=np.uint8, order="F"),
         hits=np.zeros(dims, dtype=np.uint8, order="F"),
-        h_max=int(h_max),
-        t_occ=int(t_occ),
+        **header,
     )
 
 
@@ -209,17 +209,22 @@ def voxel_fault(grid: VoxelGrid) -> str | None:
     reported by the first of these. Fusion never writes such a voxel, but a
     snapshot is loaded without these checks."""
     m, s, h = (getattr(grid, name).ravel(order="F") for name in _FIELD_DTYPES)
-    bad = ((m & (m + 1)) != 0,
-           s != np.where(h >= grid.t_occ, SIGN_OCCUPIED, SIGN_FREE),
-           h > grid.h_max)
-    at = [int(np.argmax(b)) if b.any() else m.size for b in bad]
-    i = min(at)
-    if i == m.size:
+    # A run plus one shares no bit with it; one uint32 temporary, in place.
+    bad = m + 1
+    bad &= m
+    bad = bad != 0
+    bad |= s != np.where(h >= grid.t_occ, np.uint8(SIGN_OCCUPIED), np.uint8(SIGN_FREE))
+    bad |= h > grid.h_max
+    i = int(np.argmax(bad))
+    if not bad[i]:
         return None
     x, y, z = (int(c) for c in np.unravel_index(i, grid.dims, order="F"))
-    what = (f"mask {int(m[i]):#010x} is not a low-bit run",
-            f"sign {s[i]} disagrees with {h[i]} hits at t_occ {grid.t_occ}",
-            f"{h[i]} hits exceed h_max {grid.h_max}")[at.index(i)]
+    if not is_run_mask(m[i]):
+        what = f"mask {int(m[i]):#010x} is not a low-bit run"
+    elif s[i] != (SIGN_OCCUPIED if h[i] >= grid.t_occ else SIGN_FREE):
+        what = f"sign {s[i]} disagrees with {h[i]} hits at t_occ {grid.t_occ}"
+    else:
+        what = f"{h[i]} hits exceed h_max {grid.h_max}"
     return f"voxel ({x}, {y}, {z}): {what}"
 
 
@@ -242,18 +247,17 @@ def from_records(
     records, dims, voxel_size, origin, h_max=255, t_occ=2
 ) -> VoxelGrid:
     """The grid whose serialized voxel records, in linear-index order, are
-    ``records``: one record array, or an iterable of consecutive record
-    arrays (a snapshot read one slab at a time). The header is checked
-    before any array is made; one that new_grid would reject raises
-    CorruptionError, and so does a record count that does not match dims.
-    Each slab's fields are copied straight into the grid's arrays, so
-    decoding allocates the grid and nothing the size of it."""
+    the consecutive record arrays that ``records`` yields (a snapshot read
+    one slab at a time). The header is checked before any array is made;
+    one that new_grid would reject raises CorruptionError, and so does a
+    record count that does not match dims. Each slab's fields are copied
+    straight into the grid's arrays, so decoding allocates the grid and
+    nothing the size of it."""
     try:
-        dims = check_grid(dims, voxel_size, origin, DEFAULT_MEMORY_CAP, h_max, t_occ)
+        header = check_grid(dims, voxel_size, origin, DEFAULT_MEMORY_CAP, h_max, t_occ)
     except ConfigurationError as e:
         raise CorruptionError(f"bad grid header: {e}") from None
-    if isinstance(records, np.ndarray):
-        records = (records,)
+    dims = header["dims"]
     n = dims[0] * dims[1] * dims[2]
     flat = {name: np.empty(n, dtype=dtype) for name, dtype in _FIELD_DTYPES.items()}
     at = 0
@@ -266,11 +270,5 @@ def from_records(
         at = end
     if at != n:
         raise CorruptionError(f"record count {at} does not match dims {dims}")
-    return VoxelGrid(
-        dims=dims,
-        voxel_size=float(voxel_size),
-        origin=np.asarray(origin, dtype=np.float64).copy(),
-        h_max=int(h_max),
-        t_occ=int(t_occ),
-        **{name: a.reshape(dims, order="F") for name, a in flat.items()},
-    )
+    return VoxelGrid(**header,
+                     **{name: a.reshape(dims, order="F") for name, a in flat.items()})

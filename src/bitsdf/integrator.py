@@ -64,8 +64,9 @@ class ScanFrame:
     (4x4, map frame). ``prev_pose`` is the pose at the start of the sweep and
     is only needed for motion compensation. ``timestamps`` are normalized to
     [0, 1] over the sweep; when absent, deskew spreads times evenly over
-    the points kept after downsampling, in point order. Checked when made:
-    fusion reads the scan unchecked."""
+    the points kept after downsampling, in point order. Checked when made,
+    points included (each must be finite): fusion reads the scan
+    unchecked."""
 
     points: np.ndarray
     pose: np.ndarray
@@ -74,6 +75,8 @@ class ScanFrame:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        if not np.all(np.isfinite(self.points)):
+            raise ConfigurationError("scan points must be finite")
         self.pose = np.asarray(self.pose, dtype=np.float64)
         check_rotation(self.pose)
         if self.prev_pose is not None:
@@ -111,13 +114,14 @@ class FrameStats:
     sensor, and ``discarded_bounds`` the others, whose K^3 block leaves the
     grid. ``discarded_duplicate`` counts the returns that passed both checks
     but were not stamped because ``first_return_per_voxel`` keeps only the
-    first return of each center voxel. ``voxels_written`` is the number of
-    distinct voxels whose distance mask changed in the frame; a voxel that
-    several returns lower counts once. ``elapsed_ms`` is the whole frame's time;
-    ``prepare_ms`` that of the vectorized prepare (bounds, sort, bins), and
-    ``pass_ms`` that of the stamp: the plane cuts and the call of the
-    compiled pass, with its workers, or the numpy code where it cannot be
-    built."""
+    first return of each center voxel. ``discarded_nonfinite``, set by
+    run_fuse, counts the scan file's rows dropped as not finite before any of
+    this. ``voxels_written`` is the number of distinct voxels whose distance
+    mask changed in the frame; a voxel that several returns lower counts
+    once. ``elapsed_ms`` is the whole frame's time; ``prepare_ms`` that of
+    the vectorized prepare (bounds, sort, bins), and ``pass_ms`` that of the
+    stamp: the plane cuts and the call of the compiled pass, with its
+    workers, or the numpy code where it cannot be built."""
 
     points_in: int = 0
     points_discarded: int = 0
@@ -129,6 +133,7 @@ class FrameStats:
     discarded_bounds: int = 0
     discarded_downsample: int = 0
     discarded_duplicate: int = 0
+    discarded_nonfinite: int = 0
 
 
 def motion_compensate(points, times, prev_pose, pose, mode: str) -> np.ndarray:

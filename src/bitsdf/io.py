@@ -415,7 +415,9 @@ def _write_obj(mesh: TriangleMesh, path: Path) -> None:
 
 
 def read_mesh_ply(path) -> TriangleMesh:
-    """Read back a PLY mesh written by write_mesh (vertices + faces)."""
+    """Read back a PLY mesh written by write_mesh (vertices + faces). A
+    vertex that is not finite, or a face index outside [0, vertex count),
+    raises CorruptionError."""
     path = _input_file(path, "mesh")
     elements = _read_elements(path.read_bytes(), path, _parse_ply_header, "face")
     verts, normals = np.zeros((0, 3)), None
@@ -431,6 +433,10 @@ def read_mesh_ply(path) -> TriangleMesh:
         if not lists:
             raise FormatError(f"{path}: PLY face element has no index list")
         faces = face[lists[0]].astype(np.int64)
+    if not np.all(np.isfinite(verts)):
+        raise CorruptionError(f"{path}: a mesh vertex is not finite")
+    if faces.size and not 0 <= faces.min() <= faces.max() < len(verts):
+        raise CorruptionError(f"{path}: a face index is outside [0, {len(verts)})")
     return TriangleMesh(vertices=verts, triangles=faces, normals=normals)
 
 

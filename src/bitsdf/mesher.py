@@ -127,7 +127,7 @@ def _slab_cells(grid: VoxelGrid, z0: int, z1: int, a: int, b: int):
     ``(x-major index << 8) | code`` in (z, y, x) order; a voxel is inside
     when its popcount is at least ``a`` on an occupied voxel, or below
     ``b`` on the others."""
-    nx, ny, nz = grid.dims
+    _, ny, nz = grid.dims
     # Voxel planes z0..z1 hold cells z0..z1-1; (nz, ny, nx) views, C order.
     mask, sign, hits = (f.T[z0 : z1 + 1] for f in (grid.mask, grid.sign, grid.hits))
     pc = np.bitwise_count(mask)
@@ -144,12 +144,9 @@ def _slab_cells(grid: VoxelGrid, z0: int, z1: int, a: int, b: int):
     v |= w[:, :-1]
     w = v[1:] << 4
     w |= v[:-1]
-    v = w.reshape(-1)
-    v -= 1  # active codes 1..254 become 0..253
-    flat = np.flatnonzero(v < 254)
-    cz, cyx = np.divmod(flat, (ny - 1) * (nx - 1))
-    cy, cx = np.divmod(cyx, nx - 1)
-    return (((cx * ny + cy) * nz + cz + z0) << 8) | (v[flat] + 1)
+    w -= 1  # active codes 1..254 become 0..253
+    cz, cy, cx = np.nonzero(w < 254)
+    return (((cx * ny + cy) * nz + cz + z0) << 8) | (w[cz, cy, cx] + 1)
 
 
 def _triangle_keys(cell, code, dims):
@@ -213,30 +210,22 @@ def _rank_keys(lib, keys, cell, dims):
 def _edge_vertices(grid: VoxelGrid, keys, iso: float):
     """The iso crossing on each lattice edge, by linear interpolation of the
     signed distances at its ends."""
-    nx, ny, nz = grid.dims
+    nx, ny, _ = grid.dims
     axis = keys % 3
-    rest = keys // 3
-    ez = rest % nz
-    rest //= nz
-    ey = rest % ny
-    ex = rest // ny
-    base = np.stack([ex, ey, ez], axis=1)
-    step = np.eye(3, dtype=np.int64)[axis]
-    other = base + step
-
-    def field(p):
-        i = (p[:, 2] * ny + p[:, 1]) * nx + p[:, 0]
-        pc = np.bitwise_count(grid.mask.T.reshape(-1)[i])
-        return signed_distances(pc, grid.sign.T.reshape(-1)[i], grid.voxel_size)
-
-    v1 = field(base)
-    v2 = field(other)
+    ex, ey, ez = np.unravel_index(keys // 3, grid.dims)
+    # Flat x-fastest indices of each edge's two ends.
+    i1 = (ez * ny + ey) * nx + ex
+    i2 = i1 + np.array([1, nx, nx * ny])[axis]
+    mask, sign = grid.mask.ravel(order="F"), grid.sign.ravel(order="F")
+    v1, v2 = (signed_distances(np.bitwise_count(mask[i]), sign[i], grid.voxel_size)
+              for i in (i1, i2))
     denom = v2 - v1
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(denom != 0.0, (iso - v1) / denom, 0.0)
     t = np.clip(t, 0.0, 1.0)
+    base = np.stack([ex, ey, ez], axis=1)
     p1 = grid.origin + (base + 0.5) * grid.voxel_size
-    p2 = grid.origin + (other + 0.5) * grid.voxel_size
+    p2 = grid.origin + (base + np.eye(3, dtype=np.int64)[axis] + 0.5) * grid.voxel_size
     return p1 + t[:, None] * (p2 - p1)
 
 

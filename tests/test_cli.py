@@ -134,7 +134,7 @@ class TestFuse:
         assert stats[0] == ("frame,points_in,points_discarded,voxels_written,"
                             "elapsed_ms,prepare_ms,pass_ms,discarded_near,"
                             "discarded_bounds,discarded_downsample,"
-                            "discarded_duplicate")
+                            "discarded_duplicate,discarded_nonfinite")
         assert len(stats) == 11
         # The pass and the prepare are parts of the frame's time.
         for line in stats[1:]:
@@ -177,6 +177,25 @@ class TestFuse:
                 assert a[key] == b[key]
             assert a["discarded_duplicate"] == 0
         assert summary["discarded_duplicate"] > 0
+
+    def test_nonfinite_rows_counted(self, dataset, tmp_path):
+        # One scan holds one NaN row: read_scan drops it, and the run counts
+        # it in frame_stats.csv and in the --json summary.
+        root, _ = dataset
+        scans = tmp_path / "scans"
+        shutil.copytree(root / "scans", scans)
+        first = sorted(scans.iterdir())[0]
+        pts = bio.read_scan(first).points
+        pts[5] = np.nan
+        bio.write_pcd(pts, first, binary=True)
+        cfg = config_into(dataset, tmp_path / "out")
+        result = CliRunner().invoke(cli, ["fuse", "--config", str(cfg), "--scans",
+                                          str(scans), "--json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["discarded_nonfinite"] == 1
+        lines = (tmp_path / "out" / "frame_stats.csv").read_text().splitlines()
+        column = [line.split(",")[-1] for line in lines]
+        assert column == ["discarded_nonfinite", "1"] + ["0"] * 9
 
     @pytest.mark.parametrize("mode", ["yaw", "se3"])
     def test_compensation_fuses_every_frame(self, dataset, tmp_path, mode):
@@ -659,6 +678,22 @@ class TestMeshEvalExportInfo:
         gt.write_text("0 0 0\n")
         res = run_main("eval", "--pred", pred, "--gt", gt)
         assert res.returncode == code, res.stderr
+
+    @pytest.mark.parametrize("vertices, faces", [
+        (np.eye(3), [[0, 1, 3]]),  # an index past the last vertex
+        (np.eye(3), [[0, 1, -1]]),  # a negative index, which would wrap
+        (np.vstack([np.eye(3), [np.nan, 0, 0]]), [[0, 1, 2]]),  # a NaN vertex
+    ], ids=["index-past-end", "negative-index", "nan-vertex"])
+    def test_eval_pred_mesh_it_cannot_sample(self, tmp_path, monkeypatch, capsys,
+                                             vertices, faces):
+        from bitsdf.mesher import TriangleMesh
+
+        pred = tmp_path / "pred.ply"
+        bio.write_mesh(TriangleMesh(vertices, np.array(faces)), pred, "ply_binary")
+        code, err = fail_in_process(monkeypatch, capsys, "eval", "--pred", pred,
+                                    "--gt", point_xyz(tmp_path), "--samples", 10)
+        assert code == 4, err
+        assert "Traceback" not in err
 
     def test_trailing_bytes_exit_4(self, dataset, tmp_path):
         root, _ = dataset

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -205,13 +207,13 @@ class TestRecords:
         ).reshape(g.dims)
         g.hits[...] = rng.integers(0, 255, g.dims)
         g.sign[...] = rng.integers(0, 2, g.dims)
-        g2 = from_records(to_records(g), g.dims, g.voxel_size, g.origin)
+        g2 = from_records((to_records(g),), g.dims, g.voxel_size, g.origin)
         assert grid_state(g2) == grid_state(g)
 
     def test_record_count_mismatch(self):
         g = new_grid((2, 2, 2), 0.1)
         with pytest.raises(CorruptionError):
-            from_records(to_records(g)[:-1], g.dims, g.voxel_size, g.origin)
+            from_records((to_records(g)[:-1],), g.dims, g.voxel_size, g.origin)
 
     def test_slabs_decode_like_one_array(self):
         rng = np.random.default_rng(9)
@@ -272,6 +274,23 @@ class TestVoxelFault:
         assert voxel_fault(g).startswith("voxel (0, 1, 0): mask 0x00000008")
         g.mask[0, 1, 0] = run_mask(3)
         assert voxel_fault(g).startswith("voxel (0, 1, 0): sign 0")
+
+    def test_peak_below_grid_arrays(self):
+        # A 220 x 220 x 80 grid holds 22.2 MiB of arrays (6 bytes a voxel);
+        # the check makes one boolean fault mask and one uint32 temporary.
+        g = new_grid((220, 220, 80), 0.05)
+        g.hits[::2] = 3
+        g.sign[::2] = SIGN_OCCUPIED
+        g.mask[-1, -1, -1] = 0b10
+        arrays = g.mask.nbytes + g.sign.nbytes + g.hits.nbytes
+        tracemalloc.start()
+        try:
+            fault = voxel_fault(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fault.startswith("voxel (219, 219, 79): mask 0x00000002")
+        assert peak < arrays
 
 
 class TestMaskAlgebraProperties:

@@ -147,6 +147,13 @@ class TestMotionCompensate:
         with pytest.raises(ConfigurationError):
             ScanFrame(points=np.zeros((1, 3)), pose=bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_point_rejected(self, bad):
+        pts = np.ones((3, 3))
+        pts[1, 2] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            ScanFrame(points=pts, pose=identity_pose())
+
 
 class TestIntegratePoint:
     def test_center_stamp_distances(self, bank):

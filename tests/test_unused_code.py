@@ -1,9 +1,10 @@
-"""Every function, class, method and module-level constant in src/bitsdf
-is used by the program.
+"""Every function, class, method, module-level constant and dataclass
+field in src/bitsdf is used by the program.
 
 A definition counts as used when some code in src/bitsdf outside the
 definition itself names it, as a plain name or as an attribute; a constant,
-when some code there reads it. Dunder methods and names, the public API in
+when some code there reads it; a dataclass field, when some code there reads
+it as an attribute. Dunder methods and names, the public API in
 ``bitsdf.__all__``, the click commands and ``main`` are used from outside;
 the names below are kept on purpose.
 """
@@ -23,15 +24,24 @@ KEPT = {
 }
 # The brute-force oracle is called only by tests, by design.
 KEPT_MODULES = {"oracle"}
+# Dataclasses whose fields are all written out by astuple or asdict.
+WRITTEN_WHOLE = {"FrameStats", "MetricsReport"}
+
+
+def _decorators(node) -> list:
+    """The decorators of ``node``, each without its call's arguments."""
+    return [d.func if isinstance(d, ast.Call) else d
+            for d in getattr(node, "decorator_list", [])]
 
 
 def _is_command(node) -> bool:
     """A function decorated as a click command or group."""
-    for dec in getattr(node, "decorator_list", []):
-        call = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(call, ast.Attribute) and call.attr in ("command", "group"):
-            return True
-    return False
+    return any(isinstance(d, ast.Attribute) and d.attr in ("command", "group")
+               for d in _decorators(node))
+
+
+def _is_dataclass(node) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in _decorators(node))
 
 
 def _trees():
@@ -93,3 +103,21 @@ def test_every_constant_is_read():
                             and name.id not in reads):
                         unread.append(f"{module}.{name.id} (line {node.lineno})")
     assert not unread, "constants never read in src/bitsdf: " + ", ".join(unread)
+
+
+def test_every_dataclass_field_is_read():
+    trees = _trees()
+    reads = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (not isinstance(node, ast.ClassDef) or not _is_dataclass(node)
+                    or node.name in WRITTEN_WHOLE):
+                continue
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and item.target.id not in reads):
+                    unread.append(f"{module}.{node.name}.{item.target.id} "
+                                  f"(line {item.lineno})")
+    assert not unread, "dataclass fields never read in src/bitsdf: " + ", ".join(unread)
