@@ -55,8 +55,6 @@ def _list_scans(scans_dir: Path, times, echo):
     the same rank among ``times`` (None past the last record); otherwise
     the stamps are those in the names, and a file without one is skipped
     with a warning to ``echo``."""
-    if not scans_dir.is_dir():
-        raise ConfigurationError(f"scans directory not found: {scans_dir}")
     files = sorted(
         p for p in scans_dir.iterdir() if p.suffix.lower() in SCAN_SUFFIXES
     )
@@ -82,32 +80,29 @@ def _normalized_times(ts):
 
 
 def _check_run(cfg: RunConfig):
-    """The grid's (dims, origin) and the kernel bank of a fuse run of
-    ``cfg``; ConfigurationError for a setting that the run cannot use."""
-    if cfg.paths.trajectory is None:
-        raise ConfigurationError("paths.trajectory is not set")
-    dims, origin = cfg.resolve_grid()
+    """The grid header and the kernel bank of a fuse run of ``cfg``;
+    ConfigurationError for a setting that the run cannot use."""
+    for key in ("trajectory", "scans"):
+        if getattr(cfg.paths, key) is None:
+            raise ConfigurationError(f"paths.{key} is not set")
+    if not Path(cfg.paths.scans).is_dir():
+        raise ConfigurationError(f"scans directory not found: {cfg.paths.scans}")
+    header = cfg.resolve_grid()
     kc = cfg.kernel
     bank = build_kernel_bank(
         size=kc.size, b_az=kc.azimuth_bins, b_el=kc.elevation_bins,
         shadow_radius=cfg.resolved_shadow_radius(), shadow_model=kc.shadow_model,
         cone_half_angle_deg=kc.cone_half_angle_deg)
-    return dims, origin, bank
+    return header, bank
 
 
-def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
-    """Fuse all scans; returns (grid, FrameRow per fused scan, snapshot
-    path). Every setting is checked before any input is read or the grid
-    allocated, and ``output_dir`` is made only to write the outputs.
-    Warnings about skipped scans go to ``echo``, by default standard error."""
-    dims, origin, bank = _check_run(cfg)
-    ic = cfg.integration
+def _fuse_frames(cfg: RunConfig, header: dict, bank, echo):
+    """The grid of ``header``, allocated fresh, with each scan of ``cfg``
+    that pairs with a trajectory record fused into it, and a FrameRow per
+    fused scan."""
     traj = bio.read_trajectory(cfg.paths.trajectory)
-    scans = (_list_scans(Path(cfg.paths.scans), traj.times, echo)
-             if cfg.paths.scans else [])
-    grid = new_grid(dims, cfg.grid.voxel_size, origin, cfg.grid.memory_cap_bytes,
-                    h_max=ic.h_max, t_occ=ic.t_occ)
-
+    scans = _list_scans(Path(cfg.paths.scans), traj.times, echo)
+    grid = new_grid(memory_cap=cfg.grid.memory_cap_bytes, **header)
     rows = []
     prev_pose = None  # pose of the last scan fused
     for frame_idx, (stamp, path) in enumerate(scans):
@@ -129,10 +124,18 @@ def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
                          timestamps=_normalized_times(data.timestamps),
                          prev_pose=pose if prev_pose is None else prev_pose)
         prev_pose = pose
-        stats = integrate_frame(grid, bank, scan, ic, threads=cfg.threads)
+        stats = integrate_frame(grid, bank, scan, cfg.integration, threads=cfg.threads)
         stats = replace(stats, discarded_nonfinite=data.dropped)
         rows.append(FrameRow(frame_idx, *astuple(stats)))
+    return grid, rows
 
+
+def run_fuse(cfg: RunConfig, echo=functools.partial(click.echo, err=True)):
+    """Fuse all scans; returns (grid, FrameRow per fused scan, snapshot
+    path). Every setting is checked before any input is read or the grid
+    allocated, and ``output_dir`` is made only to write the outputs.
+    Warnings about skipped scans go to ``echo``, by default standard error."""
+    grid, rows = _fuse_frames(cfg, *_check_run(cfg), echo)
     out_dir = Path(cfg.paths.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     snapshot = out_dir / "map.dbtsdf"
@@ -272,20 +275,18 @@ def bench(config_path, voxel_sizes, repeats, out, as_json):
         raise ConfigurationError(f"--repeats must be at least 1, got {repeats}")
     if repeats < 2:
         click.echo("warning: fewer than 2 repeats, std is unreliable", err=True)
-    out_dir = Path(load_config(config_path).paths.output_dir)
-    cfgs = [load_config(config_path, voxel_size=size,
-                        output_dir=str(out_dir / f"vs_{size}")) for size in sizes]
-    for cfg in cfgs:
-        _check_run(cfg)
+    cfgs = [load_config(config_path, voxel_size=size) for size in sizes]
+    runs = [(cfg, *_check_run(cfg)) for cfg in cfgs]
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
     results = []
-    for size, cfg in zip(sizes, cfgs):
+    for size, (cfg, header, bank) in zip(sizes, runs):
         frames = []
         for _ in range(repeats):
-            grid, rows, _snap = run_fuse(cfg, echo=lambda *_: None)
+            grid, rows = _fuse_frames(cfg, header, bank, echo=lambda *_: None)
             frames.extend((r.elapsed_ms, r.prepare_ms, r.pass_ms) for r in rows)
             mem = memory_bytes(grid)
+            del grid  # so the next repeat's grid is the only one allocated
         elapsed, prepare, pass_ms = np.array(frames).reshape(-1, 3).T
         results.append(
             {"voxel_size": size, "mean_ms": float(np.mean(elapsed)),

@@ -3,9 +3,10 @@ overridable from the CLI. A file's values and the overrides reach a
 ``RunConfig`` by one path, ``config_from_dict``, which builds each section
 with its constructor, so a section's own checks run when the config loads.
 
-A grid is specified either directly (dims + origin) or via world bounds, in
-which case the dimensions are rounded up and padded by the kernel half-extent
-so returns near the bounds keep their full neighborhood in range.
+A grid is specified by exactly one pair of keys: directly (dims + origin) or
+via world bounds (bounds_min + bounds_max), in which case the dimensions are
+rounded up and padded by the kernel half-extent so returns near the bounds
+keep their full neighborhood in range.
 """
 
 from __future__ import annotations
@@ -94,19 +95,19 @@ class RunConfig:
             default_shadow_radius(self.grid.voxel_size, self.kernel.size // 2)
         )
 
-    def resolve_grid(self):
-        """Return (dims, origin) in voxels/meters, once new_grid would take
-        them with this config's voxel size, thresholds and memory cap."""
+    def resolve_grid(self) -> dict:
+        """The grid header, normalized as check_grid returns it, once
+        new_grid would take it with this config's memory cap."""
         g, ic = self.grid, self.integration
+        given = [k for k in ("dims", "origin", "bounds_min", "bounds_max")
+                 if getattr(g, k) is not None]
+        if given not in (["dims", "origin"], ["bounds_min", "bounds_max"]):
+            raise ConfigurationError(
+                "grid needs exactly dims + origin or bounds_min + bounds_max, "
+                f"got {' + '.join(f'grid.{k}' for k in given) or 'none of them'}")
         if g.dims is not None:
-            if g.origin is None:
-                raise ConfigurationError("grid.dims requires grid.origin")
             dims, origin = g.dims, g.origin
         else:
-            if g.bounds_min is None or g.bounds_max is None:
-                raise ConfigurationError(
-                    "grid needs either dims+origin or bounds_min+bounds_max"
-                )
             check_geometry(g.voxel_size, bounds_min=g.bounds_min,
                            bounds_max=g.bounds_max)
             pad = self.kernel.size // 2
@@ -121,9 +122,8 @@ class RunConfig:
                         f"[{lo}, {hi}]: their voxel count is not finite")
                 dims.append(math.ceil(cells) + 2 * pad)
                 origin.append(lo - pad * g.voxel_size)
-        origin = tuple(float(v) for v in origin)
         return check_grid(dims, g.voxel_size, origin, g.memory_cap_bytes,
-                          ic.h_max, ic.t_occ)["dims"], origin
+                          ic.h_max, ic.t_occ)
 
 
 # The YAML values of each type name in a config field's annotation.

@@ -65,8 +65,8 @@ class ScanFrame:
     is only needed for motion compensation. ``timestamps`` are normalized to
     [0, 1] over the sweep; when absent, deskew spreads times evenly over
     the points kept after downsampling, in point order. Checked when made,
-    points included (each must be finite): fusion reads the scan
-    unchecked."""
+    points and timestamps included (each must be finite): fusion reads the
+    scan unchecked."""
 
     points: np.ndarray
     pose: np.ndarray
@@ -86,6 +86,8 @@ class ScanFrame:
             self.timestamps = np.asarray(self.timestamps, dtype=np.float64).ravel()
             if self.timestamps.shape[0] != self.points.shape[0]:
                 raise ConfigurationError("timestamp count does not match point count")
+            if not np.all(np.isfinite(self.timestamps)):
+                raise ConfigurationError("scan timestamps must be finite")
 
 
 @dataclass

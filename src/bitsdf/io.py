@@ -40,7 +40,8 @@ _SNAPSHOT_HEADER = struct.Struct("<3I4d2B6x")
 @dataclass
 class ScanData:
     """Points read from one scan file, with optional per-point timestamps
-    (normalized or raw, as stored) and the count of dropped non-finite rows."""
+    (normalized or raw, as stored) and the count of rows dropped because a
+    coordinate or the time is not finite."""
 
     points: np.ndarray
     timestamps: np.ndarray | None
@@ -57,6 +58,8 @@ def _input_file(path, what: str) -> Path:
 
 def _drop_nonfinite(points, timestamps=None):
     ok = np.all(np.isfinite(points), axis=1)
+    if timestamps is not None:
+        ok &= np.isfinite(timestamps)
     dropped = int(points.shape[0] - np.count_nonzero(ok))
     ts = timestamps[ok] if timestamps is not None else None
     return ScanData(points=points[ok], timestamps=ts, dropped=dropped)

@@ -110,6 +110,22 @@ def config_into(dataset, out_dir):
     return path
 
 
+def record_calls(monkeypatch, *targets):
+    """The list to which each call of a (module, function name) of
+    ``targets`` appends that name; the calls still run."""
+    calls = []
+
+    def recording(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    return calls
+
+
 def fail_in_process(monkeypatch, capsys, *args):
     """The exit code and standard error of ``bitsdf *args``, run through
     ``main`` in this process, for a command that must fail."""
@@ -196,6 +212,28 @@ class TestFuse:
         lines = (tmp_path / "out" / "frame_stats.csv").read_text().splitlines()
         column = [line.split(",")[-1] for line in lines]
         assert column == ["discarded_nonfinite", "1"] + ["0"] * 9
+
+    @pytest.mark.parametrize("mode", ["yaw", "se3"])
+    def test_nonfinite_time_row_dropped(self, dataset, tmp_path, mode):
+        # A deskewed run of scans with a per-point time field, one time of
+        # the second scan NaN: the row is dropped and counted, and the other
+        # times still spread over the sweep.
+        root, _ = dataset
+        scans = tmp_path / "scans"
+        scans.mkdir()
+        for i, path in enumerate(sorted((root / "scans").iterdir())[:2]):
+            pts = bio.read_scan(path).points
+            ts = np.linspace(0.0, 0.1, len(pts))
+            if i == 1:
+                ts[7] = np.nan
+            bio.write_pcd(pts, scans / path.name, binary=True, timestamps=ts)
+        cfg = config_into(dataset, tmp_path / "out")
+        result = CliRunner().invoke(cli, ["fuse", "--config", str(cfg), "--scans",
+                                          str(scans), "--compensation", mode,
+                                          "--json"])
+        assert result.exit_code == 0, result.output
+        summary = json.loads(result.stdout)
+        assert (summary["frames"], summary["discarded_nonfinite"]) == (2, 1)
 
     @pytest.mark.parametrize("mode", ["yaw", "se3"])
     def test_compensation_fuses_every_frame(self, dataset, tmp_path, mode):
@@ -347,9 +385,11 @@ class TestFuse:
         ({"integration": {"t_occ": 0}}, []),
         ({}, ["--downsample", "0"]),
         ({}, ["--voxel-size", "0"]),
+        ({"paths": {"scans": None}}, []),
+        ({}, ["--scans", "no/such/scans"]),
     ], ids=["compensation", "downsample", "shadow-model", "kernel-size",
             "cone-angle", "voxel-size", "thresholds", "downsample-option",
-            "voxel-size-option"])
+            "voxel-size-option", "scans-unset", "scans-missing"])
     def test_bad_setting_fails_before_any_work(self, dataset, tmp_path, monkeypatch,
                                                capsys, config, args):
         out = tmp_path / "out"
@@ -358,16 +398,8 @@ class TestFuse:
         for section, keys in config.items():
             cfg.setdefault(section, {}).update(keys)
         path.write_text(yaml.safe_dump(cfg))
-        calls = []
-
-        def recording(name, real):
-            def call(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-            return call
-
-        for module, name in ((cli_module, "new_grid"), (bio, "read_trajectory")):
-            monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+        calls = record_calls(monkeypatch, (cli_module, "new_grid"),
+                             (bio, "read_trajectory"))
         code, err = fail_in_process(monkeypatch, capsys,
                                     "fuse", "--config", path, *args)
         assert code == 2, err
@@ -753,8 +785,12 @@ class TestMeshEvalExportInfo:
 
 
 class TestBench:
-    def test_two_sizes(self, dataset, tmp_path):
+    def test_two_sizes(self, dataset, tmp_path, monkeypatch):
+        # Each size builds its kernel bank once, and a repeat only fuses: it
+        # saves no snapshot or config and makes no output directory.
         bench_cfg = config_into(dataset, tmp_path / "bench")
+        calls = record_calls(monkeypatch, (cli_module, "build_kernel_bank"),
+                             (bio, "save_grid"), (cli_module, "save_config"))
         out = tmp_path / "bench.csv"
         result = CliRunner().invoke(
             cli,
@@ -762,13 +798,19 @@ class TestBench:
              "--repeats", "2", "-o", str(out), "--json"],
         )
         assert result.exit_code == 0, result.output
+        assert calls == ["build_kernel_bank"] * 2
+        assert not (tmp_path / "bench").exists()
         payload = json.loads(result.output)
-        assert len(payload["results"]) == 2
+        assert set(payload) == {"results", "max_min_ratio"}
+        for r, size in zip(payload["results"], (0.2, 0.1), strict=True):
+            assert set(r) == {"voxel_size", "mean_ms", "std_ms", "samples",
+                              "memory_bytes", "prepare_ms", "pass_ms"}
+            assert (r["voxel_size"], r["samples"]) == (size, 20)
         assert payload["max_min_ratio"] >= 1.0
         lines = out.read_text().splitlines()
         assert lines[0] == ("voxel_size,mean_ms,std_ms,samples,memory_bytes,"
                             "prepare_ms,pass_ms")
-        assert len(lines) == 3
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.2", "0.1"]
         # The prepare and the pass are parts of each frame's time.
         for r in payload["results"]:
             assert 0 < r["prepare_ms"] + r["pass_ms"] <= r["mean_ms"]

@@ -5,6 +5,7 @@ import yaml
 
 from bitsdf.config import RunConfig, config_from_dict, load_config, save_config
 from bitsdf.errors import ConfigurationError
+from bitsdf.grid import new_grid
 
 
 class TestResolveGrid:
@@ -13,17 +14,28 @@ class TestResolveGrid:
             "grid": {"voxel_size": 0.3, "bounds_min": [0, 0, 0],
                      "bounds_max": [1.0, 0.9, 0.3]},
         })
-        dims, origin = cfg.resolve_grid()
+        header = cfg.resolve_grid()
         # ceil(1.0/0.3)=4, ceil(0.9/0.3)=3, ceil(0.3/0.3)=1, plus 10 voxels
         # of kernel padding on each side
-        assert dims == (24, 23, 21)
-        assert origin == (-3.0, -3.0, -3.0)
+        assert header["dims"] == (24, 23, 21)
+        assert tuple(header["origin"]) == (-3.0, -3.0, -3.0)
 
     def test_explicit_dims(self):
         cfg = config_from_dict({
             "grid": {"dims": [8, 9, 10], "origin": [1, 2, 3]},
         })
-        assert cfg.resolve_grid() == ((8, 9, 10), (1.0, 2.0, 3.0))
+        header = cfg.resolve_grid()
+        assert (header["dims"], tuple(header["origin"])) == ((8, 9, 10), (1.0, 2.0, 3.0))
+
+    def test_header_is_what_new_grid_takes(self):
+        cfg = config_from_dict({
+            "grid": {"voxel_size": 0.25, "dims": [3, 4, 5], "origin": [1, 2, 3]},
+            "integration": {"h_max": 9, "t_occ": 4},
+        })
+        grid = new_grid(**cfg.resolve_grid())
+        assert (grid.dims, grid.voxel_size, grid.h_max, grid.t_occ) == (
+            (3, 4, 5), 0.25, 9, 4)
+        assert grid.origin.tolist() == [1.0, 2.0, 3.0]
 
     def test_dims_without_origin(self):
         cfg = config_from_dict({"grid": {"dims": [8, 9, 10]}})
@@ -40,6 +52,24 @@ class TestResolveGrid:
         })
         with pytest.raises(ConfigurationError):
             cfg.resolve_grid()
+
+    # Each grid is specified by exactly one pair of keys: any other set of
+    # them is refused, and the message names the keys that were given.
+    @pytest.mark.parametrize("keys, named", [
+        ({"origin": [5, 5, 5]}, "grid.origin + grid.bounds_min + grid.bounds_max"),
+        ({"dims": [8, 8, 8]}, "grid.dims + grid.bounds_min + grid.bounds_max"),
+        ({"dims": [8, 8, 8], "origin": [5, 5, 5]},
+         "grid.dims + grid.origin + grid.bounds_min + grid.bounds_max"),
+        ({"bounds_min": None}, "got grid.bounds_max"),
+    ], ids=["origin-beside-bounds", "dims-beside-bounds", "both-pairs",
+            "bounds-min-only"])
+    def test_one_grid_spec(self, keys, named):
+        cfg = config_from_dict({
+            "grid": {"bounds_min": [0, 0, 0], "bounds_max": [1, 1, 1], **keys},
+        })
+        with pytest.raises(ConfigurationError) as e:
+            cfg.resolve_grid()
+        assert named in str(e.value)
 
 
 class TestShadowRadius:
@@ -104,6 +134,9 @@ class TestRoundTrip:
         p = tmp_path / "c.yaml"
         save_config(cfg, p)
         assert load_config(p) == cfg
+        # The unused pair of grid keys is saved as nulls, which count as unset.
+        assert yaml.safe_load(p.read_text())["grid"]["dims"] is None
+        assert load_config(p).resolve_grid()["dims"] == cfg.resolve_grid()["dims"]
 
     def test_same_text_as_safe_dump(self, tmp_path):
         cfg = config_from_dict({

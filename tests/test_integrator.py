@@ -154,6 +154,12 @@ class TestMotionCompensate:
         with pytest.raises(ConfigurationError, match="finite"):
             ScanFrame(points=pts, pose=identity_pose())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_timestamp_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="timestamps must be finite"):
+            ScanFrame(points=np.ones((3, 3)), pose=identity_pose(),
+                      timestamps=[0.0, bad, 1.0])
+
 
 class TestIntegratePoint:
     def test_center_stamp_distances(self, bank):

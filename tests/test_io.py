@@ -122,6 +122,19 @@ class TestReadScanPCD:
         assert data.points.shape == (1, 3)
         assert data.dropped == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_time_row_dropped(self, tmp_path, bad):
+        # A row whose time is not finite goes with its point, and counts
+        # among the dropped rows with those whose coordinates are not finite.
+        p = tmp_path / "t.pcd"
+        pts = np.arange(12.0).reshape(4, 3)
+        pts[3, 0] = np.nan
+        bio.write_pcd(pts, p, binary=True, timestamps=[0.0, bad, 0.5, 1.0])
+        data = bio.read_scan(p)
+        assert data.points.tolist() == [[0, 1, 2], [6, 7, 8]]
+        assert data.timestamps.tolist() == [0.0, 0.5]
+        assert data.dropped == 2
+
     def test_binary_round_trip(self, tmp_path):
         pts = np.random.default_rng(0).normal(size=(100, 3)).astype(np.float32)
         p = tmp_path / "b.pcd"
