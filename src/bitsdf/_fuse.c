@@ -1,11 +1,11 @@
 /* One frame of bitmask fusion, split into bands of z planes, and the two
- * grid- and key-sized steps of marching cubes.
+ * steps of marching cubes: cell classification and mesh emission.
  *
  * Built and loaded by bitsdf/_native.py; integrator._fuse_compiled fills the
  * one struct frame by field name through its ctypes mirror, _native.Frame,
  * and calls the one frame entry with it. mesher.extract_mesh calls
- * bitsdf_classify_cells once per slab of z planes and bitsdf_rank_keys once
- * per mesh, with scratch arrays it allocates (see each entry). The
+ * bitsdf_classify_cells once per slab of z planes and bitsdf_emit_mesh once
+ * per mesh, with scratch arrays and tables it allocates (see each entry). The
  * integrator's and the mesher's numpy code do the same work where this
  * cannot be built. The grid stores voxel (x, y, z) of dims (nx, ny, nz) at
  * word x + nx * (y + ny * z), x fastest, and the entries get that memory as
@@ -28,13 +28,16 @@
  * choice, made once per process, and both give the same words and changed
  * bits.
  *
- * The mesh entries have one portable loop each. Cell classification reads
+ * The mesh entries are portable C. Cell classification reads
  * a slab plane by plane: it folds each voxel plane into one byte per cell
  * lower corner (the inside and unobserved bits of the cell's four corners
  * in that plane), and two such planes give the codes of the cells between
- * them. Key ranking sets one bit per lattice-edge key in a bitmap and reads
- * each key's rank off the popcounts of the words up to it, which is
- * np.unique's sorted order and inverse.
+ * them. Mesh emission sets one bit per triangle edge's lattice-edge key in
+ * a bitmap, reads each triangle corner's rank off the popcounts of the words
+ * up to its key, which is np.unique's sorted order and inverse, and writes
+ * one vertex per set bit. Its float operations are numpy's, one by one, and
+ * the library is built with -ffp-contract=off so that none is fused into
+ * a multiply-add with a different rounding.
  */
 #include <pthread.h>
 #include <stdint.h>
@@ -414,29 +417,88 @@ int64_t bitsdf_classify_cells(const uint32_t *mask, const uint8_t *sign,
     return n;
 }
 
-/* np.unique(keys, return_inverse=True) for n keys in lo <= key < lo + 64 *
- * words: set each key's bit in the zeroed bitmap `bits` (bit key - lo),
- * write each word's count of set bits before it to base, write the set
- * keys in ascending order to uniq (room for n), and overwrite each key
- * with its rank among them. Returns the number of distinct keys. */
-int64_t bitsdf_rank_keys(int64_t *keys, int64_t n, int64_t lo,
-                         uint64_t *bits, int64_t words, int64_t *base,
-                         int64_t *uniq)
+/* The signed distance of a voxel, as grid.signed_distances computes it. */
+static inline double signed_distance(uint32_t mask, uint8_t sign, double voxel_size)
 {
-    for (int64_t i = 0; i < n; i++) {
-        const int64_t k = keys[i] - lo;
-        bits[k >> 6] |= 1ull << (k & 63);
+    const double sigma = sign == 0 ? -1.0 : 1.0;
+    return sigma * ((double)popcount32(mask) * voxel_size);
+}
+
+/* The mesh of the m active cells cell[0] < ... < cell[m - 1] of the
+ * (nz, ny, nx) grid arrays, each its lower corner's x-major voxel index
+ * ((x * ny + y) * nz + z) with its binary corner code code[i], as
+ * bitsdf_classify_cells gives them. Cube edge e of cell c has the
+ * lattice-edge key c * 3 + edge[e], ((x * ny + y) * nz + z) * 3 + axis of
+ * the edge's lower end; tri is the (256, 5, 3) case table of cube edges by
+ * code, triangle slot and corner, and ntri the triangle count of each code.
+ * With lo = cell[0] * 3, the call:
+ * - sets bit key - lo of each triangle edge in the zeroed bitmap `bits` of
+ *   `words` words, which must cover every key, and writes each word's count
+ *   of set bits before it to base;
+ * - writes triangle slot j of every cell with more than j triangles, for
+ *   j = 0..4 and the cells in order within a slot, to the (t, 3)
+ *   `triangles` as the ranks of its edge keys among the set bits;
+ * - writes the iso crossing on each set bit's edge, in bit order, to the
+ *   (v, 3) `vertices` (room for 3t): the ends' signed distances at
+ *   `voxel_size` interpolated to `iso`, clipped to the edge, between the
+ *   ends' voxel centers, world coordinates from `origin`.
+ * That is np.unique of mesher._triangle_keys, its inverse, and
+ * mesher._edge_vertices of the unique keys, with the same float
+ * operations. Returns the number of vertices. */
+int64_t bitsdf_emit_mesh(const int64_t *cell, const uint8_t *code, int64_t m,
+                         const int32_t *tri, const int64_t *ntri,
+                         const int64_t *edge, const uint32_t *mask,
+                         const uint8_t *sign, int64_t nz, int64_t ny,
+                         int64_t nx, const double *origin, double voxel_size,
+                         double iso, uint64_t *bits, int64_t words,
+                         int64_t *base, int64_t *triangles, double *vertices)
+{
+    const int64_t lo = cell[0] * 3;
+    for (int64_t i = 0; i < m; i++) {
+        const int32_t *e = tri + code[i] * 15;
+        for (int64_t j = 0; j < ntri[code[i]] * 3; j++) {
+            const int64_t k = cell[i] * 3 + edge[e[j]] - lo;
+            bits[k >> 6] |= 1ull << (k & 63);
+        }
     }
     int64_t count = 0;
     for (int64_t w = 0; w < words; w++) {
         base[w] = count;
-        for (uint64_t m = bits[w]; m; m &= m - 1)
-            uniq[count++] = lo + w * 64 + __builtin_ctzll(m);
+        count += (int64_t)popcount64(bits[w]);
     }
-    for (int64_t i = 0; i < n; i++) {
-        const int64_t k = keys[i] - lo;
-        const uint64_t below = (1ull << (k & 63)) - 1;
-        keys[i] = base[k >> 6] + (int64_t)popcount64(bits[k >> 6] & below);
+    int64_t n = 0;
+    for (int64_t slot = 0; slot < 5; slot++) {
+        for (int64_t i = 0; i < m; i++) {
+            if (ntri[code[i]] <= slot)
+                continue;
+            const int32_t *e = tri + (code[i] * 5 + slot) * 3;
+            for (int64_t j = 0; j < 3; j++) {
+                const int64_t k = cell[i] * 3 + edge[e[j]] - lo;
+                const uint64_t below = (1ull << (k & 63)) - 1;
+                triangles[n++] = base[k >> 6] + (int64_t)popcount64(bits[k >> 6] & below);
+            }
+        }
+    }
+    const int64_t step[3] = {1, nx, nx * ny};
+    double *p = vertices;
+    for (int64_t w = 0; w < words; w++) {
+        for (uint64_t b = bits[w]; b; b &= b - 1, p += 3) {
+            const int64_t key = lo + w * 64 + __builtin_ctzll(b);
+            const int64_t axis = key % 3, v = key / 3;
+            const int64_t at[3] = {v / nz / ny, v / nz % ny, v % nz};
+            const int64_t i1 = (at[2] * ny + at[1]) * nx + at[0], i2 = i1 + step[axis];
+            const double v1 = signed_distance(mask[i1], sign[i1], voxel_size);
+            const double v2 = signed_distance(mask[i2], sign[i2], voxel_size);
+            const double denom = v2 - v1;
+            double t = denom != 0.0 ? (iso - v1) / denom : 0.0;
+            t = t > 0.0 ? t : 0.0;
+            t = t < 1.0 ? t : 1.0;
+            for (int64_t c = 0; c < 3; c++) {
+                const double p1 = origin[c] + ((double)at[c] + 0.5) * voxel_size;
+                const double p2 = origin[c] + ((double)(at[c] + (c == axis)) + 0.5) * voxel_size;
+                p[c] = p1 + t * (p2 - p1);
+            }
+        }
     }
     return count;
 }

@@ -3,15 +3,15 @@ argument of its fusion entry, ``struct frame``, as ``Frame``.
 
 The library has two users: fusion (``integrator``), which fuses each frame
 with one call, and meshing (``mesher``), which classifies the cells of the
-grid and ranks the edge keys of the mesh with it. The first fusion or mesh
-in a process asks for the library. It is compiled with the system C
+grid and emits the mesh's triangles and vertices with it. The first fusion
+or mesh in a process asks for the library. It is compiled with the system C
 compiler (``cc`` with ``CFLAGS``) into the package's ``__pycache__/``, under
-a name holding the SHA-256 of the source, so a library is built once per
-source and a stale one is never loaded. The file is written under a
-temporary name and renamed into place, so a concurrent process sees either
-no library or a whole one. When compiling or loading fails (no compiler,
-read-only install), one line goes to stderr and fusion and meshing run
-their numpy code, which gives the same grids and meshes.
+a name holding the SHA-256 of the source and the flags, so a library is
+built once per source and flags and a stale one is never loaded. The file
+is written under a temporary name and renamed into place, so a concurrent
+process sees either no library or a whole one. When compiling or loading
+fails (no compiler, read-only install), one line goes to stderr and fusion
+and meshing run their numpy code, which gives the same grids and meshes.
 """
 
 from __future__ import annotations
@@ -30,14 +30,16 @@ SOURCE = Path(__file__).with_name("_fuse.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 CC = "cc"
 # The flags the library is built with; the warnings test compiles with them.
-CFLAGS = ("-O3", "-shared", "-fPIC", "-pthread")
+# -ffp-contract=off keeps a * b + c two roundings, as numpy computes it,
+# where the target has fused multiply-add.
+CFLAGS = ("-O3", "-shared", "-fPIC", "-pthread", "-ffp-contract=off")
 
 # The loaded Library: None until the first fusion or mesh asks, False when it
 # could not be built or loaded.
 _lib = None
 
 
-_P, _I64 = ctypes.c_void_p, ctypes.c_int64
+_P, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 
 
 class Frame(ctypes.Structure):
@@ -58,28 +60,31 @@ class Library:
     ``fuse``, called with one ``Frame``, and the row stamp it runs in this
     process, ``path``, picked once when the library is loaded: "avx512"
     where the CPU has AVX-512F, else "portable"; both give the same grid.
-    For meshing: ``classify_cells`` and ``rank_keys``, called with the
-    addresses and sizes that ``_fuse.c`` documents for
-    ``bitsdf_classify_cells`` and ``bitsdf_rank_keys``."""
+    For meshing: ``classify_cells`` and ``emit_mesh``, called with the
+    addresses, sizes and numbers that ``_fuse.c`` documents for
+    ``bitsdf_classify_cells`` and ``bitsdf_emit_mesh``."""
 
     fuse: Callable
     path: str
     classify_cells: Callable
-    rank_keys: Callable
+    emit_mesh: Callable
 
 
 def build(source: Path, cache_dir: Path, cc: str) -> Path:
-    """The shared library compiled from ``source``, built into ``cache_dir``
-    unless a library of the same source hash is already there."""
+    """The shared library compiled from ``source`` with ``CFLAGS``, built
+    into ``cache_dir`` unless a library of the same source and flags is
+    already there."""
     text = source.read_bytes()
-    lib = cache_dir / f"_fuse.{hashlib.sha256(text).hexdigest()}.so"
+    key = hashlib.sha256(text)
+    key.update("\0".join(CFLAGS).encode())
+    lib = cache_dir / f"_fuse.{key.hexdigest()}.so"
     if lib.exists():
         return lib
     cache_dir.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix="_fuse.", suffix=".tmp", dir=cache_dir)
     os.close(fd)
     try:
-        # The bytes that were hashed are the bytes compiled.
+        # The bytes and flags that were hashed are those compiled with.
         subprocess.run(
             [cc, *CFLAGS, "-x", "c", "-o", tmp, "-"],
             input=text, capture_output=True, check=True,
@@ -100,10 +105,11 @@ def _bind(path: Path) -> Library:
     avx512 = hasattr(lib, "bitsdf_has_avx512") and lib.bitsdf_has_avx512()
     lib.bitsdf_classify_cells.argtypes = [_P] * 3 + [_I64] * 7 + [_P] * 2
     lib.bitsdf_classify_cells.restype = _I64
-    lib.bitsdf_rank_keys.argtypes = [_P, _I64, _I64, _P, _I64, _P, _P]
-    lib.bitsdf_rank_keys.restype = _I64
+    lib.bitsdf_emit_mesh.argtypes = ([_P, _P, _I64] + [_P] * 5 + [_I64] * 3 + [_P]
+                                     + [_F64] * 2 + [_P, _I64] + [_P] * 3)
+    lib.bitsdf_emit_mesh.restype = _I64
     return Library(lib.bitsdf_fuse_frame, "avx512" if avx512 else "portable",
-                   lib.bitsdf_classify_cells, lib.bitsdf_rank_keys)
+                   lib.bitsdf_classify_cells, lib.bitsdf_emit_mesh)
 
 
 def library() -> Library | None:

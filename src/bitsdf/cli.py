@@ -49,17 +49,12 @@ def cli():
     """CPU bitmask-TSDF mapping toolkit."""
 
 
-def _list_scans(scans_dir: Path, times, echo):
+def _pair_scans(files, times, echo):
     """(stamp, path) of each scan file to fuse, in stamp order. Where no
     name carries a stamp, each file takes that of the trajectory record of
     the same rank among ``times`` (None past the last record); otherwise
     the stamps are those in the names, and a file without one is skipped
     with a warning to ``echo``."""
-    files = sorted(
-        p for p in scans_dir.iterdir() if p.suffix.lower() in SCAN_SUFFIXES
-    )
-    if not files:
-        raise ConfigurationError(f"no scan files in {scans_dir}")
     stamped = [(bio.scan_timestamp(p), p) for p in files]
     if all(t is None for t, _ in stamped):
         return [(times[i] if i < len(times) else None, p)
@@ -80,28 +75,32 @@ def _normalized_times(ts):
 
 
 def _check_run(cfg: RunConfig):
-    """The grid header and the kernel bank of a fuse run of ``cfg``;
-    ConfigurationError for a setting that the run cannot use."""
+    """The grid header, the kernel bank and the scan files of a fuse run of
+    ``cfg``; ConfigurationError for a setting that the run cannot use."""
     for key in ("trajectory", "scans"):
         if getattr(cfg.paths, key) is None:
             raise ConfigurationError(f"paths.{key} is not set")
-    if not Path(cfg.paths.scans).is_dir():
+    scans = Path(cfg.paths.scans)
+    if not scans.is_dir():
         raise ConfigurationError(f"scans directory not found: {cfg.paths.scans}")
+    files = sorted(p for p in scans.iterdir() if p.suffix.lower() in SCAN_SUFFIXES)
+    if not files:
+        raise ConfigurationError(f"no scan files in {scans}")
     header = cfg.resolve_grid()
     kc = cfg.kernel
     bank = build_kernel_bank(
         size=kc.size, b_az=kc.azimuth_bins, b_el=kc.elevation_bins,
         shadow_radius=cfg.resolved_shadow_radius(), shadow_model=kc.shadow_model,
         cone_half_angle_deg=kc.cone_half_angle_deg)
-    return header, bank
+    return header, bank, files
 
 
-def _fuse_frames(cfg: RunConfig, header: dict, bank, echo):
-    """The grid of ``header``, allocated fresh, with each scan of ``cfg``
-    that pairs with a trajectory record fused into it, and a FrameRow per
-    fused scan."""
+def _fuse_frames(cfg: RunConfig, header: dict, bank, files, echo):
+    """The grid of ``header``, allocated fresh, with each scan file of
+    ``files`` that pairs with a trajectory record of ``cfg`` fused into it,
+    and a FrameRow per fused scan."""
     traj = bio.read_trajectory(cfg.paths.trajectory)
-    scans = _list_scans(Path(cfg.paths.scans), traj.times, echo)
+    scans = _pair_scans(files, traj.times, echo)
     grid = new_grid(memory_cap=cfg.grid.memory_cap_bytes, **header)
     rows = []
     prev_pose = None  # pose of the last scan fused
@@ -277,13 +276,17 @@ def bench(config_path, voxel_sizes, repeats, out, as_json):
         click.echo("warning: fewer than 2 repeats, std is unreliable", err=True)
     cfgs = [load_config(config_path, voxel_size=size) for size in sizes]
     runs = [(cfg, *_check_run(cfg)) for cfg in cfgs]
-    if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
+    warn = functools.partial(click.echo, err=True)
     results = []
-    for size, (cfg, header, bank) in zip(sizes, runs):
+    for size, (cfg, header, bank, files) in zip(sizes, runs):
         frames = []
-        for _ in range(repeats):
-            grid, rows = _fuse_frames(cfg, header, bank, echo=lambda *_: None)
+        for repeat in range(repeats):
+            # Every repeat skips the same scans: warn about them once.
+            grid, rows = _fuse_frames(cfg, header, bank, files,
+                                      warn if repeat == 0 else lambda *_: None)
+            if not rows:
+                raise ConfigurationError(
+                    f"voxel size {size}: no scan pairs with a trajectory record")
             frames.extend((r.elapsed_ms, r.prepare_ms, r.pass_ms) for r in rows)
             mem = memory_bytes(grid)
             del grid  # so the next repeat's grid is the only one allocated
@@ -297,6 +300,7 @@ def bench(config_path, voxel_sizes, repeats, out, as_json):
     means = [r["mean_ms"] for r in results]  # one per size, and sizes is not empty
     ratio = max(means) / min(means)
     if out:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
         with open(out, "w") as f:
             f.write("voxel_size,mean_ms,std_ms,samples,memory_bytes,prepare_ms,"
                     "pass_ms\n")

@@ -23,7 +23,7 @@ classic corner order to this binary code. Only active cells, their
 triangles and their edges are stored beyond the slab, so extra memory is
 O(slab + surface).
 
-The two grid- and key-sized steps run in the compiled library that
+The grid-sized and the surface-sized step run in the compiled library that
 ``_native`` builds from ``_fuse.c``, where it can be built:
 
 - ``bitsdf_classify_cells`` walks a slab plane by plane. It turns each
@@ -32,19 +32,21 @@ The two grid- and key-sized steps run in the compiled library that
   such planes into the codes of the cells between them, and writes each
   active cell as ``(x-major index << 8) | code``. The byte planes of the
   last voxel plane carry over to the next slab.
-- ``bitsdf_rank_keys`` stands in for ``np.unique(keys,
-  return_inverse=True)`` on the triangles' lattice-edge keys: it sets one
-  bit per key in a bitmap of the edges between the first and the last
-  active cell, reads the set bits off in order as the unique keys, and
-  gives each key its rank from the popcounts of the bitmap words before
-  and in its own word.
+- ``bitsdf_emit_mesh`` goes from the active cells to the mesh. It sets
+  the bit of each triangle edge's lattice-edge key in a bitmap of the edges
+  between the first and the last active cell, gives each triangle corner
+  the rank of its key from the popcounts of the bitmap words before and in
+  its own word, and writes one vertex per set bit, in bit order. The case
+  table and the cube edges' key offsets are passed in.
 
 Elsewhere the same steps run in numpy: each voxel becomes
 ``inside | unobserved << 8`` (uint16), and three shifted ORs, along x, then
 y, then z, give each cell a 16-bit code whose high byte is its corners'
-unobserved bits; then ``np.unique``. Both give the same bytes, and every
-scratch buffer of the compiled steps is a numpy array that the caller
-allocates.
+unobserved bits; the triangles' edge keys are ranked by ``np.unique``, and
+the vertices are interpolated on the unique keys. Both give the same bytes
+(the library is built with ``-ffp-contract=off``, so each float operation
+rounds as numpy's does), and every scratch buffer of the compiled steps is
+a numpy array that the caller allocates.
 """
 
 from __future__ import annotations
@@ -69,10 +71,11 @@ from .grid import (
 # The case table by binary corner code: for each code, the 3 cube edges of
 # each of its 5 triangle slots (-1 past its triangles), and its triangle
 # count. Classic corner c is bit dx + 2*dy + 4*dz of the binary code.
+# Contiguous, as the compiled library reads them.
 _BIT_OF_CORNER = (CORNER_OFFSETS @ np.array([1, 2, 4])).tolist()
-_TRI_BY_CODE = TRI_TABLE[
+_TRI_BY_CODE = np.ascontiguousarray(TRI_TABLE[
     sum(((np.arange(256) >> bit) & 1) << c for c, bit in enumerate(_BIT_OF_CORNER))
-][:, :15].reshape(256, 5, 3)
+][:, :15].reshape(256, 5, 3))
 _NTRI_BY_CODE = np.count_nonzero(_TRI_BY_CODE[:, :, 0] >= 0, axis=1)
 
 
@@ -149,18 +152,22 @@ def _slab_cells(grid: VoxelGrid, z0: int, z1: int, a: int, b: int):
     return (((cx * ny + cy) * nz + cz + z0) << 8) | (w[cz, cy, cx] + 1)
 
 
+def _edge_offsets(dims):
+    """The key of each cube edge of cell 0: an edge's key is its cell's
+    x-major index times 3 plus this constant of the edge."""
+    _, ny, nz = dims
+    eb = EDGE_BASE.astype(np.int64)
+    return ((eb[:, 0] * ny + eb[:, 1]) * nz + eb[:, 2]) * 3 + EDGE_AXIS
+
+
 def _triangle_keys(cell, code, dims):
     """(t, 3) canonical lattice-edge keys ((ex*ny + ey)*nz + ez)*3 + axis of
     the cells' triangles, slot by slot of the case table, cells in order
     within a slot."""
-    _, ny, nz = dims
-    eb = EDGE_BASE.astype(np.int64)
-    # An edge's key is its cell's index times 3 plus a constant of the edge.
-    off = ((eb[:, 0] * ny + eb[:, 1]) * nz + eb[:, 2]) * 3 + EDGE_AXIS
     has = _NTRI_BY_CODE[code] > np.arange(5)[:, None]  # (5, m), slot-major
     rows = (code.astype(np.intp) * 5 + np.arange(5)[:, None])[has]
     cells = np.broadcast_to(cell, has.shape)[has]
-    keys = off[_TRI_BY_CODE.reshape(-1, 3)[rows]]
+    keys = _edge_offsets(dims)[_TRI_BY_CODE.reshape(-1, 3)[rows]]
     keys += (cells * 3)[:, None]
     return keys
 
@@ -178,33 +185,39 @@ def extract_mesh(grid: VoxelGrid, iso: float = 0.0) -> TriangleMesh:
     cell, code = _active_cells(grid, iso, lib)
     if cell.size == 0:
         return empty_mesh()
-    keys = _triangle_keys(cell, code, grid.dims)
-    if lib is None:
-        uniq, inverse = np.unique(keys, return_inverse=True)
-    else:
-        uniq, inverse = _rank_keys(lib, keys, cell, grid.dims)
+    if lib is not None:
+        return _emit_mesh(lib, grid, cell, code, iso)
+    uniq, inverse = np.unique(_triangle_keys(cell, code, grid.dims),
+                              return_inverse=True)
     return TriangleMesh(
         vertices=_edge_vertices(grid, uniq, iso),
         triangles=inverse.reshape(-1, 3).astype(np.int64, copy=False),
     )
 
 
-def _rank_keys(lib, keys, cell, dims):
-    """``np.unique(keys, return_inverse=True)`` by ``lib``'s edge bitmap,
-    given the sorted cells whose edges the keys are. The keys are
-    overwritten with their ranks, and returned as the inverse."""
-    _, ny, nz = dims
+def _emit_mesh(lib, grid: VoxelGrid, cell, code, iso: float) -> TriangleMesh:
+    """The mesh of the sorted active cells by ``lib``: the bytes of
+    ``_triangle_keys``, ``np.unique`` and ``_edge_vertices``, with no array
+    of keys."""
+    nx, ny, nz = grid.dims
     # A cell's edges start at its corners, so its keys lie from its own
     # index times 3 to before its far corner's index plus one, times 3.
     lo = cell[0] * 3
     words = ((cell[-1] + (ny + 1) * nz + 2) * 3 - lo + 63) // 64
     bits = np.zeros(words, np.uint64)
     base = np.empty(words, np.int64)
-    uniq = np.empty(keys.size, np.int64)
-    n = lib.rank_keys(keys.ctypes.data, keys.size, lo, bits.ctypes.data, words,
-                      base.ctypes.data, uniq.ctypes.data)
-    # A copy, so that the buffer of room for every key is freed first.
-    return uniq[:n].copy(), keys
+    offsets = _edge_offsets(grid.dims)
+    origin = np.ascontiguousarray(grid.origin, dtype=np.float64)
+    triangles = np.empty((int(_NTRI_BY_CODE[code].sum()), 3), np.int64)
+    vertices = np.empty((triangles.size, 3))  # room for a vertex per corner
+    n = lib.emit_mesh(cell.ctypes.data, code.ctypes.data, cell.size,
+                      _TRI_BY_CODE.ctypes.data, _NTRI_BY_CODE.ctypes.data,
+                      offsets.ctypes.data, grid.mask.ctypes.data,
+                      grid.sign.ctypes.data, nz, ny, nx, origin.ctypes.data,
+                      grid.voxel_size, iso, bits.ctypes.data, words,
+                      base.ctypes.data, triangles.ctypes.data, vertices.ctypes.data)
+    # A copy, so that the buffer of room for every corner is freed first.
+    return TriangleMesh(vertices=vertices[:n].copy(), triangles=triangles)
 
 
 def _edge_vertices(grid: VoxelGrid, keys, iso: float):

@@ -387,11 +387,14 @@ class TestFuse:
         ({}, ["--voxel-size", "0"]),
         ({"paths": {"scans": None}}, []),
         ({}, ["--scans", "no/such/scans"]),
+        ({}, ["--scans", "{tmp}/empty", "--trajectory", "{tmp}/absent.txt"]),
     ], ids=["compensation", "downsample", "shadow-model", "kernel-size",
             "cone-angle", "voxel-size", "thresholds", "downsample-option",
-            "voxel-size-option", "scans-unset", "scans-missing"])
+            "voxel-size-option", "scans-unset", "scans-missing", "scans-empty"])
     def test_bad_setting_fails_before_any_work(self, dataset, tmp_path, monkeypatch,
                                                capsys, config, args):
+        (tmp_path / "empty").mkdir()
+        args = [a.format(tmp=tmp_path) for a in args]
         out = tmp_path / "out"
         path = config_into(dataset, out)
         cfg = yaml.safe_load(path.read_text())
@@ -836,6 +839,28 @@ class TestBench:
         assert err.startswith("error: ") and named in err
         assert not (tmp_path / "newdir").exists()
         assert not (tmp_path / "runs").exists()
+
+
+    def test_nothing_fused_exit_2(self, dataset, tmp_path):
+        # scan_9.000000 is 8.1 s from the last pose: no scan is fused, so
+        # there is no latency to report.
+        root, _ = dataset
+        scans = tmp_path / "scans"
+        scans.mkdir()
+        first = sorted((root / "scans").iterdir())[0]
+        (scans / "scan_9.000000.pcd").write_bytes(first.read_bytes())
+        path = config_into(dataset, tmp_path / "runs")
+        cfg = yaml.safe_load(path.read_text())
+        cfg["paths"]["scans"] = str(scans)
+        path.write_text(yaml.safe_dump(cfg))
+        res = run_main("bench", "--config", path, "--voxel-sizes", "0.1",
+                       "--repeats", "2", "-o", tmp_path / "newdir" / "b.csv")
+        assert res.returncode == 2, res.stderr
+        assert "nan" not in res.stdout and "RuntimeWarning" not in res.stderr
+        assert "error: voxel size 0.1: no scan pairs" in res.stderr
+        # The skip is reported once, not once per repeat.
+        assert res.stderr.count("warning: scan scan_9.000000.pcd") == 1
+        assert not (tmp_path / "newdir").exists()
 
 
 class TestThreads:

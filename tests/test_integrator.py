@@ -775,6 +775,17 @@ class TestNativeBuild:
         assert rebuilt != built
         assert sorted(cache.iterdir()) == sorted([built, rebuilt])
 
+    def test_cache_keyed_by_flags(self, tmp_path, monkeypatch):
+        cc = _native.CC
+        if shutil.which(cc) is None:
+            pytest.skip("no C compiler")
+        built = _native.build(_native.SOURCE, tmp_path, cc)
+        # A change of flags builds a new library; the old one is not loaded.
+        monkeypatch.setattr(_native, "CFLAGS", (*_native.CFLAGS, "-DBITSDF_FLAG"))
+        rebuilt = _native.build(_native.SOURCE, tmp_path, cc)
+        assert rebuilt != built
+        assert sorted(tmp_path.iterdir()) == sorted([built, rebuilt])
+
     def test_source_compiles_without_warnings(self, tmp_path):
         cc = _native.CC
         if shutil.which(cc) is None:

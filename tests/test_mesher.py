@@ -1,5 +1,6 @@
 import math
 import shutil
+import subprocess
 import tracemalloc
 
 import numpy as np
@@ -225,11 +226,11 @@ def compiled_library():
     return lib
 
 
-def random_grid(rng, dims):
+def random_grid(rng, dims, voxel_size=0.1, origin=(0.3, -1.2, 0.05)):
     """A grid of arbitrary voxels: masks of 0..4 or 28..32 bits anywhere
     (few of them runs) and some fully random, sign bytes 0, 1, 2 and 255,
     and 0..2 hits, so some voxels are unobserved."""
-    g = new_grid(dims, 0.1, origin=(0.3, -1.2, 0.05))
+    g = new_grid(dims, voxel_size, origin=origin)
     n = g.num_voxels
     k = rng.choice([0, 1, 2, 3, 4, 28, 29, 30, 31, 32], size=n)
     bits = rng.random((n, 32)).argsort(axis=1) < k[:, None]  # k random bits
@@ -245,7 +246,7 @@ ISOS = np.array([0.0, 1.0, -1.0, 2.5, -2.5])  # voxels
 
 
 class TestCompiledSteps:
-    """The compiled classification and key ranking against the numpy code
+    """The compiled classification and mesh emission against the numpy code
     that runs where the library cannot be built."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -268,10 +269,11 @@ class TestCompiledSteps:
                     assert np.array_equal(code, ref[1])
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_rank_matches_unique(self, seed):
+    def test_emit_matches_numpy_steps(self, seed):
         lib = compiled_library()
         rng = np.random.default_rng(seed)
         for dims in ((9, 7, 11), (2, 2, 2), (40, 3, 70)):
+            g = random_grid(rng, dims)
             nx, ny, nz = dims
             cells = np.indices((nx - 1, ny - 1, nz - 1)).reshape(3, -1).T
             flat = (cells[:, 0] * ny + cells[:, 1]) * nz + cells[:, 2]
@@ -281,15 +283,20 @@ class TestCompiledSteps:
                 code = rng.integers(1, 255, size=cell.size).astype(np.uint8)
                 keys = mesher._triangle_keys(cell, code, dims)
                 uniq, inverse = np.unique(keys, return_inverse=True)
-                got_uniq, got_inverse = mesher._rank_keys(lib, keys.copy(), cell, dims)
-                assert got_uniq.tobytes() == uniq.tobytes()
-                assert got_inverse.tobytes() == inverse.reshape(-1, 3).tobytes()
+                for iso in ISOS * g.voxel_size:
+                    m = mesher._emit_mesh(lib, g, cell, code, iso)
+                    assert m.triangles.tobytes() == inverse.reshape(-1, 3).tobytes()
+                    want = mesher._edge_vertices(g, uniq, iso)
+                    assert m.vertices.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_mesh_bytes_match_numpy(self, seed, monkeypatch):
         compiled_library()
         rng = np.random.default_rng(seed)
+        # A fine grid away from the world origin, so that vertex rounding
+        # shows.
         grids = [random_grid(rng, (11, 9, 13)), random_grid(rng, (2, 15, 12)),
+                 random_grid(rng, (17, 12, 14), 0.05, (-0.37, 1.1, 0.3)),
                  sphere_grid()]
         meshes = {}
         for path in ("compiled", "numpy"):
@@ -301,6 +308,29 @@ class TestCompiledSteps:
             assert a.triangles.tobytes() == b.triangles.tobytes()
             assert a.vertices.tobytes() == b.vertices.tobytes()
         assert sum(m.triangles.shape[0] > 0 for m in meshes["compiled"]) >= 12
+
+    def test_host_tuned_build_meshes_numpy_bytes(self, tmp_path, monkeypatch):
+        # -march=native lets the compiler fuse a multiply and an add where
+        # the CPU can; the library's flags must keep each rounding numpy's.
+        compiled_library()
+        monkeypatch.setattr(_native, "CFLAGS", (*_native.CFLAGS, "-march=native"))
+        try:
+            built = _native.build(_native.SOURCE, tmp_path, _native.CC)
+        except subprocess.CalledProcessError as e:
+            pytest.skip(f"the compiler does not take -march=native: {e.stderr[:200]}")
+        tuned = _native._bind(built)
+        rng = np.random.default_rng(3)
+        grids = [random_grid(rng, (17, 12, 14), 0.05, (-0.37, 1.1, 0.3)),
+                 random_grid(rng, (30, 8, 9), 0.07, (12.3, -4.1, 0.9)), sphere_grid()]
+        for g in grids:
+            for iso in ISOS * g.voxel_size:
+                monkeypatch.setattr(_native, "_lib", tuned)
+                a = extract_mesh(g, iso)
+                monkeypatch.setattr(_native, "_lib", False)
+                b = extract_mesh(g, iso)
+                assert a.triangles.shape[0] > 0
+                assert a.triangles.tobytes() == b.triangles.tobytes()
+                assert a.vertices.tobytes() == b.vertices.tobytes()
 
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     def test_grids_without_active_cells(self, path, monkeypatch):
