@@ -439,7 +439,8 @@ static inline double signed_distance(uint32_t mask, uint8_t sign, double voxel_s
  *   j = 0..4 and the cells in order within a slot, to the (t, 3)
  *   `triangles` as the ranks of its edge keys among the set bits;
  * - writes the iso crossing on each set bit's edge, in bit order, to the
- *   (v, 3) `vertices` (room for 3t): the ends' signed distances at
+ *   (v, 3) `vertices` (room for the distinct triangle edges of each
+ *   cell, summed over the cells): the ends' signed distances at
  *   `voxel_size` interpolated to `iso`, clipped to the edge, between the
  *   ends' voxel centers, world coordinates from `origin`.
  * That is np.unique of mesher._triangle_keys, its inverse, and

@@ -36,7 +36,7 @@ from .integrator import (
 )
 from .kernels import SHADOW_MODELS, build_kernel_bank
 from .mesher import extract_mesh, vertex_normals
-from .metrics import evaluate, sample_mesh
+from .metrics import check_sampling, check_threshold, evaluate, sample_mesh
 
 SCAN_SUFFIXES = (".pcd", ".ply", ".xyz", ".txt")
 
@@ -221,6 +221,8 @@ def mesh(snapshot, out, fmt, iso, normals, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def eval_cmd(pred, gt, threshold, samples, seed, out, as_json):
     """Evaluate a reconstructed mesh against ground-truth points."""
+    check_sampling(samples, seed)
+    check_threshold(threshold)
     mesh_pred = bio.read_mesh_ply(pred)
     gt_pts = bio.read_scan(gt).points
     pred_pts = sample_mesh(mesh_pred, samples, seed)

@@ -77,6 +77,8 @@ _TRI_BY_CODE = np.ascontiguousarray(TRI_TABLE[
     sum(((np.arange(256) >> bit) & 1) << c for c, bit in enumerate(_BIT_OF_CORNER))
 ][:, :15].reshape(256, 5, 3))
 _NTRI_BY_CODE = np.count_nonzero(_TRI_BY_CODE[:, :, 0] >= 0, axis=1)
+# The number of distinct cube edges among each code's triangles.
+_NEDGE_BY_CODE = np.array([np.unique(t[t >= 0]).size for t in _TRI_BY_CODE])
 
 
 @dataclass
@@ -209,14 +211,15 @@ def _emit_mesh(lib, grid: VoxelGrid, cell, code, iso: float) -> TriangleMesh:
     offsets = _edge_offsets(grid.dims)
     origin = np.ascontiguousarray(grid.origin, dtype=np.float64)
     triangles = np.empty((int(_NTRI_BY_CODE[code].sum()), 3), np.int64)
-    vertices = np.empty((triangles.size, 3))  # room for a vertex per corner
+    # Room for a vertex per distinct cube edge of each cell's triangles.
+    vertices = np.empty((int(_NEDGE_BY_CODE[code].sum()), 3))
     n = lib.emit_mesh(cell.ctypes.data, code.ctypes.data, cell.size,
                       _TRI_BY_CODE.ctypes.data, _NTRI_BY_CODE.ctypes.data,
                       offsets.ctypes.data, grid.mask.ctypes.data,
                       grid.sign.ctypes.data, nz, ny, nx, origin.ctypes.data,
                       grid.voxel_size, iso, bits.ctypes.data, words,
                       base.ctypes.data, triangles.ctypes.data, vertices.ctypes.data)
-    # A copy, so that the buffer of room for every corner is freed first.
+    # A copy, so that the buffer of room for every cell's edges is freed first.
     return TriangleMesh(vertices=vertices[:n].copy(), triangles=triangles)
 
 
@@ -242,20 +245,34 @@ def _edge_vertices(grid: VoxelGrid, keys, iso: float):
     return p1 + t[:, None] * (p2 - p1)
 
 
+def face_cross(vt, f):
+    """The cross product (v1 - v0) x (v2 - v0) of each triangle (v0, v1, v2)
+    of ``f``, as its x, y and z columns, from the (3, v) coordinate columns
+    ``vt`` of the vertices. The operations are np.cross's, so the bits are
+    those of np.cross on the (t, 3) rows."""
+    i0, i1, i2 = f.T
+    a, b = [], []
+    for col in vt:
+        c0 = col[i0]
+        a.append(col[i1] - c0)
+        b.append(col[i2] - c0)
+    (ax, ay, az), (bx, by, bz) = a, b
+    return ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+
+
 def vertex_normals(mesh: TriangleMesh) -> TriangleMesh:
     """Attach area-weighted vertex normals (unit length). Vertices with no
     incident non-degenerate triangle keep a zero normal."""
     if mesh.is_empty:
         return TriangleMesh(mesh.vertices, mesh.triangles, np.zeros((0, 3)))
-    v = mesh.vertices
     f = mesh.triangles
-    face_n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+    face_n = face_cross(np.ascontiguousarray(mesh.vertices.T), f)
     # Each vertex sums its corner-0 faces, then corner-1, then corner-2
     # faces, in face order.
     corners = f.T.reshape(-1)
     acc = np.stack(
-        [np.bincount(corners, weights=np.tile(face_n[:, a], 3), minlength=len(v))
-         for a in range(3)],
+        [np.bincount(corners, weights=np.tile(n, 3), minlength=len(mesh.vertices))
+         for n in face_n],
         axis=1,
     )
     norms = np.linalg.norm(acc, axis=1)

@@ -4,6 +4,14 @@ Accuracy is the mean nearest-neighbor distance from predicted points to the
 ground truth, completeness the reverse direction, Chamfer-L1 their average.
 Recall/precision/F-score are thresholded at a tolerance in meters and
 reported in percent.
+
+The predicted points are sampled from the mesh by ``sample_mesh``. Its draw
+is defined here, not by a numpy call: one ``rng.random(n)`` uniform per
+sample, looked up in the normalized cdf of ``areas / total``, which is what
+numpy 2.x ``Generator.choice(p=...)`` does. Areas, the draw and the
+barycentric blend work on 1-D coordinate columns, with the operations of
+the row-wise ``np.cross``, ``np.linalg.norm`` and blend, so the points are
+the same bits.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ConfigurationError, EvaluationError
-from .mesher import TriangleMesh
+from .mesher import TriangleMesh, face_cross
 
 
 # sample_mesh computes triangle areas this many triangles at a time.
@@ -41,38 +49,72 @@ class MetricsReport:
         return json.dumps(d, indent=2, sort_keys=True)
 
 
-def sample_mesh(mesh: TriangleMesh, n: int, seed: int = 0) -> np.ndarray:
-    """Draw n points area-uniformly over the mesh surface, reproducibly."""
+def check_sampling(n: int, seed: int) -> None:
+    """ConfigurationError unless ``sample_mesh`` can draw n points with seed."""
     if n < 0:
         raise ConfigurationError(f"sample count must be >= 0, got {n}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
+
+
+def check_threshold(threshold: float) -> None:
+    """ConfigurationError unless ``evaluate`` can score at ``threshold``."""
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ConfigurationError(f"threshold must be finite and >= 0, got {threshold}")
+
+
+def sample_mesh(mesh: TriangleMesh, n: int, seed: int = 0) -> np.ndarray:
+    """Draw n points area-uniformly over the mesh surface, reproducibly.
+
+    A sample's triangle is drawn by one uniform of ``rng.random(n)``,
+    looked up in the normalized cdf of ``areas / total`` (what numpy 2.x
+    ``Generator.choice(p=...)`` does); two more uniforms place it in the
+    triangle."""
+    check_sampling(n, seed)
     if n == 0:
         return np.zeros((0, 3))
     if mesh.is_empty or mesh.triangles.shape[0] == 0:
         raise EvaluationError("cannot sample points from an empty mesh")
-    v = mesh.vertices
+    vt = np.ascontiguousarray(mesh.vertices.T)
     f = mesh.triangles
     # Each triangle's area is computed alone, so computing them a block at a
-    # time gives the same bits with block-sized temporaries.
+    # time gives the same bits with block-sized temporaries. A total that
+    # overflows is refused below, so its warnings are not shown.
     areas = np.empty(f.shape[0])
-    for at in range(0, f.shape[0], _AREA_BLOCK):
-        t = f[at : at + _AREA_BLOCK]
-        a = v[t[:, 0]]
-        areas[at : at + _AREA_BLOCK] = 0.5 * np.linalg.norm(
-            np.cross(v[t[:, 1]] - a, v[t[:, 2]] - a), axis=1)
-    total = areas.sum()
-    if total <= 0.0:
-        raise EvaluationError("mesh has zero total surface area")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for at in range(0, f.shape[0], _AREA_BLOCK):
+            x, y, z = face_cross(vt, f[at : at + _AREA_BLOCK])
+            areas[at : at + _AREA_BLOCK] = 0.5 * np.sqrt(x * x + y * y + z * z)
+        total = areas.sum()
+    if not 0.0 < total < math.inf:
+        raise EvaluationError(
+            f"mesh total surface area must be finite and > 0, got {total}")
     rng = np.random.default_rng(seed)
-    tri = rng.choice(f.shape[0], size=n, p=areas / total)
-    # Uniform barycentric sampling via the sqrt trick.
+    tri = _choice(rng, areas / total, n)
+    # Uniform barycentric sampling via the sqrt trick, one coordinate at a
+    # time.
     r1 = np.sqrt(rng.random(n))
     r2 = rng.random(n)
-    a, b, c = v[f[tri, 0]], v[f[tri, 1]], v[f[tri, 2]]
-    return (1.0 - r1)[:, None] * a + (r1 * (1.0 - r2))[:, None] * b + (
-        r1 * r2
-    )[:, None] * c
+    w0, w1, w2 = 1.0 - r1, r1 * (1.0 - r2), r1 * r2
+    i0, i1, i2 = f[tri, 0], f[tri, 1], f[tri, 2]
+    out = np.empty((n, 3))
+    for k, col in enumerate(vt):
+        out[:, k] = w0 * col[i0] + w1 * col[i1] + w2 * col[i2]
+    return out
+
+
+def _choice(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
+    """The indices that ``rng.choice(p.size, size=n, p=p)`` draws in numpy
+    2.x: one uniform of ``rng.random(n)`` per sample, looked up in the
+    normalized cdf of p. The lookups are made in sorted order, where each
+    starts near where the last one ended."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    order = np.argsort(u)
+    idx = np.empty(n, np.int64)
+    idx[order] = cdf.searchsorted(u[order], side="right")
+    return idx
 
 
 def nn_distances(from_pts: np.ndarray, to_pts: np.ndarray) -> np.ndarray:
@@ -92,8 +134,7 @@ def nn_distances(from_pts: np.ndarray, to_pts: np.ndarray) -> np.ndarray:
 
 def evaluate(pred: np.ndarray, gt: np.ndarray, threshold: float) -> MetricsReport:
     """Full report for predicted vs ground-truth point sets."""
-    if not (math.isfinite(threshold) and threshold >= 0.0):
-        raise ConfigurationError(f"threshold must be finite and >= 0, got {threshold}")
+    check_threshold(threshold)
     pred = np.asarray(pred, dtype=np.float64).reshape(-1, 3)
     gt = np.asarray(gt, dtype=np.float64).reshape(-1, 3)
     if pred.shape[0] == 0 or gt.shape[0] == 0:

@@ -773,6 +773,34 @@ class TestMeshEvalExportInfo:
         assert err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--threshold", "nan"], ["--threshold", "-1"], ["--samples", "-5"],
+        ["--seed", "-1"],
+    ], ids=["nan-threshold", "negative-threshold", "negative-samples",
+            "negative-seed"])
+    @pytest.mark.parametrize("pred", ["present", "missing"])
+    def test_eval_settings_checked_before_reading(self, tmp_path, monkeypatch,
+                                                  capsys, args, pred):
+        calls = record_calls(monkeypatch, (bio, "read_mesh_ply"), (bio, "read_scan"))
+        path = triangle_ply(tmp_path) if pred == "present" else tmp_path / "nope.ply"
+        code, err = fail_in_process(monkeypatch, capsys, "eval", "--pred", path,
+                                    "--gt", point_xyz(tmp_path), *args)
+        assert code == 2, err
+        assert calls == []
+
+    def test_eval_area_not_finite_exit_5(self, tmp_path):
+        # The triangle's cross product overflows, so its area is NaN.
+        from bitsdf.mesher import TriangleMesh
+
+        pred = tmp_path / "huge.ply"
+        bio.write_mesh(TriangleMesh(np.eye(3) * 1e200, np.array([[0, 1, 2]])),
+                       pred, "ply_binary")
+        res = run_main("eval", "--pred", pred, "--gt", point_xyz(tmp_path),
+                       "--samples", 10)
+        assert res.returncode == 5, res.stderr
+        assert res.stderr.startswith("error: ") and "finite" in res.stderr
+        assert "Warning" not in res.stderr
+
     @pytest.mark.parametrize("command", [
         ["mesh", "nope.dbtsdf", "-o", "m.ply"],
         ["export", "nope.dbtsdf", "-o", "v.csv"],

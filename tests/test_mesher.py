@@ -283,6 +283,11 @@ class TestCompiledSteps:
                 code = rng.integers(1, 255, size=cell.size).astype(np.uint8)
                 keys = mesher._triangle_keys(cell, code, dims)
                 uniq, inverse = np.unique(keys, return_inverse=True)
+                # _emit_mesh's room for vertices: each cell's distinct
+                # edges, exactly those of one cell.
+                room = mesher._NEDGE_BY_CODE[code].sum()
+                assert room >= uniq.size
+                assert room == uniq.size or cell.size > 1
                 for iso in ISOS * g.voxel_size:
                     m = mesher._emit_mesh(lib, g, cell, code, iso)
                     assert m.triangles.tobytes() == inverse.reshape(-1, 3).tobytes()

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from scipy.spatial.transform import Rotation
 
 from bitsdf.errors import EvaluationError
 from bitsdf.mesher import TriangleMesh
-from bitsdf.metrics import evaluate, nn_distances, sample_mesh
+from bitsdf.metrics import _AREA_BLOCK, evaluate, nn_distances, sample_mesh
 
 
 def brute_force_nn(from_pts, to_pts):
@@ -20,6 +22,31 @@ def unit_square_mesh():
         vertices=np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]),
         triangles=np.array([[0, 1, 2], [0, 2, 3]]),
     )
+
+
+def choice_samples(mesh, n, seed):
+    """The points of sample_mesh as drawn row-wise, with Generator.choice."""
+    v, f = mesh.vertices, mesh.triangles
+    areas = 0.5 * np.linalg.norm(
+        np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]), axis=1)
+    gen = np.random.default_rng(seed)
+    tri = gen.choice(f.shape[0], size=n, p=areas / areas.sum())
+    r1, r2 = np.sqrt(gen.random(n)), gen.random(n)
+    return ((1.0 - r1)[:, None] * v[f[tri, 0]] + (r1 * (1.0 - r2))[:, None]
+            * v[f[tri, 1]] + (r1 * r2)[:, None] * v[f[tri, 2]])
+
+
+def mesh_with_flat_triangles():
+    """Triangles in the plane z = 0, and triangles of zero area at z = 1
+    first, last and between them: a repeated vertex, three collinear
+    vertices, one vertex thrice."""
+    rng = np.random.default_rng(8)
+    plane = np.column_stack([rng.random((12, 2)), np.zeros(12)])
+    line = np.array([[0.0, 0, 1], [1, 0, 1], [2, 0, 1]])
+    flat = [[12, 12, 13], [12, 13, 14], [13, 13, 13]]
+    f = [flat[0], [0, 1, 2], [3, 4, 5], flat[1], flat[1], [6, 7, 8],
+         [9, 10, 11], [2, 5, 8], flat[2]]
+    return TriangleMesh(vertices=np.vstack([plane, line]), triangles=np.array(f))
 
 
 class TestSampleMesh:
@@ -60,6 +87,51 @@ class TestSampleMesh:
         empty = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
         with pytest.raises(EvaluationError):
             sample_mesh(empty, 10)
+
+    @pytest.mark.parametrize("n", [1, 7, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 5, 12345])
+    @pytest.mark.parametrize("mesh", [
+        TriangleMesh(np.array([[0.1, 0.2, 0.3], [1.7, 0.4, -0.2], [0.5, 2.1, 0.9]]),
+                     np.array([[0, 1, 2]])),
+        mesh_with_flat_triangles(),
+    ], ids=["one-triangle", "zero-area-among-positive"])
+    def test_draw_matches_choice(self, mesh, n, seed):
+        got = sample_mesh(mesh, n, seed)
+        assert got.tobytes() == choice_samples(mesh, n, seed).tobytes()
+
+    def test_zero_area_triangle_never_drawn(self):
+        # Every point of a zero-area triangle lies at z = 1.
+        mesh = mesh_with_flat_triangles()
+        for seed in range(5):
+            assert np.all(sample_mesh(mesh, 100_000, seed)[:, 2] == 0.0)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e100])
+    def test_area_not_finite_rejected(self, scale):
+        # At 1e200 the cross product overflows and the area is NaN; at 1e100
+        # its squares overflow and the area is infinite.
+        mesh = TriangleMesh(np.eye(3) * scale, np.array([[0, 1, 2]] * 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="finite"):
+                sample_mesh(mesh, 10)
+
+    def test_peak_memory_bounded_by_blocks(self):
+        # Six area blocks and a few samples: the per-triangle arrays are
+        # the areas and the draw's probabilities and cdf; the rest is one
+        # block's. The bound is the peak measured for the row-wise code
+        # that drew with Generator.choice; whole columns peak near 9.5 MB.
+        rng = np.random.default_rng(6)
+        t = 6 * _AREA_BLOCK + 5
+        mesh = TriangleMesh(rng.normal(size=(2000, 3)),
+                            rng.integers(0, 2000, size=(t, 3)))
+        sample_mesh(mesh, 1000, seed=1)
+        tracemalloc.start()
+        try:
+            sample_mesh(mesh, 1000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_281_224
 
 
 class TestNNDistances:
