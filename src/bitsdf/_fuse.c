@@ -1,19 +1,21 @@
-/* One frame of bitmask fusion, split into bands of z planes, and the two
- * steps of marching cubes: cell classification and mesh emission.
+/* One frame of bitmask fusion, split into bands of z planes, the two
+ * steps of marching cubes: cell classification and mesh emission, and the
+ * nearest-neighbour distances of evaluation.
  *
  * Built and loaded by bitsdf/_native.py; integrator._fuse_compiled fills the
  * one struct frame by field name through its ctypes mirror, _native.Frame,
  * and calls the one frame entry with it. mesher.extract_mesh calls
  * bitsdf_classify_cells once per slab of z planes and bitsdf_emit_mesh once
- * per mesh, with scratch arrays and tables it allocates (see each entry). The
- * integrator's and the mesher's numpy code do the same work where this
- * cannot be built. The grid stores voxel (x, y, z) of dims (nx, ny, nz) at
- * word x + nx * (y + ny * z), x fastest, and the entries get that memory as
- * the C-ordered (nz, ny, nx) arrays it is, and the fusion pass the
- * K^3 kernel, also stored x fastest, as (z, y, x). So a z plane of the grid
- * is nx * ny contiguous words, a row runs along x, and a band of z planes is
- * one contiguous range of words. The caller guarantees that every return's
- * K^3 block lies inside the grid.
+ * per mesh, with scratch arrays and tables it allocates (see each entry).
+ * metrics.nn_distances calls bitsdf_nearest once per query set. The
+ * integrator's and the mesher's numpy code and scipy's cKDTree do the same
+ * work where this cannot be built. The grid stores voxel (x, y, z) of dims
+ * (nx, ny, nz) at word x + nx * (y + ny * z), x fastest, and the entries get
+ * that memory as the C-ordered (nz, ny, nx) arrays it is, and the fusion
+ * pass the K^3 kernel, also stored x fastest, as (z, y, x). So a z plane of
+ * the grid is nx * ny contiguous words, a row runs along x, and a band of z
+ * planes is one contiguous range of words. The caller guarantees that every
+ * return's K^3 block lies inside the grid.
  *
  * One call fuses a whole frame: band 0 runs on the calling thread and each
  * other band on a thread that the call starts and joins. A band writes only
@@ -38,7 +40,14 @@
  * one vertex per set bit. Its float operations are numpy's, one by one, and
  * the library is built with -ffp-contract=off so that none is fused into
  * a multiply-add with a different rounding.
+ *
+ * The nearest-neighbour search buckets the targets into a uniform grid of
+ * cells over their bounding box and reads, for each query, the Chebyshev
+ * rings of cells around it (Bentley, Weide & Yao, ACM TOMS 1980), until no
+ * unread target can be nearer. It computes each squared distance as
+ * scipy's cKDTree does, so the minimum is the same bits.
  */
+#include <math.h>
 #include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -502,4 +511,188 @@ int64_t bitsdf_emit_mesh(const int64_t *cell, const uint8_t *code, int64_t m,
         }
     }
     return count;
+}
+
+/* Chebyshev rings of cells read around a query's cell before the query is
+ * handed back unanswered. */
+#define NEAREST_RINGS 2
+/* At most this many cells along an axis, so that a cell index computed in
+ * floating point is within 1e-9 of its exact value (see bitsdf_nearest). */
+#define NEAREST_AXIS_CELLS (1 << 20)
+
+/* The number of cells of edge h over a box of extents e: along each axis,
+ * the index of its far end plus one. */
+static double nearest_cells(const double e[3], double h)
+{
+    double cells = 1.0;
+    for (int k = 0; k < 3; k++)
+        cells *= (double)((int64_t)(e[k] * (1.0 / h)) + 1);
+    return cells;
+}
+
+/* The cell of coordinate x in [lo, lo + extent] along an axis of d cells. */
+static inline int64_t nearest_index(double x, double lo, double inv, int64_t d)
+{
+    const int64_t i = (int64_t)((x - lo) * inv);
+    return i < d - 1 ? i : d - 1;
+}
+
+/* The least of best and the squared distances from q to targets i0 .. i1 - 1
+ * of t, each (dx * dx + dy * dy) + dz * dz as cKDTree sums it. */
+static inline double nearest_scan(const double *restrict t, int64_t i0,
+                                  int64_t i1, const double *restrict q,
+                                  double best)
+{
+    for (int64_t i = i0; i < i1; i++) {
+        const double dx = q[0] - t[3 * i], dy = q[1] - t[3 * i + 1],
+                     dz = q[2] - t[3 * i + 2];
+        const double s = (dx * dx + dy * dy) + dz * dz;
+        best = s < best ? s : best;
+    }
+    return best;
+}
+
+/* NaN for each of the m queries: all are handed back. Returns m. */
+static int64_t nearest_hand_back(double *out, int64_t m)
+{
+    for (int64_t j = 0; j < m; j++)
+        out[j] = NAN;
+    return m;
+}
+
+/* The squared Euclidean distance from each of the m queries to its nearest
+ * of the n >= 1 targets (both (count, 3) finite doubles, C order), into
+ * out: the least (dx * dx + dy * dy) + dz * dz over the targets, the bits
+ * whose square root cKDTree.query returns. A query whose distance is not
+ * settled within NEAREST_RINGS rings gets NaN.
+ *
+ * The cells are cubes of edge h over the targets' bounding box, the
+ * smallest h (to 64 bisection steps, and at least the box's longest extent
+ * over NEAREST_AXIS_CELLS) that gives at most n cells: about one target per
+ * cell, and one cell across an axis along which the box is flat. The
+ * targets are copied in cell order by a counting sort, so that a row of
+ * cells along x is one run of them. A query reads rings r = 0, 1, ... of
+ * cells around the cell of its projection onto the box. Once rings 0..r
+ * are read, every unread target lies r + 1 or more cells from that cell
+ * along some axis, so more than r * h from the projection along it, and
+ * from the query too, which lies beyond the projection along each axis.
+ * The query is settled when its best squared distance is below
+ * ((r - 1e-6) * h)^2, or when the rings read cover the grid. The computed
+ * index (x - lo) * (1 / h) of a coordinate is monotone in it and within
+ * 1e-9 of (x - lo) / h, as it is below NEAREST_AXIS_CELLS, so the 1e-6
+ * margin also holds for the computed distances. The scratch (the sorted
+ * targets, a cell per target and the cell starts) is allocated and freed
+ * here; when it cannot be allocated, or the box's extent overflows, every
+ * query is handed back. Returns the number of queries handed back. */
+int64_t bitsdf_nearest(const double *target, int64_t n, const double *query,
+                       int64_t m, double *out)
+{
+    double lo[3], hi[3], e[3], longest = 0.0;
+    for (int k = 0; k < 3; k++)
+        lo[k] = hi[k] = target[k];
+    for (int64_t i = 1; i < n; i++) {
+        for (int k = 0; k < 3; k++) {
+            const double x = target[3 * i + k];
+            lo[k] = x < lo[k] ? x : lo[k];
+            hi[k] = x > hi[k] ? x : hi[k];
+        }
+    }
+    int finite = 1;
+    for (int k = 0; k < 3; k++) {
+        e[k] = hi[k] - lo[k];
+        finite &= isfinite(e[k]) != 0;
+        longest = e[k] > longest ? e[k] : longest;
+    }
+    if (!finite)
+        return nearest_hand_back(out, m);
+    /* A box too small for its edge over NEAREST_AXIS_CELLS to be a normal
+     * number is one cell. */
+    double h = 1.0;
+    if (longest >= 0x1p-1000) {
+        double a = longest / NEAREST_AXIS_CELLS, b = 2.0 * longest;
+        if (nearest_cells(e, a) <= (double)n) {
+            b = a;
+        } else {
+            for (int step = 0; step < 64; step++) {
+                const double mid = 0.5 * (a + b);
+                if (nearest_cells(e, mid) <= (double)n)
+                    b = mid;
+                else
+                    a = mid;
+            }
+        }
+        h = b;
+    }
+    const double inv = 1.0 / h;
+    int64_t d[3];
+    for (int k = 0; k < 3; k++)
+        d[k] = (int64_t)(e[k] * inv) + 1;
+    const int64_t cells = d[0] * d[1] * d[2];
+    /* start[c + 2] counts cell c, then start[c + 1] is its cursor, which
+     * ends at the start of cell c + 1. */
+    int64_t *start = calloc((size_t)cells + 2, sizeof *start);
+    int64_t *cell = malloc((size_t)n * sizeof *cell);
+    double *sorted = malloc((size_t)n * 3 * sizeof *sorted);
+    if (start == NULL || cell == NULL || sorted == NULL) {
+        free(start);
+        free(cell);
+        free(sorted);
+        return nearest_hand_back(out, m);
+    }
+    for (int64_t i = 0; i < n; i++) {
+        const double *t = target + 3 * i;
+        cell[i] = (nearest_index(t[2], lo[2], inv, d[2]) * d[1]
+                   + nearest_index(t[1], lo[1], inv, d[1])) * d[0]
+                  + nearest_index(t[0], lo[0], inv, d[0]);
+        start[cell[i] + 2]++;
+    }
+    for (int64_t c = 2; c < cells + 2; c++)
+        start[c] += start[c - 1];
+    for (int64_t i = 0; i < n; i++)
+        memcpy(sorted + 3 * start[cell[i] + 1]++, target + 3 * i, 3 * sizeof *sorted);
+    free(cell);
+
+    int64_t left = 0;
+    for (int64_t j = 0; j < m; j++) {
+        const double *q = query + 3 * j;
+        int64_t c[3];
+        for (int k = 0; k < 3; k++) {
+            const double p = q[k] < lo[k] ? lo[k] : q[k] > hi[k] ? hi[k] : q[k];
+            c[k] = nearest_index(p, lo[k], inv, d[k]);
+        }
+        double best = INFINITY;
+        int settled = 0;
+        for (int64_t r = 0; r <= NEAREST_RINGS && !settled; r++) {
+            int64_t a[3], b[3];
+            int covers = 1;
+            for (int k = 0; k < 3; k++) {
+                a[k] = c[k] - r > 0 ? c[k] - r : 0;
+                b[k] = c[k] + r < d[k] - 1 ? c[k] + r : d[k] - 1;
+                covers &= c[k] - r <= 0 && c[k] + r >= d[k] - 1;
+            }
+            for (int64_t z = a[2]; z <= b[2]; z++) {
+                for (int64_t y = a[1]; y <= b[1]; y++) {
+                    const int64_t row = (z * d[1] + y) * d[0];
+                    if (z == c[2] - r || z == c[2] + r || y == c[1] - r || y == c[1] + r) {
+                        best = nearest_scan(sorted, start[row + a[0]],
+                                            start[row + b[0] + 1], q, best);
+                        continue;
+                    }
+                    if (c[0] - r >= 0)
+                        best = nearest_scan(sorted, start[row + c[0] - r],
+                                            start[row + c[0] - r + 1], q, best);
+                    if (c[0] + r < d[0])
+                        best = nearest_scan(sorted, start[row + c[0] + r],
+                                            start[row + c[0] + r + 1], q, best);
+                }
+            }
+            const double bound = ((double)r - 1e-6) * h;
+            settled = covers || (r > 0 && best < bound * bound);
+        }
+        out[j] = settled ? best : NAN;
+        left += !settled;
+    }
+    free(start);
+    free(sorted);
+    return left;
 }

@@ -1,17 +1,19 @@
 """Build and load the compiled library in ``_fuse.c``, and mirror the one
 argument of its fusion entry, ``struct frame``, as ``Frame``.
 
-The library has two users: fusion (``integrator``), which fuses each frame
-with one call, and meshing (``mesher``), which classifies the cells of the
-grid and emits the mesh's triangles and vertices with it. The first fusion
-or mesh in a process asks for the library. It is compiled with the system C
-compiler (``cc`` with ``CFLAGS``) into the package's ``__pycache__/``, under
-a name holding the SHA-256 of the source and the flags, so a library is
-built once per source and flags and a stale one is never loaded. The file
-is written under a temporary name and renamed into place, so a concurrent
-process sees either no library or a whole one. When compiling or loading
-fails (no compiler, read-only install), one line goes to stderr and fusion
-and meshing run their numpy code, which gives the same grids and meshes.
+The library has three users: fusion (``integrator``), which fuses each
+frame with one call, meshing (``mesher``), which classifies the cells of
+the grid and emits the mesh's triangles and vertices with it, and
+evaluation (``metrics``), which finds nearest-neighbour distances with it.
+The first of them in a process asks for the library. It is compiled with
+the system C compiler (``cc`` with ``CFLAGS``) into the package's
+``__pycache__/``, under a name holding the SHA-256 of the source and the
+flags, so a library is built once per source and flags and a stale one is
+never loaded. The file is written under a temporary name and renamed into
+place, so a concurrent process sees either no library or a whole one. When
+compiling or loading fails (no compiler, read-only install), one line goes
+to stderr, fusion and meshing run their numpy code and evaluation scipy's
+``cKDTree``, which give the same grids, meshes and reports.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ CC = "cc"
 # where the target has fused multiply-add.
 CFLAGS = ("-O3", "-shared", "-fPIC", "-pthread", "-ffp-contract=off")
 
-# The loaded Library: None until the first fusion or mesh asks, False when it
-# could not be built or loaded.
+# The loaded Library: None until the first fusion, mesh or evaluation asks,
+# False when it could not be built or loaded.
 _lib = None
 
 
@@ -60,14 +62,16 @@ class Library:
     ``fuse``, called with one ``Frame``, and the row stamp it runs in this
     process, ``path``, picked once when the library is loaded: "avx512"
     where the CPU has AVX-512F, else "portable"; both give the same grid.
-    For meshing: ``classify_cells`` and ``emit_mesh``, called with the
-    addresses, sizes and numbers that ``_fuse.c`` documents for
-    ``bitsdf_classify_cells`` and ``bitsdf_emit_mesh``."""
+    For meshing: ``classify_cells`` and ``emit_mesh``, and for evaluation:
+    ``nearest``, called with the addresses, sizes and numbers that
+    ``_fuse.c`` documents for ``bitsdf_classify_cells``,
+    ``bitsdf_emit_mesh`` and ``bitsdf_nearest``."""
 
     fuse: Callable
     path: str
     classify_cells: Callable
     emit_mesh: Callable
+    nearest: Callable
 
 
 def build(source: Path, cache_dir: Path, cc: str) -> Path:
@@ -108,8 +112,11 @@ def _bind(path: Path) -> Library:
     lib.bitsdf_emit_mesh.argtypes = ([_P, _P, _I64] + [_P] * 5 + [_I64] * 3 + [_P]
                                      + [_F64] * 2 + [_P, _I64] + [_P] * 3)
     lib.bitsdf_emit_mesh.restype = _I64
+    lib.bitsdf_nearest.argtypes = [_P, _I64, _P, _I64, _P]
+    lib.bitsdf_nearest.restype = _I64
     return Library(lib.bitsdf_fuse_frame, "avx512" if avx512 else "portable",
-                   lib.bitsdf_classify_cells, lib.bitsdf_emit_mesh)
+                   lib.bitsdf_classify_cells, lib.bitsdf_emit_mesh,
+                   lib.bitsdf_nearest)
 
 
 def library() -> Library | None:
@@ -123,8 +130,8 @@ def library() -> Library | None:
             first = (detail.strip().splitlines() or [type(e).__name__])[0]
             print(
                 f"warning: cannot build the compiled library ({first}); "
-                "fusing and meshing with numpy, which gives the same grids "
-                "and meshes more slowly",
+                "fusing and meshing with numpy and evaluating with scipy, "
+                "which give the same grids, meshes and reports more slowly",
                 file=sys.stderr,
             )
             _lib = False

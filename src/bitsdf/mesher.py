@@ -80,6 +80,11 @@ _NTRI_BY_CODE = np.count_nonzero(_TRI_BY_CODE[:, :, 0] >= 0, axis=1)
 # The number of distinct cube edges among each code's triangles.
 _NEDGE_BY_CODE = np.array([np.unique(t[t >= 0]).size for t in _TRI_BY_CODE])
 
+# face_cross is computed this many triangles at a time (and
+# metrics.sample_mesh blends this many samples at a time), so that a block's
+# temporaries stay in cache.
+_AREA_BLOCK = 1 << 14
+
 
 @dataclass
 class TriangleMesh:
@@ -266,7 +271,11 @@ def vertex_normals(mesh: TriangleMesh) -> TriangleMesh:
     if mesh.is_empty:
         return TriangleMesh(mesh.vertices, mesh.triangles, np.zeros((0, 3)))
     f = mesh.triangles
-    face_n = face_cross(np.ascontiguousarray(mesh.vertices.T), f)
+    vt = np.ascontiguousarray(mesh.vertices.T)
+    face_n = np.empty((3, f.shape[0]))
+    for at in range(0, f.shape[0], _AREA_BLOCK):
+        for n, col in zip(face_n, face_cross(vt, f[at : at + _AREA_BLOCK])):
+            n[at : at + _AREA_BLOCK] = col
     # Each vertex sums its corner-0 faces, then corner-1, then corner-2
     # faces, in face order.
     corners = f.T.reshape(-1)

@@ -12,6 +12,14 @@ numpy 2.x ``Generator.choice(p=...)`` does. Areas, the draw and the
 barycentric blend work on 1-D coordinate columns, with the operations of
 the row-wise ``np.cross``, ``np.linalg.norm`` and blend, so the points are
 the same bits.
+
+The nearest-neighbor distances are exact, the bits that scipy's
+``cKDTree.query`` returns, so a report is byte-identical with or without
+the compiled library. ``nn_distances`` asks the library's
+``bitsdf_nearest``, a search of the cells of a uniform grid over the
+targets, first; the queries that it hands back unsettled (their nearest
+target more than two cells away), and every query where the library cannot
+be built, go to a ``cKDTree``.
 """
 
 from __future__ import annotations
@@ -23,12 +31,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import _native
 from .errors import ConfigurationError, EvaluationError
-from .mesher import TriangleMesh, face_cross
-
-
-# sample_mesh computes triangle areas this many triangles at a time.
-_AREA_BLOCK = 1 << 14
+from .mesher import _AREA_BLOCK, TriangleMesh, face_cross
 
 
 @dataclass
@@ -91,15 +96,19 @@ def sample_mesh(mesh: TriangleMesh, n: int, seed: int = 0) -> np.ndarray:
             f"mesh total surface area must be finite and > 0, got {total}")
     rng = np.random.default_rng(seed)
     tri = _choice(rng, areas / total, n)
-    # Uniform barycentric sampling via the sqrt trick, one coordinate at a
-    # time.
+    # Uniform barycentric sampling via the sqrt trick, a block of samples
+    # and one coordinate at a time.
     r1 = np.sqrt(rng.random(n))
     r2 = rng.random(n)
-    w0, w1, w2 = 1.0 - r1, r1 * (1.0 - r2), r1 * r2
-    i0, i1, i2 = f[tri, 0], f[tri, 1], f[tri, 2]
     out = np.empty((n, 3))
-    for k, col in enumerate(vt):
-        out[:, k] = w0 * col[i0] + w1 * col[i1] + w2 * col[i2]
+    for at in range(0, n, _AREA_BLOCK):
+        s = slice(at, at + _AREA_BLOCK)
+        a, b = r1[s], r2[s]
+        w0, w1, w2 = 1.0 - a, a * (1.0 - b), a * b
+        t = tri[s]
+        i0, i1, i2 = f[t, 0], f[t, 1], f[t, 2]
+        for k, col in enumerate(vt):
+            out[s, k] = w0 * col[i0] + w1 * col[i1] + w2 * col[i2]
     return out
 
 
@@ -118,17 +127,31 @@ def _choice(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
 
 
 def nn_distances(from_pts: np.ndarray, to_pts: np.ndarray) -> np.ndarray:
-    """Exact Euclidean nearest-neighbor distance per query point."""
-    to_pts = np.asarray(to_pts, dtype=np.float64).reshape(-1, 3)
-    from_pts = np.asarray(from_pts, dtype=np.float64).reshape(-1, 3)
+    """Exact Euclidean nearest-neighbor distance per query point: the bits
+    that ``cKDTree.query`` returns, with or without the compiled library.
+
+    Raises EvaluationError for an empty target set or a non-finite point."""
+    to_pts = np.ascontiguousarray(to_pts, dtype=np.float64).reshape(-1, 3)
+    from_pts = np.ascontiguousarray(from_pts, dtype=np.float64).reshape(-1, 3)
     if to_pts.shape[0] == 0:
         raise EvaluationError("nearest-neighbor target set is empty")
+    if not (np.isfinite(to_pts).all() and np.isfinite(from_pts).all()):
+        raise EvaluationError("nearest-neighbor points must be finite")
     if from_pts.shape[0] == 0:
         return np.zeros(0)
-    # Sliding-midpoint splits (Maneewongvatana & Mount 1999) keep queries
-    # that land in holes of a sampled surface fast; the distances are exact.
-    tree = cKDTree(to_pts, balanced_tree=False, compact_nodes=False)
-    dist, _ = tree.query(from_pts, k=1)
+    dist = np.full(from_pts.shape[0], np.nan)
+    lib = _native.library()
+    if lib is not None:
+        # Squared distances, NaN where the cell search hands a query back.
+        lib.nearest(to_pts.ctypes.data, to_pts.shape[0], from_pts.ctypes.data,
+                    from_pts.shape[0], dist.ctypes.data)
+        np.sqrt(dist, out=dist)
+    left = np.flatnonzero(np.isnan(dist))
+    if left.size:
+        # Sliding-midpoint splits (Maneewongvatana & Mount 1999) keep
+        # queries that land in holes of a sampled surface fast.
+        tree = cKDTree(to_pts, balanced_tree=False, compact_nodes=False)
+        dist[left] = tree.query(from_pts[left], k=1)[0]
     return dist
 
 

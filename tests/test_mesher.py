@@ -391,6 +391,21 @@ class TestVertexNormals:
             acc[norms > 0] /= norms[norms > 0, None]
             assert vertex_normals(m).normals.tobytes() == acc.tobytes()
 
+    def test_blocks_match_add_at_reference(self):
+        # More triangles than one block of face_cross: the normals equal
+        # those summed with every face normal computed in one pass.
+        rng = np.random.default_rng(3)
+        t = 2 * mesher._AREA_BLOCK + 7
+        v, f = rng.normal(size=(4000, 3)), rng.integers(0, 4000, size=(t, 3))
+        face_n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+        acc = np.zeros_like(v)
+        for j in range(3):
+            np.add.at(acc, f[:, j], face_n)
+        norms = np.linalg.norm(acc, axis=1)
+        acc[norms > 0] /= norms[norms > 0, None]
+        got = vertex_normals(TriangleMesh(v, f)).normals
+        assert got.tobytes() == acc.tobytes()
+
     def test_single_triangle_plane(self):
         m = TriangleMesh(
             vertices=np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]),

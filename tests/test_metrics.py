@@ -1,11 +1,14 @@
 import json
+import shutil
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
+from bitsdf import _native
 from bitsdf.errors import EvaluationError
 from bitsdf.mesher import TriangleMesh
 from bitsdf.metrics import _AREA_BLOCK, evaluate, nn_distances, sample_mesh
@@ -88,7 +91,8 @@ class TestSampleMesh:
         with pytest.raises(EvaluationError):
             sample_mesh(empty, 10)
 
-    @pytest.mark.parametrize("n", [1, 7, 5000])
+    # The last n blends three whole blocks of samples and part of a fourth.
+    @pytest.mark.parametrize("n", [1, 7, 5000, 3 * _AREA_BLOCK + 5])
     @pytest.mark.parametrize("seed", [0, 1, 5, 12345])
     @pytest.mark.parametrize("mesh", [
         TriangleMesh(np.array([[0.1, 0.2, 0.3], [1.7, 0.4, -0.2], [0.5, 2.1, 0.9]]),
@@ -153,6 +157,90 @@ class TestNNDistances:
     def test_empty_target(self):
         with pytest.raises(EvaluationError):
             nn_distances(np.zeros((1, 3)), np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["query", "target"])
+    def test_non_finite_point_rejected(self, side, bad):
+        pts = np.random.default_rng(9).normal(size=(20, 3))
+        broken = pts.copy()
+        broken[7, 1] = bad
+        q, t = (broken, pts) if side == "query" else (pts, broken)
+        with pytest.raises(EvaluationError, match="finite"):
+            nn_distances(q, t)
+        with pytest.raises(EvaluationError, match="finite"):
+            evaluate(q, t, 0.1)
+
+
+def lattice(lo, hi, step=1.0):
+    """The points of the cubic lattice of ``step`` in [lo, hi]^3."""
+    ax = np.arange(lo, hi + step / 2, step)
+    return np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def nn_cases():
+    """(name, queries, targets) on which the cell search is checked against
+    cKDTree."""
+    rng = np.random.default_rng(11)
+    pts = rng.integers(0, 21, size=(900, 3)).astype(np.float64)
+    return [
+        ("random", rng.normal(size=(4000, 3)), rng.normal(size=(3000, 3))),
+        ("random-box", rng.uniform(-5, 5, (2000, 3)), rng.uniform(0, 1, (20_000, 3))
+         * [10.0, 10.0, 3.0]),
+        ("duplicates", rng.normal(size=(500, 3)),
+         np.repeat(rng.normal(size=(7, 3)), 50, axis=0)),
+        ("single", rng.normal(size=(300, 3)) * 4.0, np.array([[0.25, -1.5, 3.0]])),
+        ("plane", rng.normal(size=(2000, 3)),
+         np.column_stack([rng.normal(size=(3000, 2)), np.full(3000, 0.5)])),
+        ("line", rng.normal(size=(2000, 3)),
+         np.column_stack([np.full(3000, -1.0), rng.normal(size=3000), np.zeros(3000)])),
+        # 11^3 targets: the cells are one lattice step wide, so targets and
+        # queries lie on cell faces, and queries between lattice points tie.
+        ("lattice", lattice(-2.0, 12.0, 0.5), lattice(0.0, 10.0)),
+        ("lattice-subset", lattice(-1.0, 21.0), pts),
+        ("far", rng.normal(size=(1000, 3)) * 5.0 + [20.0, 0.0, -8.0],
+         rng.uniform(0, 1, (5000, 3))),
+    ]
+
+
+@pytest.fixture(params=["compiled", "no-library"])
+def nn_path(request, tmp_path, monkeypatch):
+    """Nearest neighbours by the compiled cell search, or with the library
+    unavailable, as where there is no C compiler."""
+    if request.param == "compiled":
+        if _native.library() is None:
+            if shutil.which(_native.CC):
+                pytest.fail("a C compiler is present but _fuse.c did not build")
+            pytest.skip("no C compiler")
+    else:
+        monkeypatch.setattr(_native, "_lib", None)
+        monkeypatch.setattr(_native, "CACHE_DIR", tmp_path)
+        monkeypatch.setattr(_native, "CC", str(tmp_path / "no-such-cc"))
+        assert _native.library() is None
+    return request.param
+
+
+class TestNNExact:
+    @pytest.mark.parametrize("case", nn_cases(), ids=lambda c: c[0])
+    def test_bits_of_ckdtree(self, nn_path, case):
+        _, q, t = case
+        want = cKDTree(t).query(q, k=1)[0]
+        assert np.array_equal(nn_distances(q, t), want)
+
+    @pytest.mark.parametrize("name", ["far", "random-box"])
+    def test_far_queries_handed_back(self, name):
+        # Queries metres outside the targets' box are not settled by the
+        # cell search; the tree answers them.
+        lib = _native.library()
+        if lib is None:
+            pytest.skip("no compiled library")
+        _, q, t = next(c for c in nn_cases() if c[0] == name)
+        sq = np.empty(len(q))
+        left = lib.nearest(t.ctypes.data, len(t), q.ctypes.data, len(q), sq.ctypes.data)
+        assert left > 0
+        assert np.count_nonzero(np.isnan(sq)) == left
+        want = cKDTree(t).query(q, k=1)[0]
+        settled = ~np.isnan(sq)
+        assert np.array_equal(np.sqrt(sq[settled]), want[settled])
 
 
 class TestEvaluate:
