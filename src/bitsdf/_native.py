@@ -4,7 +4,8 @@ argument of its fusion entry, ``struct frame``, as ``Frame``.
 The library has three users: fusion (``integrator``), which fuses each
 frame with one call, meshing (``mesher``), which classifies the cells of
 the grid and emits the mesh's triangles and vertices with it, and
-evaluation (``metrics``), which finds nearest-neighbour distances with it.
+evaluation (``metrics``), which finds every nearest-neighbour distance
+with it, so that it imports no scipy.
 The first of them in a process asks for the library. It is compiled with
 the system C compiler (``cc`` with ``CFLAGS``) into the package's
 ``__pycache__/``, under a name holding the SHA-256 of the source and the

@@ -47,7 +47,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.transform import Rotation, Slerp
 
 from . import _native
 from .errors import ConfigurationError
@@ -149,6 +148,7 @@ def motion_compensate(points, times, prev_pose, pose, mode: str) -> np.ndarray:
         return points
     if prev_pose is None:
         raise ConfigurationError("motion compensation requires prev_pose")
+    from scipy.spatial.transform import Rotation, Slerp
 
     ts = np.clip(np.linspace(0.0, 1.0, len(points)) if times is None else times,
                  0.0, 1.0)

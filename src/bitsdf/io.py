@@ -14,9 +14,9 @@ import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial.transform import Rotation, Slerp
 
 from . import grid as bgrid
 from .errors import CorruptionError, FormatError
@@ -32,6 +32,9 @@ from .grid import (
 )
 from .mesher import TriangleMesh
 from .transforms import make_pose
+
+if TYPE_CHECKING:
+    from scipy.spatial.transform import Rotation, Slerp
 
 SNAPSHOT_MAGIC = b"DBTSDF01"
 _SNAPSHOT_HEADER = struct.Struct("<3I4d2B6x")
@@ -239,11 +242,14 @@ def _read_elements(raw: bytes, path: Path, parse_header, last=None) -> dict:
 
 
 def _columns(rec, names, path: Path) -> np.ndarray:
-    """Stack scalar fields of a decoded element as float64 columns."""
+    """Stack scalar fields of a decoded element as float64 columns. A
+    signaling NaN casts to a quiet one without a warning; the reader drops
+    its row as any other non-finite one."""
     for n in names:
         if n not in rec.dtype.names or rec.dtype[n].shape:
             raise FormatError(f"{path}: element lacks a scalar field {n!r}")
-    return np.stack([rec[n].astype(np.float64) for n in names], axis=1)
+    with np.errstate(invalid="ignore"):
+        return np.stack([rec[n].astype(np.float64) for n in names], axis=1)
 
 
 def read_scan(path) -> ScanData:
@@ -292,6 +298,8 @@ class Trajectory:
     def slerp(self) -> Slerp:
         """One slerp over every record, made on the first lookup between
         two records and kept for the run (needs two or more records)."""
+        from scipy.spatial.transform import Slerp
+
         return Slerp(self.times, self.rotations)
 
 
@@ -325,6 +333,8 @@ def read_trajectory(path) -> Trajectory:
     times = np.asarray(times)
     if np.any(np.diff(times) <= 0):
         raise FormatError(f"{path}: timestamps are not strictly increasing")
+    from scipy.spatial.transform import Rotation
+
     return Trajectory(
         times=times,
         translations=np.asarray(trans),

@@ -16,10 +16,12 @@ the same bits.
 The nearest-neighbor distances are exact, the bits that scipy's
 ``cKDTree.query`` returns, so a report is byte-identical with or without
 the compiled library. ``nn_distances`` asks the library's
-``bitsdf_nearest``, a search of the cells of a uniform grid over the
-targets, first; the queries that it hands back unsettled (their nearest
-target more than two cells away), and every query where the library cannot
-be built, go to a ``cKDTree``.
+``bitsdf_nearest``, which answers every query: from the cells of a
+uniform grid over the targets within two cells of the query, and beyond
+them from blocks of those cells, each with the tight box of its targets.
+Only where the library is unavailable, cannot allocate its scratch or
+finds the targets' extent overflowing does a ``cKDTree`` answer, so scipy
+is imported only then.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import _native
 from .errors import ConfigurationError, EvaluationError
@@ -128,7 +129,9 @@ def _choice(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
 
 def nn_distances(from_pts: np.ndarray, to_pts: np.ndarray) -> np.ndarray:
     """Exact Euclidean nearest-neighbor distance per query point: the bits
-    that ``cKDTree.query`` returns, with or without the compiled library.
+    that ``cKDTree.query`` returns. The compiled library's cell search
+    answers every query; a ``cKDTree`` is built only where the library is
+    unavailable or its search returns none.
 
     Raises EvaluationError for an empty target set or a non-finite point."""
     to_pts = np.ascontiguousarray(to_pts, dtype=np.float64).reshape(-1, 3)
@@ -139,20 +142,20 @@ def nn_distances(from_pts: np.ndarray, to_pts: np.ndarray) -> np.ndarray:
         raise EvaluationError("nearest-neighbor points must be finite")
     if from_pts.shape[0] == 0:
         return np.zeros(0)
-    dist = np.full(from_pts.shape[0], np.nan)
     lib = _native.library()
     if lib is not None:
-        # Squared distances, NaN where the cell search hands a query back.
-        lib.nearest(to_pts.ctypes.data, to_pts.shape[0], from_pts.ctypes.data,
-                    from_pts.shape[0], dist.ctypes.data)
-        np.sqrt(dist, out=dist)
-    left = np.flatnonzero(np.isnan(dist))
-    if left.size:
-        # Sliding-midpoint splits (Maneewongvatana & Mount 1999) keep
-        # queries that land in holes of a sampled surface fast.
-        tree = cKDTree(to_pts, balanced_tree=False, compact_nodes=False)
-        dist[left] = tree.query(from_pts[left], k=1)[0]
-    return dist
+        # Squared distances. The search computes none, and returns nonzero,
+        # where it cannot allocate its scratch or the targets' box overflows.
+        dist = np.empty(from_pts.shape[0])
+        if not lib.nearest(to_pts.ctypes.data, to_pts.shape[0], from_pts.ctypes.data,
+                           from_pts.shape[0], dist.ctypes.data):
+            return np.sqrt(dist, out=dist)
+    from scipy.spatial import cKDTree
+
+    # Sliding-midpoint splits (Maneewongvatana & Mount 1999) keep queries
+    # that land in holes of a sampled surface fast.
+    tree = cKDTree(to_pts, balanced_tree=False, compact_nodes=False)
+    return tree.query(from_pts, k=1)[0]
 
 
 def evaluate(pred: np.ndarray, gt: np.ndarray, threshold: float) -> MetricsReport:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from scipy.spatial.transform import Rotation
 
 
 def make_pose(rotation: Rotation, translation) -> np.ndarray:

@@ -72,15 +72,18 @@ def dataset(tmp_path_factory):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_main(*args):
+def run_python(*args):
     # The child does not inherit pytest's `pythonpath`: put this checkout's
     # src first on its PYTHONPATH so an uninstalled tree imports bitsdf.
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run(
-        [sys.executable, "-m", "bitsdf.cli", *map(str, args)],
-        capture_output=True, text=True, env=env,
+        [sys.executable, *map(str, args)], capture_output=True, text=True, env=env,
     )
+
+
+def run_main(*args):
+    return run_python("-m", "bitsdf.cli", *args)
 
 
 def triangle_ply(directory):
@@ -902,6 +905,35 @@ class TestThreads:
             _, _, snap = run_fuse(cfg, echo=lambda *_: None)
             blobs.append(snap.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+# Runs a command as main() does, then prints the scipy modules it imported.
+SCIPY_MODULES = """
+import sys
+from bitsdf.cli import cli
+cli(sys.argv[1:], standalone_mode=False)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_commands_import_no_scipy(dataset, tmp_path):
+    # mesh, export and info never use scipy, and eval only where the
+    # compiled library is unavailable; each command runs in a fresh process.
+    root, _ = dataset
+    snapshot = root / "out" / "map.dbtsdf"
+    mesh = tmp_path / "room.ply"
+    gt = tmp_path / "gt.xyz"
+    from _synthetic import box_surface_points
+
+    np.savetxt(gt, box_surface_points(2000, (0, 0, 0), (4.0, 4.0, 2.0), seed=1))
+    commands = [["mesh", snapshot, "-o", mesh], ["export", snapshot, "-o", tmp_path / "g.csv"],
+                ["info", snapshot]]
+    if _native.library() is not None:
+        commands.append(["eval", "--pred", mesh, "--gt", gt, "-o", tmp_path / "r.json"])
+    for command in commands:
+        res = run_python("-c", SCIPY_MODULES, *command)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]", command[0]
 
 
 def test_each_error_class_declares_its_exit_code():

@@ -135,6 +135,24 @@ class TestReadScanPCD:
         assert data.timestamps.tolist() == [0.0, 0.5]
         assert data.dropped == 2
 
+    @pytest.mark.parametrize("field", [0, 3], ids=["x", "time"])
+    def test_signaling_nan_row_dropped_without_warning(self, tmp_path, field):
+        # A float32 signaling NaN (bits 0x7F800001) casts to float64 without
+        # numpy's "invalid value" warning, and its row is dropped and counted.
+        p = tmp_path / "s.pcd"
+        bio.write_pcd(np.arange(12.0).reshape(4, 3), p, binary=True,
+                      timestamps=[0.0, 0.25, 0.5, 1.0])
+        raw = bytearray(p.read_bytes())
+        at = raw.index(b"DATA binary\n") + len(b"DATA binary\n") + 16 + 4 * field
+        raw[at : at + 4] = struct.pack("<I", 0x7F800001)
+        p.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = bio.read_scan(p)
+        assert data.points.tolist() == [[0, 1, 2], [6, 7, 8], [9, 10, 11]]
+        assert data.timestamps.tolist() == [0.0, 0.5, 1.0]
+        assert data.dropped == 1
+
     def test_binary_round_trip(self, tmp_path):
         pts = np.random.default_rng(0).normal(size=(100, 3)).astype(np.float32)
         p = tmp_path / "b.pcd"

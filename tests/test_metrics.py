@@ -1,3 +1,4 @@
+import itertools
 import json
 import shutil
 import tracemalloc
@@ -5,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
@@ -177,11 +179,24 @@ def lattice(lo, hi, step=1.0):
     return np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
+def box_faces(rng, n, faces):
+    """n points uniform on the given faces of the box [0, 10] x [0, 10] x
+    [0, 3]; face 2k + s is the one at the low (s = 0) or high (s = 1) end of
+    axis k."""
+    hi = np.array([10.0, 10.0, 3.0])
+    faces = np.asarray(faces)
+    pts = rng.uniform(0, 1, (n, 3)) * hi
+    face = faces[np.arange(n) % len(faces)]
+    pts[np.arange(n), face // 2] = hi[face // 2] * (face % 2)
+    return pts
+
+
 def nn_cases():
     """(name, queries, targets) on which the cell search is checked against
     cKDTree."""
     rng = np.random.default_rng(11)
     pts = rng.integers(0, 21, size=(900, 3)).astype(np.float64)
+    octant = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))[np.arange(800) % 8]
     return [
         ("random", rng.normal(size=(4000, 3)), rng.normal(size=(3000, 3))),
         ("random-box", rng.uniform(-5, 5, (2000, 3)), rng.uniform(0, 1, (20_000, 3))
@@ -199,6 +214,15 @@ def nn_cases():
         ("lattice-subset", lattice(-1.0, 21.0), pts),
         ("far", rng.normal(size=(1000, 3)) * 5.0 + [20.0, 0.0, -8.0],
          rng.uniform(0, 1, (5000, 3))),
+        # Queries 1.5-5.5 m outside a 1 m box, in each of the eight octants.
+        ("octants", 0.5 + octant * rng.uniform(2, 6, (800, 3)),
+         rng.uniform(0, 1, (4000, 3))),
+        # Queries on all six faces of a box, targets on only three of them:
+        # the queries on the other three lie metres from every target.
+        ("three-faces", box_faces(rng, 3000, range(6)), box_faces(rng, 20_000, range(3))),
+        ("line-far", rng.normal(size=(2000, 3)) * [30.0, 30.0, 1.0],
+         np.column_stack([np.full(3000, 2.0), np.full(3000, -1.0),
+                          rng.uniform(0, 1, 3000)])),
     ]
 
 
@@ -226,21 +250,36 @@ class TestNNExact:
         want = cKDTree(t).query(q, k=1)[0]
         assert np.array_equal(nn_distances(q, t), want)
 
-    @pytest.mark.parametrize("name", ["far", "random-box"])
-    def test_far_queries_handed_back(self, name):
-        # Queries metres outside the targets' box are not settled by the
-        # cell search; the tree answers them.
+    @pytest.mark.parametrize("case", nn_cases(), ids=lambda c: c[0])
+    def test_library_settles_every_query(self, case, monkeypatch):
+        # The compiled search answers every query itself, far ones too, so
+        # nn_distances builds no tree where the library is present.
         lib = _native.library()
         if lib is None:
             pytest.skip("no compiled library")
-        _, q, t = next(c for c in nn_cases() if c[0] == name)
-        sq = np.empty(len(q))
-        left = lib.nearest(t.ctypes.data, len(t), q.ctypes.data, len(q), sq.ctypes.data)
-        assert left > 0
-        assert np.count_nonzero(np.isnan(sq)) == left
+        _, q, t = case
         want = cKDTree(t).query(q, k=1)[0]
-        settled = ~np.isnan(sq)
-        assert np.array_equal(np.sqrt(sq[settled]), want[settled])
+        sq = np.empty(len(q))
+        assert lib.nearest(t.ctypes.data, len(t), q.ctypes.data, len(q), sq.ctypes.data) == 0
+        assert np.array_equal(np.sqrt(sq), want)
+
+        def no_tree(*args, **kwargs):
+            pytest.fail("nn_distances built a cKDTree with the library present")
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)
+        assert np.array_equal(nn_distances(q, t), want)
+
+    def test_extent_overflow_answered_by_tree(self):
+        # A box whose extent overflows has no cells: the library computes
+        # nothing and returns m, and a cKDTree answers every query.
+        lib = _native.library()
+        if lib is None:
+            pytest.skip("no compiled library")
+        t = np.array([[-1e308, 0.0, 0.0], [1e308, 1.0, 0.0]])
+        q = np.array([[-1e308, 2.0, 0.0], [5.0, 0.0, 0.0], [1e308, 0.0, 3.0]])
+        sq = np.empty(len(q))
+        assert lib.nearest(t.ctypes.data, len(t), q.ctypes.data, len(q), sq.ctypes.data) == 3
+        assert np.array_equal(nn_distances(q, t), cKDTree(t).query(q, k=1)[0])
 
 
 class TestEvaluate:
