@@ -2,18 +2,18 @@
  * steps of marching cubes: cell classification and mesh emission, and the
  * nearest-neighbour distances of evaluation.
  *
- * Built and loaded by bitsdf/_native.py; integrator._fuse_compiled fills the
- * one struct frame by field name through its ctypes mirror, _native.Frame,
- * and calls the one frame entry with it. mesher.extract_mesh calls
- * bitsdf_classify_cells once per slab of z planes and bitsdf_emit_mesh once
- * per mesh, with scratch arrays and tables it allocates (see each entry).
- * metrics.nn_distances calls bitsdf_nearest once per query set. The
- * integrator's and the mesher's numpy code and scipy's cKDTree do the same
- * work where this cannot be built. The grid stores voxel (x, y, z) of dims
- * (nx, ny, nz) at word x + nx * (y + ny * z), x fastest, and the entries get
- * that memory as the C-ordered (nz, ny, nx) arrays it is, and the fusion
- * pass the K^3 kernel, also stored x fastest, as (z, y, x). So a z plane of
- * the grid is nx * ny contiguous words, a row runs along x, and a band of z
+ * Built and loaded by bitsdf/_native.py. The grid entries bitsdf_fuse_frame,
+ * bitsdf_classify_cells and bitsdf_emit_mesh each take one pointer to their
+ * own struct (frame, classify, emit), declared only here, whose first member
+ * is the struct grid they work on; _native mirrors every struct in ctypes
+ * and fills struct grid in grid_view alone. metrics.nn_distances calls
+ * bitsdf_nearest, which reads no grid, once per query set. The integrator's
+ * and the mesher's numpy code and scipy's cKDTree do the same work where
+ * this cannot be built. The grid stores voxel (x, y, z) of dims (nx, ny, nz)
+ * at word x + nx * (y + ny * z), x fastest: struct grid's arrays are the
+ * C-ordered (nz, ny, nx) arrays that memory holds, and the fusion pass reads
+ * the K^3 kernel, also stored x fastest, as (z, y, x). So a z plane of the
+ * grid is nx * ny contiguous words, a row runs along x, and a band of z
  * planes is one contiguous range of words. The caller guarantees that every
  * return's K^3 block lies inside the grid.
  *
@@ -126,18 +126,25 @@ stamp_avx512(uint32_t *row, const uint32_t *kern, int64_t len)
 }
 #endif
 
-/* The one argument of bitsdf_fuse_frame, declared only here; _native.Frame
- * mirrors it field by field. The grid's (nz, ny, nx) arrays; the band cuts
- * 0 = cuts[0] < ... < cuts[bands] = nz; the (K, K, K) distance kernel and K;
- * the n returns' center voxels, sorted ascending (the grid does not depend
- * on the order), and shadow bins; the (bins, m) shadow table, one byte per
- * offset of the m flat offsets in `ball`; the hit cap, the count that marks
- * a voxel occupied, and nonzero to stamp rows with AVX-512F, which it may
- * be only where bitsdf_has_avx512 says so. */
-struct frame {
+/* The grid that the grid entries read and fusion writes: its (nz, ny, nx)
+ * arrays, its dims, its voxel size in meters and the world coordinates of
+ * voxel 0's lower corner, by value. _native.Grid mirrors it. */
+struct grid {
     uint32_t *mask;
     uint8_t *hits, *sign;
     int64_t nz, ny, nx;
+    double voxel_size, origin[3];
+};
+
+/* The one argument of bitsdf_fuse_frame; _native.Frame mirrors it. The
+ * grid; the band cuts 0 = cuts[0] < ... < cuts[bands] = nz; the (K, K, K)
+ * distance kernel and K; the n returns' center voxels, sorted ascending (the
+ * grid does not depend on the order), and shadow bins; the (bins, m) shadow
+ * table, one byte per offset of the m flat offsets in `ball`; the hit cap,
+ * the count that marks a voxel occupied, and nonzero to stamp rows with
+ * AVX-512F, which it may be only where bitsdf_has_avx512 says so. */
+struct frame {
+    struct grid grid;
     const int64_t *cuts;
     int64_t bands;
     const uint32_t *kernel;
@@ -155,11 +162,11 @@ static inline __attribute__((always_inline)) int64_t
 fuse(const struct frame *f, uint64_t *restrict seen, int64_t band,
      const int64_t k, const stamp_fn stamp)
 {
-    uint8_t *restrict hits = f->hits, *restrict sign = f->sign;
+    uint8_t *restrict hits = f->grid.hits, *restrict sign = f->grid.sign;
     const int64_t *cflat = f->cflat, *ball = f->ball;
     const int64_t n = f->n, m = f->m, h_max = f->h_max, t_occ = f->t_occ;
     const int64_t p0 = f->cuts[band], p1 = f->cuts[band + 1];
-    const int64_t sy = f->nx, sz = f->ny * f->nx, r = k / 2;
+    const int64_t sy = f->grid.nx, sz = f->grid.ny * f->grid.nx, r = k / 2;
     const int64_t lo = p0 * sz, hi = p1 * sz, words = sz / 64 + 2;
     int64_t written = 0;
     /* The returns whose block reaches plane z, with center planes
@@ -176,7 +183,7 @@ fuse(const struct frame *f, uint64_t *restrict seen, int64_t band,
             b++;
         if (a == b)
             continue;
-        uint32_t *plane = f->mask + z * sz;
+        uint32_t *plane = f->grid.mask + z * sz;
         int64_t c = z - r; /* center plane of return i */
         for (int64_t i = a; i < b; i++) {
             while (cflat[i] >= (c + 1) * sz)
@@ -226,14 +233,14 @@ struct band {
 /* Band b->i of the frame. The worker that runs it allocates its own
  * one-plane bitmap, which no other core touches: bitmaps packed side by
  * side in one array share cache lines (and prefetches) at their ends, and
- * two workers on them ran slower than on one allocation each. Sets written to -1 when
- * the bitmap cannot be allocated. The default kernel size gets its own
- * copy, whose row loops the compiler unrolls. */
+ * two workers on them ran slower than on one allocation each. Sets written
+ * to -1 when the bitmap cannot be allocated. The default kernel size gets
+ * its own copy, whose row loops the compiler unrolls. */
 static inline __attribute__((always_inline)) void
 fuse_band(struct band *b, const stamp_fn stamp)
 {
     const struct frame *f = b->f;
-    uint64_t *seen = calloc((size_t)(f->ny * f->nx / 64 + 2), sizeof *seen);
+    uint64_t *seen = calloc((size_t)(f->grid.ny * f->grid.nx / 64 + 2), sizeof *seen);
     if (seen == NULL) {
         b->written = -1;
         return;
@@ -336,16 +343,17 @@ static inline uint64_t popcount64(uint64_t m)
     return (m * 0x0101010101010101ull) >> 56;
 }
 
-/* The quad of each cell lower corner (x, y) < (nx - 1, ny - 1) of a voxel
- * plane of ny * nx voxels, into q: bit dx + 2 * dy set when corner
+/* The quad of each cell lower corner (x, y) < (nx - 1, ny - 1) of voxel
+ * plane z of grid g, into q: bit dx + 2 * dy set when corner
  * (x + dx, y + dy) is inside, bit 4 + dx + 2 * dy when it is unobserved
  * (mask all ones and no hits). A voxel is inside when its mask popcount d
  * is at least a on an occupied voxel (sign 0), or below b on any other. */
-static void quad_plane(const uint32_t *restrict mask,
-                       const uint8_t *restrict sign,
-                       const uint8_t *restrict hits, int64_t ny, int64_t nx,
-                       uint32_t a, uint32_t b, uint8_t *restrict q)
+static void quad_plane(const struct grid *g, int64_t z, uint32_t a, uint32_t b,
+                       uint8_t *restrict q)
 {
+    const int64_t ny = g->ny, nx = g->nx, v0 = z * ny * nx;
+    const uint32_t *restrict mask = g->mask + v0;
+    const uint8_t *restrict sign = g->sign + v0, *restrict hits = g->hits + v0;
     for (int64_t v = 0; v < ny * nx; v++) {
         const uint32_t d = popcount32(mask[v]);
         const uint8_t occupied = sign[v] == 0;
@@ -363,10 +371,18 @@ static void quad_plane(const uint32_t *restrict mask,
     }
 }
 
+/* The one argument of bitsdf_classify_cells; _native.Classify mirrors it. */
+struct classify {
+    struct grid grid;
+    int64_t z0, z1, a, b;
+    uint8_t *quads;
+    int64_t *out;
+};
+
 /* Classify the marching-cubes cells of cell planes z0 <= z < z1 <= nz - 1
- * of the (nz, ny, nx) grid arrays (cell plane z lies between voxel planes z
- * and z + 1), with the popcount thresholds a and b of quad_plane, and write
- * each active cell, in (z, y, x) order, to out as
+ * of the grid (cell plane z lies between voxel planes z and z + 1), with
+ * the popcount thresholds a and b of quad_plane, and write each active
+ * cell, in (z, y, x) order, to out as
  * (((x * ny + y) * nz + z) << 8) | code: its lower corner's x-major voxel
  * index and its code, whose bit dx + 2 * dy + 4 * dz is corner
  * (dx, dy, dz)'s inside bit. A cell is active when its eight corners are
@@ -376,20 +392,16 @@ static void quad_plane(const uint32_t *restrict mask,
  * z0 = 0, share `quads`: a call leaves the quads of voxel plane z1 in its
  * first plane, and the call for the next range reads them there. Returns
  * the number of active cells. */
-int64_t bitsdf_classify_cells(const uint32_t *mask, const uint8_t *sign,
-                              const uint8_t *hits, int64_t nz, int64_t ny,
-                              int64_t nx, int64_t z0, int64_t z1, int64_t a,
-                              int64_t b, uint8_t *quads, int64_t *out)
+int64_t bitsdf_classify_cells(const struct classify *c)
 {
-    const int64_t sz = ny * nx;
-    uint8_t *lo = quads, *hi = quads + sz;
+    const int64_t nz = c->grid.nz, ny = c->grid.ny, nx = c->grid.nx, sz = ny * nx;
+    const uint32_t a = (uint32_t)c->a, b = (uint32_t)c->b;
+    uint8_t *lo = c->quads, *hi = c->quads + sz;
     int64_t n = 0;
-    if (z0 == 0)
-        quad_plane(mask, sign, hits, ny, nx, (uint32_t)a, (uint32_t)b, lo);
-    for (int64_t z = z0; z < z1; z++) {
-        const int64_t up = (z + 1) * sz;
-        quad_plane(mask + up, sign + up, hits + up, ny, nx, (uint32_t)a,
-                   (uint32_t)b, hi);
+    if (c->z0 == 0)
+        quad_plane(&c->grid, 0, a, b, lo);
+    for (int64_t z = c->z0; z < c->z1; z++) {
+        quad_plane(&c->grid, z + 1, a, b, hi);
         /* Plane z's quads are read for the last time: overwrite each with
          * its cell's code where the cell is active (every corner observed,
          * code 1..254), else 0, and 0 past the last cell of a row. */
@@ -414,37 +426,51 @@ int64_t bitsdf_classify_cells(const uint32_t *mask, const uint8_t *sign,
                 continue;
             for (int64_t i = at; i < at + 8; i++) {
                 if (lo[i] != 0)
-                    out[n++] = (((i % nx * ny + i / nx) * nz + z) << 8) | lo[i];
+                    c->out[n++] = (((i % nx * ny + i / nx) * nz + z) << 8) | lo[i];
             }
         }
         for (; at < len; at++) {
             if (lo[at] != 0)
-                out[n++] = (((at % nx * ny + at / nx) * nz + z) << 8) | lo[at];
+                c->out[n++] = (((at % nx * ny + at / nx) * nz + z) << 8) | lo[at];
         }
         uint8_t *t = lo;
         lo = hi;
         hi = t;
     }
-    if (lo != quads)
-        memcpy(quads, lo, (size_t)sz);
+    if (lo != c->quads)
+        memcpy(c->quads, lo, (size_t)sz);
     return n;
 }
 
-/* The signed distance of a voxel, as grid.signed_distances computes it. */
-static inline double signed_distance(uint32_t mask, uint8_t sign, double voxel_size)
+/* The signed distance of voxel i, as grid.signed_distances computes it. */
+static inline double signed_distance(const struct grid *g, int64_t i)
 {
-    const double sigma = sign == 0 ? -1.0 : 1.0;
-    return sigma * ((double)popcount32(mask) * voxel_size);
+    const double sigma = g->sign[i] == 0 ? -1.0 : 1.0;
+    return sigma * ((double)popcount32(g->mask[i]) * g->voxel_size);
 }
 
-/* The mesh of the m active cells cell[0] < ... < cell[m - 1] of the
- * (nz, ny, nx) grid arrays, each its lower corner's x-major voxel index
- * ((x * ny + y) * nz + z) with its binary corner code code[i], as
- * bitsdf_classify_cells gives them. Cube edge e of cell c has the
- * lattice-edge key c * 3 + edge[e], ((x * ny + y) * nz + z) * 3 + axis of
- * the edge's lower end; tri is the (256, 5, 3) case table of cube edges by
- * code, triangle slot and corner, and ntri the triangle count of each code.
- * With lo = cell[0] * 3, the call:
+/* The one argument of bitsdf_emit_mesh; _native.Emit mirrors it. */
+struct emit {
+    struct grid grid;
+    const int64_t *cell;
+    const uint8_t *code;
+    int64_t m;
+    const int32_t *tri;
+    const int64_t *ntri, *edge;
+    double iso;
+    uint64_t *bits;
+    int64_t words;
+    int64_t *base, *triangles;
+    double *vertices;
+};
+
+/* The mesh of the m active cells cell[0] < ... < cell[m - 1] of the grid,
+ * each its lower corner's x-major voxel index ((x * ny + y) * nz + z) with
+ * its binary corner code code[i], as bitsdf_classify_cells gives them. Cube
+ * edge s of cell c has the lattice-edge key c * 3 + edge[s],
+ * ((x * ny + y) * nz + z) * 3 + axis of the edge's lower end; tri is the
+ * (256, 5, 3) case table of cube edges by code, triangle slot and corner,
+ * and ntri the triangle count of each code. With lo = cell[0] * 3, the call:
  * - sets bit key - lo of each triangle edge in the zeroed bitmap `bits` of
  *   `words` words, which must cover every key, and writes each word's count
  *   of set bits before it to base;
@@ -453,63 +479,57 @@ static inline double signed_distance(uint32_t mask, uint8_t sign, double voxel_s
  *   `triangles` as the ranks of its edge keys among the set bits;
  * - writes the iso crossing on each set bit's edge, in bit order, to the
  *   (v, 3) `vertices` (room for the distinct triangle edges of each
- *   cell, summed over the cells): the ends' signed distances at
- *   `voxel_size` interpolated to `iso`, clipped to the edge, between the
- *   ends' voxel centers, world coordinates from `origin`.
+ *   cell, summed over the cells): the ends' signed distances interpolated
+ *   to `iso`, clipped to the edge, between the ends' voxel centers, in
+ *   world coordinates.
  * That is np.unique of mesher._triangle_keys, its inverse, and
  * mesher._edge_vertices of the unique keys, with the same float
  * operations. Returns the number of vertices. */
-int64_t bitsdf_emit_mesh(const int64_t *cell, const uint8_t *code, int64_t m,
-                         const int32_t *tri, const int64_t *ntri,
-                         const int64_t *edge, const uint32_t *mask,
-                         const uint8_t *sign, int64_t nz, int64_t ny,
-                         int64_t nx, const double *origin, double voxel_size,
-                         double iso, uint64_t *bits, int64_t words,
-                         int64_t *base, int64_t *triangles, double *vertices)
+int64_t bitsdf_emit_mesh(const struct emit *e)
 {
-    const int64_t lo = cell[0] * 3;
-    for (int64_t i = 0; i < m; i++) {
-        const int32_t *e = tri + code[i] * 15;
-        for (int64_t j = 0; j < ntri[code[i]] * 3; j++) {
-            const int64_t k = cell[i] * 3 + edge[e[j]] - lo;
-            bits[k >> 6] |= 1ull << (k & 63);
+    const struct grid *g = &e->grid;
+    const int64_t nz = g->nz, ny = g->ny, nx = g->nx, lo = e->cell[0] * 3;
+    for (int64_t i = 0; i < e->m; i++) {
+        const int32_t *row = e->tri + e->code[i] * 15;
+        for (int64_t j = 0; j < e->ntri[e->code[i]] * 3; j++) {
+            const int64_t k = e->cell[i] * 3 + e->edge[row[j]] - lo;
+            e->bits[k >> 6] |= 1ull << (k & 63);
         }
     }
     int64_t count = 0;
-    for (int64_t w = 0; w < words; w++) {
-        base[w] = count;
-        count += (int64_t)popcount64(bits[w]);
+    for (int64_t w = 0; w < e->words; w++) {
+        e->base[w] = count;
+        count += (int64_t)popcount64(e->bits[w]);
     }
     int64_t n = 0;
     for (int64_t slot = 0; slot < 5; slot++) {
-        for (int64_t i = 0; i < m; i++) {
-            if (ntri[code[i]] <= slot)
+        for (int64_t i = 0; i < e->m; i++) {
+            if (e->ntri[e->code[i]] <= slot)
                 continue;
-            const int32_t *e = tri + (code[i] * 5 + slot) * 3;
+            const int32_t *row = e->tri + (e->code[i] * 5 + slot) * 3;
             for (int64_t j = 0; j < 3; j++) {
-                const int64_t k = cell[i] * 3 + edge[e[j]] - lo;
+                const int64_t k = e->cell[i] * 3 + e->edge[row[j]] - lo;
                 const uint64_t below = (1ull << (k & 63)) - 1;
-                triangles[n++] = base[k >> 6] + (int64_t)popcount64(bits[k >> 6] & below);
+                e->triangles[n++] = e->base[k >> 6] + (int64_t)popcount64(e->bits[k >> 6] & below);
             }
         }
     }
     const int64_t step[3] = {1, nx, nx * ny};
-    double *p = vertices;
-    for (int64_t w = 0; w < words; w++) {
-        for (uint64_t b = bits[w]; b; b &= b - 1, p += 3) {
+    double *p = e->vertices;
+    for (int64_t w = 0; w < e->words; w++) {
+        for (uint64_t b = e->bits[w]; b; b &= b - 1, p += 3) {
             const int64_t key = lo + w * 64 + __builtin_ctzll(b);
             const int64_t axis = key % 3, v = key / 3;
             const int64_t at[3] = {v / nz / ny, v / nz % ny, v % nz};
             const int64_t i1 = (at[2] * ny + at[1]) * nx + at[0], i2 = i1 + step[axis];
-            const double v1 = signed_distance(mask[i1], sign[i1], voxel_size);
-            const double v2 = signed_distance(mask[i2], sign[i2], voxel_size);
+            const double v1 = signed_distance(g, i1), v2 = signed_distance(g, i2);
             const double denom = v2 - v1;
-            double t = denom != 0.0 ? (iso - v1) / denom : 0.0;
+            double t = denom != 0.0 ? (e->iso - v1) / denom : 0.0;
             t = t > 0.0 ? t : 0.0;
             t = t < 1.0 ? t : 1.0;
             for (int64_t c = 0; c < 3; c++) {
-                const double p1 = origin[c] + ((double)at[c] + 0.5) * voxel_size;
-                const double p2 = origin[c] + ((double)(at[c] + (c == axis)) + 0.5) * voxel_size;
+                const double p1 = g->origin[c] + ((double)at[c] + 0.5) * g->voxel_size;
+                const double p2 = g->origin[c] + ((double)(at[c] + (c == axis)) + 0.5) * g->voxel_size;
                 p[c] = p1 + t * (p2 - p1);
             }
         }
@@ -722,8 +742,9 @@ static double nearest_by_blocks(const struct nearest_blocks *k, const double *q,
  * below 2^-500 a bound's square could be subnormal and lose that margin,
  * so no query is settled by a bound: the rings cover the grid or the
  * offsets run out. The library needs no libm: no bound takes a square
- * root. The scratch is allocated and freed here. Returns 0, or m, computing nothing, when the scratch cannot be
- * allocated or the box's extent overflows. */
+ * root. The scratch is allocated and freed here. Returns 0, or m,
+ * computing nothing, when the scratch cannot be allocated or the box's
+ * extent overflows. */
 int64_t bitsdf_nearest(const double *target, int64_t n, const double *query,
                        int64_t m, double *out)
 {

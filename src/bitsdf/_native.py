@@ -1,5 +1,6 @@
-"""Build and load the compiled library in ``_fuse.c``, and mirror the one
-argument of its fusion entry, ``struct frame``, as ``Frame``.
+"""Build and load the compiled library in ``_fuse.c``, and mirror the structs
+of its grid entries: ``Grid``, filled by ``grid_view`` alone, and the one
+argument of each entry, ``Frame``, ``Classify`` and ``Emit``, each around it.
 
 The library has three users: fusion (``integrator``), which fuses each
 frame with one call, meshing (``mesher``), which classifies the cells of
@@ -29,6 +30,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
+from .grid import VoxelGrid
+
 SOURCE = Path(__file__).with_name("_fuse.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 CC = "cc"
@@ -45,16 +48,40 @@ _lib = None
 _P, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 
 
-class Frame(ctypes.Structure):
-    """``struct frame`` of ``_fuse.c``, field for field, filled by name: the
-    addresses of arrays of the dtypes, shapes and order ``_fuse.c`` reads
-    (unchecked) and int64 sizes."""
-
+# The structs of _fuse.c, field for field, filled by name: a Grid, addresses
+# of arrays that _fuse.c reads unchecked, int64 sizes and doubles.
+class Grid(ctypes.Structure):
     _fields_ = [("mask", _P), ("hits", _P), ("sign", _P), ("nz", _I64),
-                ("ny", _I64), ("nx", _I64), ("cuts", _P), ("bands", _I64),
-                ("kernel", _P), ("k", _I64), ("cflat", _P), ("bins", _P),
-                ("n", _I64), ("shadow", _P), ("ball", _P), ("m", _I64),
-                ("h_max", _I64), ("t_occ", _I64), ("avx512", _I64)]
+                ("ny", _I64), ("nx", _I64), ("voxel_size", _F64),
+                ("origin", _F64 * 3)]
+
+
+class Frame(ctypes.Structure):
+    _fields_ = [("grid", Grid), ("cuts", _P), ("bands", _I64), ("kernel", _P),
+                ("k", _I64), ("cflat", _P), ("bins", _P), ("n", _I64),
+                ("shadow", _P), ("ball", _P), ("m", _I64), ("h_max", _I64),
+                ("t_occ", _I64), ("avx512", _I64)]
+
+
+class Classify(ctypes.Structure):
+    _fields_ = [("grid", Grid), ("z0", _I64), ("z1", _I64), ("a", _I64),
+                ("b", _I64), ("quads", _P), ("out", _P)]
+
+
+class Emit(ctypes.Structure):
+    _fields_ = [("grid", Grid), ("cell", _P), ("code", _P), ("m", _I64),
+                ("tri", _P), ("ntri", _P), ("edge", _P), ("iso", _F64),
+                ("bits", _P), ("words", _I64), ("base", _P), ("triangles", _P),
+                ("vertices", _P)]
+
+
+def grid_view(grid: VoxelGrid) -> Grid:
+    """``grid`` as ``struct grid``, which VoxelGrid has checked; the caller
+    keeps ``grid`` alive while the library may use its arrays' addresses."""
+    nx, ny, nz = grid.dims
+    return Grid(mask=grid.mask.ctypes.data, hits=grid.hits.ctypes.data,
+                sign=grid.sign.ctypes.data, nz=nz, ny=ny, nx=nx,
+                voxel_size=grid.voxel_size, origin=tuple(grid.origin))
 
 
 @dataclass(frozen=True)
@@ -63,10 +90,10 @@ class Library:
     ``fuse``, called with one ``Frame``, and the row stamp it runs in this
     process, ``path``, picked once when the library is loaded: "avx512"
     where the CPU has AVX-512F, else "portable"; both give the same grid.
-    For meshing: ``classify_cells`` and ``emit_mesh``, and for evaluation:
-    ``nearest``, called with the addresses, sizes and numbers that
-    ``_fuse.c`` documents for ``bitsdf_classify_cells``,
-    ``bitsdf_emit_mesh`` and ``bitsdf_nearest``."""
+    For meshing: ``classify_cells`` and ``emit_mesh``, called with one
+    ``Classify`` and one ``Emit``. For evaluation: ``nearest``, called with
+    the addresses and sizes that ``_fuse.c`` documents for
+    ``bitsdf_nearest``."""
 
     fuse: Callable
     path: str
@@ -103,16 +130,14 @@ def build(source: Path, cache_dir: Path, cc: str) -> Path:
 
 def _bind(path: Path) -> Library:
     lib = ctypes.CDLL(str(path))
-    # A Frame passed to it is passed by reference.
-    lib.bitsdf_fuse_frame.argtypes = [ctypes.POINTER(Frame)]
-    lib.bitsdf_fuse_frame.restype = _I64
+    # A struct passed to a grid entry is passed by reference.
+    for entry, struct in (("bitsdf_fuse_frame", Frame),
+                          ("bitsdf_classify_cells", Classify),
+                          ("bitsdf_emit_mesh", Emit)):
+        getattr(lib, entry).argtypes = [ctypes.POINTER(struct)]
+        getattr(lib, entry).restype = _I64
     # bitsdf_has_avx512 exists where the compiler targets x86.
     avx512 = hasattr(lib, "bitsdf_has_avx512") and lib.bitsdf_has_avx512()
-    lib.bitsdf_classify_cells.argtypes = [_P] * 3 + [_I64] * 7 + [_P] * 2
-    lib.bitsdf_classify_cells.restype = _I64
-    lib.bitsdf_emit_mesh.argtypes = ([_P, _P, _I64] + [_P] * 5 + [_I64] * 3 + [_P]
-                                     + [_F64] * 2 + [_P, _I64] + [_P] * 3)
-    lib.bitsdf_emit_mesh.restype = _I64
     lib.bitsdf_nearest.argtypes = [_P, _I64, _P, _I64, _P]
     lib.bitsdf_nearest.restype = _I64
     return Library(lib.bitsdf_fuse_frame, "avx512" if avx512 else "portable",

@@ -68,7 +68,10 @@ class VoxelGrid:
     def __post_init__(self):
         # The compiled library (fusion and meshing) and the snapshot code
         # index the arrays as flat x-fastest buffers, unchecked, and fusion
-        # writes them.
+        # writes them; the library reads the header unchecked too.
+        check_grid(self.dims, self.voxel_size, self.origin, math.inf, self.h_max, self.t_occ)
+        if np.asarray(self.origin).dtype != np.float64:
+            raise ConfigurationError(f"grid origin must be float64, got {self.origin!r}")
         for name, dtype in _FIELD_DTYPES.items():
             a = getattr(self, name)
             if (a.dtype != dtype or a.shape != self.dims or not a.flags.f_contiguous

@@ -27,9 +27,10 @@ the sorted returns itself, writing masks, hits, signs and changed-voxel
 bits of its own planes only. The bands are disjoint, so the workers need no
 locks, and each voxel sees the same updates in the same order for any
 thread count. The whole frame is one call of the compiled library with one
-argument, the C ``struct frame`` filled by field name through its ctypes
-mirror ``_native.Frame``: it runs the first band on the calling thread and
-starts and joins a thread of its own for each other band.
+argument, the C ``struct frame``, filled by member name through its ctypes
+mirror ``_native.Frame`` around the ``struct grid`` that
+``_native.grid_view`` fills: it runs the first band on the calling thread
+and starts and joins a thread of its own for each other band.
 
 Where the C file cannot be built, the same work runs in numpy on one
 thread, whatever ``threads`` says: an in-place AND per return, a diff of the
@@ -255,16 +256,15 @@ def _fuse_compiled(grid, bank, lib, cflat, bins, cuts) -> int:
     """Run ``lib``'s frame entry over the sorted returns on the bands of z
     planes between ``cuts`` (int64, as ``_plane_cuts`` gives); each band
     finds the returns whose blocks reach its planes. Returns the changed-voxel
-    count. The pass reads the x-fastest grid and kernel as the C-ordered
-    (nz, ny, nx) and (z, y, x) arrays they are, unchecked: VoxelGrid and
+    count. The ``struct frame`` holds the grid's ``struct grid`` and the
+    kernel bank's arrays, which the pass reads unchecked: VoxelGrid and
     KernelBank check them when they are made."""
-    nx, ny, nz = grid.dims
+    nx, ny, _ = grid.dims
     ball = bank.shadow_ball @ np.array([1, nx, nx * ny])
     # Bare addresses of arrays that the arguments and locals here keep alive
     # through the call.
     frame = _native.Frame(
-        mask=grid.mask.ctypes.data, hits=grid.hits.ctypes.data,
-        sign=grid.sign.ctypes.data, nz=nz, ny=ny, nx=nx, cuts=cuts.ctypes.data,
+        grid=_native.grid_view(grid), cuts=cuts.ctypes.data,
         bands=len(cuts) - 1, kernel=bank.distance_kernel.ctypes.data,
         k=bank.size, cflat=cflat.ctypes.data, bins=bins.ctypes.data,
         n=len(cflat), shadow=bank.shadow.ctypes.data, ball=ball.ctypes.data,

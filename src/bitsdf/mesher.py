@@ -24,20 +24,23 @@ triangles and their edges are stored beyond the slab, so extra memory is
 O(slab + surface).
 
 The grid-sized and the surface-sized step run in the compiled library that
-``_native`` builds from ``_fuse.c``, where it can be built:
+``_native`` builds from ``_fuse.c``, where it can be built, each called
+with one struct filled by member name around ``_native.grid_view(grid)``:
 
-- ``bitsdf_classify_cells`` walks a slab plane by plane. It turns each
-  voxel plane into one byte per cell lower corner holding the inside and
-  unobserved bits of the cell's four corners in that plane, combines two
-  such planes into the codes of the cells between them, and writes each
-  active cell as ``(x-major index << 8) | code``. The byte planes of the
-  last voxel plane carry over to the next slab.
-- ``bitsdf_emit_mesh`` goes from the active cells to the mesh. It sets
+- ``bitsdf_classify_cells`` (``struct classify``: the slab's planes, the
+  inside thresholds and two scratch arrays) walks a slab plane by plane.
+  It turns each voxel plane into one byte per cell lower corner holding
+  the inside and unobserved bits of the cell's four corners in that plane,
+  combines two such planes into the codes of the cells between them, and
+  writes each active cell as ``(x-major index << 8) | code``. The byte
+  planes of the last voxel plane carry over to the next slab.
+- ``bitsdf_emit_mesh`` (``struct emit``: the active cells and codes, the
+  case table, the iso level, the bitmap and the outputs) goes from the
+  active cells to the mesh. It sets
   the bit of each triangle edge's lattice-edge key in a bitmap of the edges
   between the first and the last active cell, gives each triangle corner
   the rank of its key from the popcounts of the bitmap words before and in
-  its own word, and writes one vertex per set bit, in bit order. The case
-  table and the cube edges' key offsets are passed in.
+  its own word, and writes one vertex per set bit, in bit order.
 
 Elsewhere the same steps run in numpy: each voxel becomes
 ``inside | unobserved << 8`` (uint16), and three shifted ORs, along x, then
@@ -121,12 +124,12 @@ def _active_cells(grid: VoxelGrid, iso: float, lib):
         # for every cell of a slab.
         quads = np.empty(2 * ny * nx, np.uint8)
         out = np.empty(min(planes, nz - 1) * (ny - 1) * (nx - 1), np.int64)
+        args = _native.Classify(grid=_native.grid_view(grid), a=a, b=b,
+                                quads=quads.ctypes.data, out=out.ctypes.data)
         found = []
         for z0, z1 in slabs:
-            n = lib.classify_cells(grid.mask.ctypes.data, grid.sign.ctypes.data,
-                                   grid.hits.ctypes.data, nz, ny, nx, z0, z1, a, b,
-                                   quads.ctypes.data, out.ctypes.data)
-            found.append(out[:n].copy())
+            args.z0, args.z1 = z0, z1
+            found.append(out[:lib.classify_cells(args)].copy())
     # Cell index and code in one int64, to put cells in order with one sort.
     found = np.sort(np.concatenate(found))
     return found >> 8, (found & 0xFF).astype(np.uint8)
@@ -206,7 +209,7 @@ def _emit_mesh(lib, grid: VoxelGrid, cell, code, iso: float) -> TriangleMesh:
     """The mesh of the sorted active cells by ``lib``: the bytes of
     ``_triangle_keys``, ``np.unique`` and ``_edge_vertices``, with no array
     of keys."""
-    nx, ny, nz = grid.dims
+    _, ny, nz = grid.dims
     # A cell's edges start at its corners, so its keys lie from its own
     # index times 3 to before its far corner's index plus one, times 3.
     lo = cell[0] * 3
@@ -214,16 +217,15 @@ def _emit_mesh(lib, grid: VoxelGrid, cell, code, iso: float) -> TriangleMesh:
     bits = np.zeros(words, np.uint64)
     base = np.empty(words, np.int64)
     offsets = _edge_offsets(grid.dims)
-    origin = np.ascontiguousarray(grid.origin, dtype=np.float64)
     triangles = np.empty((int(_NTRI_BY_CODE[code].sum()), 3), np.int64)
     # Room for a vertex per distinct cube edge of each cell's triangles.
     vertices = np.empty((int(_NEDGE_BY_CODE[code].sum()), 3))
-    n = lib.emit_mesh(cell.ctypes.data, code.ctypes.data, cell.size,
-                      _TRI_BY_CODE.ctypes.data, _NTRI_BY_CODE.ctypes.data,
-                      offsets.ctypes.data, grid.mask.ctypes.data,
-                      grid.sign.ctypes.data, nz, ny, nx, origin.ctypes.data,
-                      grid.voxel_size, iso, bits.ctypes.data, words,
-                      base.ctypes.data, triangles.ctypes.data, vertices.ctypes.data)
+    n = lib.emit_mesh(_native.Emit(
+        grid=_native.grid_view(grid), cell=cell.ctypes.data, code=code.ctypes.data,
+        m=cell.size, tri=_TRI_BY_CODE.ctypes.data, ntri=_NTRI_BY_CODE.ctypes.data,
+        edge=offsets.ctypes.data, iso=iso, bits=bits.ctypes.data, words=words,
+        base=base.ctypes.data, triangles=triangles.ctypes.data,
+        vertices=vertices.ctypes.data))
     # A copy, so that the buffer of room for every cell's edges is freed first.
     return TriangleMesh(vertices=vertices[:n].copy(), triangles=triangles)
 

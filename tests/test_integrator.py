@@ -792,26 +792,31 @@ class TestNativeBuild:
             pytest.skip("no C compiler")
         # The flags the library is built with, so what ships is checked.
         result = subprocess.run(
-            [cc, *_native.CFLAGS, "-Wall", "-Wextra", "-Werror", "-o",
+            [cc, *_native.CFLAGS, "-Wall", "-Wextra", "-Wshadow", "-Werror", "-o",
              str(tmp_path / "_fuse.so"), str(_native.SOURCE)],
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
 
-    def test_frame_mirror_matches_struct(self, tmp_path):
-        # The compiled call's one argument is declared once, as struct frame
-        # in _fuse.c; _native.Frame must name its fields in the same order,
-        # each a pointer or an int64 as there.
-        body = re.search(r"struct frame \{(.*?)\};", _native.SOURCE.read_text(),
+    @pytest.mark.parametrize("struct", ["grid", "frame", "classify", "emit"])
+    def test_mirror_matches_struct(self, struct, tmp_path):
+        # Each struct of the compiled grid entries is declared once, in
+        # _fuse.c; its _native mirror must name its fields in the same order,
+        # each a pointer, an int64, a double, a double[3] or the nested struct
+        # grid as there.
+        mirror = getattr(_native, struct.capitalize())
+        body = re.search(rf"struct {struct} \{{(.*?)\}};", _native.SOURCE.read_text(),
                          re.S).group(1)
+        types = {"int64_t": ctypes.c_int64, "double": ctypes.c_double,
+                 "struct grid": _native.Grid}
         declared = []
         for decl in body.split(";")[:-1]:
+            base = re.match(r"\s*(struct \w+|\w+)", decl).group(1)
             for piece in decl.split(","):
-                pointer = "*" in piece
-                assert pointer or decl.split()[0] == "int64_t", decl
-                declared.append((re.findall(r"\w+", piece)[-1],
-                                 ctypes.c_void_p if pointer else ctypes.c_int64))
-        assert _native.Frame._fields_ == declared
+                name, size = re.search(r"(\w+)(?:\[(\d+)\])?\s*$", piece).groups()
+                kind = ctypes.c_void_p if "*" in piece else types[base]
+                declared.append((name, kind * int(size) if size else kind))
+        assert mirror._fields_ == declared
         cc = _native.CC
         if shutil.which(cc) is None:
             pytest.skip("no C compiler")
@@ -820,8 +825,8 @@ class TestNativeBuild:
         probe = tmp_path / "probe.c"
         probe.write_text(
             '#include <stddef.h>\n#include <stdio.h>\n#include "_fuse.c"\n'
-            'int main(void) {\n    printf("%zu", sizeof(struct frame));\n'
-            + "".join(f'    printf(" %zu", offsetof(struct frame, {n}));\n'
+            f'int main(void) {{\n    printf("%zu", sizeof(struct {struct}));\n'
+            + "".join(f'    printf(" %zu", offsetof(struct {struct}, {n}));\n'
                       for n in names)
             + "    return 0;\n}\n")
         subprocess.run([cc, "-pthread", "-I", str(_native.SOURCE.parent), "-o",
@@ -829,8 +834,7 @@ class TestNativeBuild:
         laid_out = subprocess.run([str(tmp_path / "probe")], capture_output=True,
                                   text=True, check=True).stdout.split()
         assert list(map(int, laid_out)) == [
-            ctypes.sizeof(_native.Frame),
-            *(getattr(_native.Frame, n).offset for n in names)]
+            ctypes.sizeof(mirror), *(getattr(mirror, n).offset for n in names)]
 
     def test_mismatched_bank_rejected(self, monkeypatch):
         # The bank is checked where it is made, so neither fusion path ever

@@ -2,6 +2,7 @@ import math
 import shutil
 import subprocess
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -354,6 +355,24 @@ class TestCompiledSteps:
                 monkeypatch.setattr(_native, "_lib", False)
             assert extract_mesh(g).is_empty
         assert np.all(unobserved.mask == FULL_MASK)
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    @pytest.mark.parametrize("bad", [
+        {"origin": np.array([0.0, 0.0])}, {"origin": np.array([0.0, np.nan, 0.0])},
+        {"origin": np.zeros(3, np.float32)}, {"voxel_size": 0.0},
+        {"voxel_size": math.nan}, {"voxel_size": -0.1}, {"voxel_size": math.inf},
+        {"h_max": 300}, {"t_occ": 0}, {"h_max": 2, "t_occ": 3}])
+    def test_bad_header_rejected(self, path, bad, monkeypatch):
+        # The library reads the header unchecked, so a grid cannot be made
+        # with one it would misread.
+        g = sphere_grid()
+        if path == "compiled":
+            compiled_library()
+        else:
+            monkeypatch.setattr(_native, "_lib", False)
+        assert not extract_mesh(g).is_empty
+        with pytest.raises(ConfigurationError):
+            extract_mesh(replace(g, **bad))
 
     def test_missing_compiler_meshes_same_bytes(self, tmp_path, monkeypatch, capsys):
         g = sphere_grid()
