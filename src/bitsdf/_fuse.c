@@ -42,14 +42,14 @@
  * a multiply-add with a different rounding.
  *
  * The nearest-neighbour search buckets the targets into a uniform grid of
- * cells over their bounding box (Bentley, Weide & Yao, ACM TOMS 1980) and
- * into blocks of those cells, each with the tight box of its targets. A
- * query reads the Chebyshev rings of cells around it, and a query that
- * they do not settle, far from every target, reads the blocks in an order
- * sorted once per call by a lower bound on their distance, skipping those
- * whose box is no nearer than its best, until no unread target can be
- * nearer. It computes each squared distance as scipy's cKDTree does, so
- * the minimum is the same bits, and it settles every query.
+ * cells over their bounding box (Bentley, Weide & Yao, ACM TOMS 1980),
+ * grouped into blocks of 5^3 cells, each with the tight box of its
+ * targets. A query reads the Chebyshev rings of cells around its cell, and
+ * a query that they do not settle, far from every target, reads the rings
+ * of blocks around its block, skipping those whose box is no nearer than
+ * its best, until no unread target can be nearer. It computes each squared
+ * distance as scipy's cKDTree does, so the minimum is the same bits, and
+ * it settles every query.
  */
 #include <math.h>
 #include <pthread.h>
@@ -537,10 +537,10 @@ int64_t bitsdf_emit_mesh(const struct emit *e)
     return count;
 }
 
-/* Chebyshev rings of fine cells read around a query's cell before the
- * search goes on block by block. */
+/* Chebyshev rings of cells read around a query's cell before the search
+ * goes on by rings of blocks. */
 #define NEAREST_RINGS 2
-/* Fine cells along each edge of a block, the search's coarser level. */
+/* Cells along each edge of a block, the search's coarser level. */
 #define NEAREST_BLOCK 5
 /* At most this many cells along an axis, so that a cell index computed in
  * floating point is within 1e-9 of its exact value (see bitsdf_nearest). */
@@ -572,122 +572,96 @@ static inline double nearest_distance(const double *restrict q,
     return (dx * dx + dy * dy) + dz * dz;
 }
 
-/* The least of best and the squared distances from q to targets i0 .. i1 - 1
- * of t. */
-static inline double nearest_scan(const double *restrict t, int64_t i0,
-                                  int64_t i1, const double *restrict q,
-                                  double best)
+/* The targets bucketed for a search: cells of edge unit (0 where no bound
+ * may settle a query) and dims d, the targets copied in cell order with
+ * cell c's at sorted[start[c]] .. sorted[start[c + 1] - 1], and blocks of
+ * NEAREST_BLOCK^3 cells, of dims bd, each with the box of its targets
+ * (least x, y, z, then greatest; an empty block's is +inf, -inf). */
+struct nearest_grid {
+    double unit;
+    int64_t d[3], bd[3];
+    int64_t *start;
+    double *sorted, *box;
+};
+
+/* The least of best and the squared distances from q to the targets of
+ * cells x0 .. x1 of row (y, z), one run of g->sorted. Unless at is NULL,
+ * *at becomes the index of each target that lowers best. */
+static inline __attribute__((always_inline)) double
+nearest_run(const struct nearest_grid *g, int64_t x0, int64_t x1, int64_t y,
+            int64_t z, const double *restrict q, double best, int64_t *at)
 {
-    for (int64_t i = i0; i < i1; i++) {
-        const double s = nearest_distance(q, t + 3 * i);
+    const int64_t row = (z * g->d[1] + y) * g->d[0];
+    int64_t nearest = at != NULL ? *at : -1;
+    for (int64_t i = g->start[row + x0]; i < g->start[row + x1 + 1]; i++) {
+        const double s = nearest_distance(q, g->sorted + 3 * i);
+        nearest = s < best ? i : nearest;
         best = s < best ? s : best;
+    }
+    if (at != NULL)
+        *at = nearest;
+    return best;
+}
+
+/* The same for units x0 .. x1 of row (y, z) of the level whose units are
+ * cubes of `edge` cells: cells where edge is 1, else blocks, each read as
+ * its rows of cells unless its box is no nearer than best. */
+static inline __attribute__((always_inline)) double
+nearest_row(const struct nearest_grid *g, int64_t edge, int64_t x0, int64_t x1,
+            int64_t y, int64_t z, const double *q, double best, int64_t *at)
+{
+    if (edge == 1)
+        return nearest_run(g, x0, x1, y, z, q, best, at);
+    for (int64_t x = x0; x <= x1; x++) {
+        const int64_t u[3] = {x, y, z};
+        const double *box = g->box + 6 * ((z * g->bd[1] + y) * g->bd[0] + x);
+        double gap[3];
+        int64_t a[3], b[3];
+        for (int k = 0; k < 3; k++) {
+            gap[k] = q[k] < box[k] ? box[k] - q[k] : q[k] > box[3 + k] ? q[k] - box[3 + k] : 0.0;
+            a[k] = u[k] * edge;
+            b[k] = a[k] + edge < g->d[k] ? a[k] + edge : g->d[k];
+        }
+        /* No target of the block is nearer than its box (an empty block's
+         * is infinitely far). */
+        if (!((gap[0] * gap[0] + gap[1] * gap[1]) + gap[2] * gap[2] < best))
+            continue;
+        for (int64_t cz = a[2]; cz < b[2]; cz++)
+            for (int64_t cy = a[1]; cy < b[1]; cy++)
+                best = nearest_run(g, a[0], b[0] - 1, cy, cz, q, best, at);
     }
     return best;
 }
 
-/* Copies the n targets into sorted in the order of their cells, cell[i] <
- * cells, by a counting sort, so that cell c's are start[c] .. start[c + 1]
- * - 1. start has cells + 2 entries, zeroed: start[c + 2] counts cell c,
- * then start[c + 1] is its cursor, which ends at the start of cell c + 1. */
-static void nearest_sort(const double *target, int64_t n, const int64_t *cell,
-                         int64_t cells, int64_t *start, double *sorted)
+/* The same for ring r of that level around unit c: the rows of its faces
+ * across z and y whole, every other row at its two ends. *settled becomes
+ * whether rings 0 .. r settle the query (see bitsdf_nearest). */
+static inline __attribute__((always_inline)) double
+nearest_ring(const struct nearest_grid *g, int64_t edge, const int64_t c[3],
+             int64_t r, const double *q, double best, int64_t *at, int *settled)
 {
-    for (int64_t i = 0; i < n; i++)
-        start[cell[i] + 2]++;
-    for (int64_t c = 2; c < cells + 2; c++)
-        start[c] += start[c - 1];
-    for (int64_t i = 0; i < n; i++)
-        memcpy(sorted + 3 * start[cell[i] + 1]++, target + 3 * i, 3 * sizeof *sorted);
-}
-
-/* A block offset o and the stop it gives a query: see bitsdf_nearest.
- * L(o) is the sum over the axes of max(|o_k| - 1, 0)^2. */
-struct nearest_offset {
-    double stop;
-    int32_t o[3];
-};
-
-/* The blocks: dims d, the targets copied in block order with start as in
- * nearest_sort, each block's box (least x, y, z, then greatest; an empty
- * block's is +inf, -inf) and the offsets that reach every block from every
- * block, as nearest_offsets orders them. */
-struct nearest_blocks {
-    int64_t d[3];
-    int64_t *start;
-    double *sorted, *box;
-    struct nearest_offset *offset;
-    int64_t offsets;
-};
-
-/* Fills k->offset with the k->offsets offsets that reach every block from
- * every block, in the order of key min(L(o), k->offsets - 1) by a counting
- * sort, and sets each offset's stop from its key: the least L of its own
- * and every later offset. Returns 0 when its scratch cannot be allocated. */
-static int nearest_offsets(struct nearest_blocks *k, double unit)
-{
-    const int64_t top = k->offsets - 1;
-    int64_t *start = calloc((size_t)top + 3, sizeof *start);
-    if (start == NULL)
-        return 0;
-    for (int pass = 0; pass < 2; pass++) {
-        for (int64_t i = 0; i < k->offsets; i++) {
-            int32_t o[3];
-            int64_t l = 0, rest = i;
-            for (int a = 0; a < 3; a++) {
-                o[a] = (int32_t)(rest % (2 * k->d[a] - 1) - (k->d[a] - 1));
-                rest /= 2 * k->d[a] - 1;
-                const int64_t gap = llabs(o[a]) - 1;
-                l += gap > 0 ? gap * gap : 0;
-            }
-            const int64_t key = l < top ? l : top;
-            if (pass == 0)
-                start[key + 2]++;
-            else
-                k->offset[start[key + 1]++] = (struct nearest_offset){
-                    (double)key * NEAREST_BLOCK * NEAREST_BLOCK * (1.0 - 1e-6) * unit * unit,
-                    {o[0], o[1], o[2]}};
-        }
-        for (int64_t c = 2; pass == 0 && c < top + 3; c++)
-            start[c] += start[c - 1];
+    const int64_t *d = edge == 1 ? g->d : g->bd;
+    int64_t a[3], b[3];
+    int covers = 1;
+    for (int k = 0; k < 3; k++) {
+        a[k] = c[k] - r > 0 ? c[k] - r : 0;
+        b[k] = c[k] + r < d[k] - 1 ? c[k] + r : d[k] - 1;
+        covers &= c[k] - r <= 0 && c[k] + r >= d[k] - 1;
     }
-    free(start);
-    return 1;
-}
-
-/* The least of best and the squared distances from q to the targets of the
- * blocks, read at the offsets from block b, the block of q's projection,
- * until best is below an offset's stop. *at becomes the index into
- * k->sorted of each target that lowers best. */
-static double nearest_by_blocks(const struct nearest_blocks *k, const double *q,
-                                const int64_t b[3], double best, int64_t *at)
-{
-    for (int64_t i = 0; i < k->offsets && !(best < k->offset[i].stop); i++) {
-        const int32_t *o = k->offset[i].o;
-        int64_t c[3];
-        int inside = 1;
-        for (int a = 0; a < 3; a++) {
-            c[a] = b[a] + o[a];
-            inside &= c[a] >= 0 && c[a] < k->d[a];
-        }
-        if (!inside)
-            continue;
-        const int64_t blk = (c[2] * k->d[1] + c[1]) * k->d[0] + c[0];
-        const double *box = k->box + 6 * blk;
-        double g[3];
-        for (int a = 0; a < 3; a++)
-            g[a] = q[a] < box[a] ? box[a] - q[a] : q[a] > box[3 + a] ? q[a] - box[3 + a] : 0.0;
-        /* No target of the block is nearer than its box (an empty block's
-         * is infinitely far). */
-        if (!((g[0] * g[0] + g[1] * g[1]) + g[2] * g[2] < best))
-            continue;
-        for (int64_t t = k->start[blk]; t < k->start[blk + 1]; t++) {
-            const double s = nearest_distance(q, k->sorted + 3 * t);
-            if (s < best) {
-                best = s;
-                *at = t;
+    for (int64_t z = a[2]; z <= b[2]; z++) {
+        for (int64_t y = a[1]; y <= b[1]; y++) {
+            if (z == c[2] - r || z == c[2] + r || y == c[1] - r || y == c[1] + r) {
+                best = nearest_row(g, edge, a[0], b[0], y, z, q, best, at);
+                continue;
             }
+            if (c[0] - r >= 0)
+                best = nearest_row(g, edge, c[0] - r, c[0] - r, y, z, q, best, at);
+            if (c[0] + r < d[0])
+                best = nearest_row(g, edge, c[0] + r, c[0] + r, y, z, q, best, at);
         }
     }
+    const double bound = ((double)(r * edge) - 1e-6) * g->unit;
+    *settled = covers || (r > 0 && best < bound * bound);
     return best;
 }
 
@@ -696,55 +670,43 @@ static double nearest_by_blocks(const struct nearest_blocks *k, const double *q,
  * out: the least (dx * dx + dy * dy) + dz * dz over the targets, the bits
  * whose square root cKDTree.query returns.
  *
- * The fine cells are cubes of edge h over the targets' bounding box, the
+ * The cells are cubes of edge h over the targets' bounding box, the
  * smallest h (to 64 bisection steps, and at least the box's longest extent
  * over NEAREST_AXIS_CELLS) that gives at most n cells: about one target per
  * cell, and one cell across an axis along which the box is flat. Blocks of
- * NEAREST_BLOCK^3 fine cells are the coarser level. The targets are copied
- * once in cell order and once in block order, each by a counting sort, so
- * that a row of cells along x is one run of them and so is a block. Every
- * bound below is taken from the projection p of the query onto the box.
- * Along each axis the query lies beyond p, or at it, from every target, so
- * a bound on the distance from p to a target also holds for the query,
- * even one far outside the box.
+ * NEAREST_BLOCK^3 cells, of edge NEAREST_BLOCK * h, are the coarser level.
+ * The targets are copied once, in cell order by a counting sort, so that a
+ * row of cells along x is one run of them.
  *
- * A query first reads rings r = 0 .. NEAREST_RINGS of fine cells around
- * the cell of p. Once rings 0..r are read, every unread target lies r + 1
- * or more cells from that cell along some axis, so more than r * h from p
- * along it. The query is settled when its best squared distance is below
- * ((r - 1e-6) * h)^2, or when the rings read cover the grid.
- *
- * A query not settled so goes on block by block. A target in the block at
- * offset o from the block of p lies more than max(|o_k| - 1, 0) *
- * NEAREST_BLOCK * h from p along each axis k, so more than sqrt(L(o)) *
- * NEAREST_BLOCK * h from p and from the query, L(o) being the sum of the
- * squares of those integers. The offsets that reach every block are sorted
- * once per call by their key, min(L(o), number of offsets - 1), and the
- * query reads them in that order, skipping blocks off the grid and blocks
- * whose box is not nearer than its best so far, which hold no nearer
- * target. It is settled at the first offset whose stop, key *
- * NEAREST_BLOCK^2 * (1 - 1e-6) * h^2, is above its best, as every block
- * left has as large a key, or when the offsets run out. The search
- * starts from the distance to the target nearest the last query that went
- * on by blocks: a real candidate, and often the nearest, as consecutive
- * queries tend to be near each other.
+ * A query reads both levels in Chebyshev rings around its unit, the cell
+ * or block of its projection p onto the box. Along each axis the query
+ * lies beyond p, or at it, from every target, so a bound on the distance
+ * from p to a target also holds for the query, even one far outside the
+ * box. Once rings 0 .. r of units of E cells (E = 1 for cells,
+ * NEAREST_BLOCK for blocks) are read, every unread target lies in a unit
+ * r + 1 or more units from p's along some axis, so more than r * E * h
+ * from p along it. The query is settled when its best squared distance is
+ * below ((r * E - 1e-6) * h)^2 for an r > 0, or when the rings read cover
+ * the grid. It reads rings 0 .. NEAREST_RINGS of cells and, if they do not
+ * settle it, rings 0, 1, ... of blocks until they do, skipping each block
+ * whose box is not nearer than its best so far, which holds no nearer
+ * target. The block rings start from the distance to the last target that
+ * became a query's best in them, or as their seed: a real candidate, and
+ * often the nearest, as consecutive queries tend to be near each other.
  *
  * The box test is exact in floating point: each gap to a box is a
  * difference with a box bound, which is itself a target's coordinate, so
  * by monotone rounding no target's distance computes to less than its
- * box's. The computed index (x - lo) * (1 / h) of a coordinate is
- * monotone in it and within 1e-9 of (x - lo) / h, as it is below
- * NEAREST_AXIS_CELLS. So a target beyond ring r is more than (r - 2e-9) *
- * h from p along some axis, and one in a block at offset o more than
- * (sqrt(L(o)) * NEAREST_BLOCK - 4e-9) * h from p, whose square, for L(o) >=
- * 1, exceeds L(o) * NEAREST_BLOCK^2 * (1 - 2e-9) * h^2: the 1e-6 margins
- * cover these and the rounding of the computed distances. Where h is
- * below 2^-500 a bound's square could be subnormal and lose that margin,
- * so no query is settled by a bound: the rings cover the grid or the
- * offsets run out. The library needs no libm: no bound takes a square
- * root. The scratch is allocated and freed here. Returns 0, or m,
- * computing nothing, when the scratch cannot be allocated or the box's
- * extent overflows. */
+ * box's. The computed index (x - lo) * (1 / h) of a coordinate is monotone
+ * in it and within 1e-9 of (x - lo) / h, as it is below
+ * NEAREST_AXIS_CELLS. So a target beyond ring r is more than
+ * (r * E - 2e-9) * h from p along some axis: the 1e-6 margin covers this
+ * and the rounding of the computed distances. Where h is below 2^-500 a
+ * bound's square could be subnormal and lose that margin, so no query is
+ * settled by a bound: the block rings run until they cover the grid. The
+ * library needs no libm: no bound takes a square root. The scratch is
+ * allocated and freed here. Returns 0, or m, computing nothing, when the
+ * scratch cannot be allocated or the box's extent overflows. */
 int64_t bitsdf_nearest(const double *target, int64_t n, const double *query,
                        int64_t m, double *out)
 {
@@ -784,114 +746,80 @@ int64_t bitsdf_nearest(const double *target, int64_t n, const double *query,
         }
         h = b;
     }
-    const double inv = 1.0 / h, unit = h >= 0x1p-500 ? h : 0.0;
-    int64_t d[3];
-    struct nearest_blocks bk = {.offsets = 1};
+    const double inv = 1.0 / h;
+    struct nearest_grid g = {.unit = h >= 0x1p-500 ? h : 0.0};
+    int64_t cells = 1, blocks = 1;
     for (int k = 0; k < 3; k++) {
-        d[k] = (int64_t)(e[k] * inv) + 1;
-        bk.d[k] = (d[k] + NEAREST_BLOCK - 1) / NEAREST_BLOCK;
-        bk.offsets *= 2 * bk.d[k] - 1;
+        g.d[k] = (int64_t)(e[k] * inv) + 1;
+        g.bd[k] = (g.d[k] + NEAREST_BLOCK - 1) / NEAREST_BLOCK;
+        cells *= g.d[k];
+        blocks *= g.bd[k];
     }
-    const int64_t cells = d[0] * d[1] * d[2], blocks = bk.d[0] * bk.d[1] * bk.d[2];
-    int64_t *start = calloc((size_t)cells + 2, sizeof *start);
-    double *sorted = malloc((size_t)n * 3 * sizeof *sorted);
-    int64_t *cell = malloc((size_t)n * 2 * sizeof *cell);
-    bk.start = calloc((size_t)blocks + 2, sizeof *bk.start);
-    bk.sorted = malloc((size_t)n * 3 * sizeof *bk.sorted);
-    bk.box = malloc((size_t)blocks * 6 * sizeof *bk.box);
-    bk.offset = malloc((size_t)bk.offsets * sizeof *bk.offset);
+    g.start = calloc((size_t)cells + 2, sizeof *g.start);
+    g.sorted = malloc((size_t)n * 3 * sizeof *g.sorted);
+    g.box = malloc((size_t)blocks * 6 * sizeof *g.box);
+    int64_t *cell = malloc((size_t)n * sizeof *cell);
     int64_t left = 0;
-    if (start == NULL || sorted == NULL || cell == NULL || bk.start == NULL
-        || bk.sorted == NULL || bk.box == NULL || bk.offset == NULL
-        || !nearest_offsets(&bk, unit)) {
+    if (g.start == NULL || g.sorted == NULL || g.box == NULL || cell == NULL) {
         left = m;
         goto done;
     }
-    /* cell[i] is target i's fine cell, cell[n + i] its block. */
+    for (int64_t i = 0; i < blocks; i++) {
+        for (int k = 0; k < 3; k++) {
+            g.box[6 * i + k] = INFINITY;
+            g.box[6 * i + 3 + k] = -INFINITY;
+        }
+    }
+    /* Each target's cell, counted in start[cell + 2], and its block's box;
+     * then a counting sort, in which start[c + 1] is cell c's cursor and
+     * ends at the start of cell c + 1. */
     for (int64_t i = 0; i < n; i++) {
+        const double *t = target + 3 * i;
         int64_t c[3];
         for (int k = 0; k < 3; k++)
-            c[k] = nearest_index(target[3 * i + k], lo[k], inv, d[k]);
-        cell[i] = (c[2] * d[1] + c[1]) * d[0] + c[0];
-        cell[n + i] = (c[2] / NEAREST_BLOCK * bk.d[1] + c[1] / NEAREST_BLOCK) * bk.d[0]
-                      + c[0] / NEAREST_BLOCK;
-    }
-    nearest_sort(target, n, cell, cells, start, sorted);
-    nearest_sort(target, n, cell + n, blocks, bk.start, bk.sorted);
-    for (int64_t b = 0; b < blocks; b++) {
-        double *box = bk.box + 6 * b;
+            c[k] = nearest_index(t[k], lo[k], inv, g.d[k]);
+        cell[i] = (c[2] * g.d[1] + c[1]) * g.d[0] + c[0];
+        g.start[cell[i] + 2]++;
+        double *box = g.box + 6 * ((c[2] / NEAREST_BLOCK * g.bd[1] + c[1] / NEAREST_BLOCK)
+                                   * g.bd[0] + c[0] / NEAREST_BLOCK);
         for (int k = 0; k < 3; k++) {
-            box[k] = INFINITY;
-            box[3 + k] = -INFINITY;
-        }
-        for (int64_t i = bk.start[b]; i < bk.start[b + 1]; i++) {
-            for (int k = 0; k < 3; k++) {
-                const double x = bk.sorted[3 * i + k];
-                box[k] = x < box[k] ? x : box[k];
-                box[3 + k] = x > box[3 + k] ? x : box[3 + k];
-            }
+            box[k] = t[k] < box[k] ? t[k] : box[k];
+            box[3 + k] = t[k] > box[3 + k] ? t[k] : box[3 + k];
         }
     }
-    int64_t last = -1; /* in bk.sorted, the nearest target of the last query settled by blocks */
+    for (int64_t c = 2; c < cells + 2; c++)
+        g.start[c] += g.start[c - 1];
+    for (int64_t i = 0; i < n; i++)
+        memcpy(g.sorted + 3 * g.start[cell[i] + 1]++, target + 3 * i, 3 * sizeof *g.sorted);
+    /* The last target, in g.sorted, that became a query's best in the block
+     * rings or as their seed; -1 before any has. */
+    int64_t last = -1;
     for (int64_t j = 0; j < m; j++) {
         const double *q = query + 3 * j;
-        int64_t c[3];
+        int64_t c[3], b[3];
         for (int k = 0; k < 3; k++) {
             const double p = q[k] < lo[k] ? lo[k] : q[k] > hi[k] ? hi[k] : q[k];
-            c[k] = nearest_index(p, lo[k], inv, d[k]);
+            c[k] = nearest_index(p, lo[k], inv, g.d[k]);
+            b[k] = c[k] / NEAREST_BLOCK;
         }
         double best = INFINITY;
         int settled = 0;
-        for (int64_t r = 0; r <= NEAREST_RINGS && !settled; r++) {
-            int64_t a[3], b[3];
-            int covers = 1;
-            for (int k = 0; k < 3; k++) {
-                a[k] = c[k] - r > 0 ? c[k] - r : 0;
-                b[k] = c[k] + r < d[k] - 1 ? c[k] + r : d[k] - 1;
-                covers &= c[k] - r <= 0 && c[k] + r >= d[k] - 1;
-            }
-            for (int64_t z = a[2]; z <= b[2]; z++) {
-                for (int64_t y = a[1]; y <= b[1]; y++) {
-                    const int64_t row = (z * d[1] + y) * d[0];
-                    if (z == c[2] - r || z == c[2] + r || y == c[1] - r || y == c[1] + r) {
-                        best = nearest_scan(sorted, start[row + a[0]],
-                                            start[row + b[0] + 1], q, best);
-                        continue;
-                    }
-                    if (c[0] - r >= 0)
-                        best = nearest_scan(sorted, start[row + c[0] - r],
-                                            start[row + c[0] - r + 1], q, best);
-                    if (c[0] + r < d[0])
-                        best = nearest_scan(sorted, start[row + c[0] + r],
-                                            start[row + c[0] + r + 1], q, best);
-                }
-            }
-            const double bound = ((double)r - 1e-6) * unit;
-            settled = covers || (r > 0 && best < bound * bound);
-        }
+        for (int64_t r = 0; r <= NEAREST_RINGS && !settled; r++)
+            best = nearest_ring(&g, 1, c, r, q, best, NULL, &settled);
         if (!settled) {
-            int64_t b[3], at = -1;
-            for (int k = 0; k < 3; k++)
-                b[k] = c[k] / NEAREST_BLOCK;
             if (last >= 0) {
-                const double s = nearest_distance(q, bk.sorted + 3 * last);
-                if (s < best) {
-                    best = s;
-                    at = last;
-                }
+                const double s = nearest_distance(q, g.sorted + 3 * last);
+                best = s < best ? s : best;
             }
-            best = nearest_by_blocks(&bk, q, b, best, &at);
-            last = at >= 0 ? at : last;
+            for (int64_t r = 0; !settled; r++)
+                best = nearest_ring(&g, NEAREST_BLOCK, b, r, q, best, &last, &settled);
         }
         out[j] = best;
     }
 done:
-    free(start);
-    free(sorted);
+    free(g.start);
+    free(g.sorted);
+    free(g.box);
     free(cell);
-    free(bk.start);
-    free(bk.sorted);
-    free(bk.box);
-    free(bk.offset);
     return left;
 }

@@ -17,6 +17,7 @@ is ``a.ravel(order="F")`` or ``a.T.reshape(-1)``; ``a.reshape(-1)`` copies.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,16 +102,24 @@ def check_geometry(voxel_size, **points) -> None:
                 f"grid {name} must be three finite coordinates, got {point}")
 
 
+def _is_int(value) -> bool:
+    """Whether value is an integer: a Python or numpy int, not a bool and
+    not a float, even a whole one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_grid(dims, voxel_size, origin, memory_cap, h_max, t_occ) -> dict:
     """The grid header, normalized as VoxelGrid takes it (int dims, float
     voxel size, a copy of the origin, int h_max and t_occ), once the grid
     it describes passes new_grid's checks."""
+    dims = tuple(dims)
+    if len(dims) != 3 or not all(_is_int(d) and d >= 1 for d in dims):
+        raise ConfigurationError(f"grid dims must be three positive integers, got {dims}")
     dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise ConfigurationError(f"grid dims must be three positive counts, got {dims}")
     check_geometry(voxel_size, origin=origin)
-    if not 1 <= t_occ <= h_max <= 255:
-        raise ConfigurationError(f"need 1 <= T ({t_occ}) <= H_max ({h_max}) <= 255")
+    if not (_is_int(t_occ) and _is_int(h_max) and 1 <= t_occ <= h_max <= 255):
+        raise ConfigurationError(
+            f"need integers 1 <= T ({t_occ!r}) <= H_max ({h_max!r}) <= 255")
     payload = dims[0] * dims[1] * dims[2] * BYTES_PER_VOXEL
     if payload > memory_cap:
         raise ResourceError(
@@ -132,10 +141,10 @@ def new_grid(
     """Allocate a fresh grid with every voxel unobserved, whose voxels
     count at most ``h_max`` hits and turn occupied at ``t_occ``.
 
-    Raises ConfigurationError for degenerate dims, a voxel_size that is not
-    finite and positive, an origin that is not finite, or thresholds outside
-    1 <= t_occ <= h_max <= 255, and ResourceError when the voxel
-    payload would exceed ``memory_cap``.
+    Raises ConfigurationError for dims that are not three positive integers,
+    a voxel_size that is not finite and positive, an origin that is not
+    finite, or thresholds that are not integers 1 <= t_occ <= h_max <= 255,
+    and ResourceError when the voxel payload would exceed ``memory_cap``.
     """
     header = check_grid(dims, voxel_size, origin, memory_cap, h_max, t_occ)
     dims = header["dims"]

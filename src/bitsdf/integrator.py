@@ -53,7 +53,7 @@ from . import _native
 from .errors import ConfigurationError
 from .grid import SIGN_OCCUPIED, VoxelGrid
 from .kernels import KernelBank, bin_index_array
-from .transforms import check_rotation
+from .transforms import check_pose
 
 COMPENSATION_MODES = ("none", "yaw", "se3")
 
@@ -65,7 +65,8 @@ class ScanFrame:
     is only needed for motion compensation. ``timestamps`` are normalized to
     [0, 1] over the sweep; when absent, deskew spreads times evenly over
     the points kept after downsampling, in point order. Checked when made,
-    points and timestamps included (each must be finite): fusion reads the
+    points and timestamps included (each must be finite), and each pose must
+    be a rigid 4x4 transform with last row (0, 0, 0, 1): fusion reads the
     scan unchecked."""
 
     points: np.ndarray
@@ -78,10 +79,10 @@ class ScanFrame:
         if not np.all(np.isfinite(self.points)):
             raise ConfigurationError("scan points must be finite")
         self.pose = np.asarray(self.pose, dtype=np.float64)
-        check_rotation(self.pose)
+        check_pose(self.pose)
         if self.prev_pose is not None:
             self.prev_pose = np.asarray(self.prev_pose, dtype=np.float64)
-            check_rotation(self.prev_pose)
+            check_pose(self.prev_pose)
         if self.timestamps is not None:
             self.timestamps = np.asarray(self.timestamps, dtype=np.float64).ravel()
             if self.timestamps.shape[0] != self.points.shape[0]:

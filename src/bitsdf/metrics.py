@@ -18,7 +18,9 @@ The nearest-neighbor distances are exact, the bits that scipy's
 the compiled library. ``nn_distances`` asks the library's
 ``bitsdf_nearest``, which answers every query: from the cells of a
 uniform grid over the targets within two cells of the query, and beyond
-them from blocks of those cells, each with the tight box of its targets.
+them from the rings of blocks of 5^3 of those cells around the query's
+block, read outwards, each skipped when the tight box of its targets is
+no nearer than the best distance found.
 Only where the library is unavailable, cannot allocate its scratch or
 finds the targets' extent overflowing does a ``cKDTree`` answer, so scipy
 is imported only then.

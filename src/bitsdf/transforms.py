@@ -19,9 +19,16 @@ def make_pose(rotation: Rotation, translation) -> np.ndarray:
     return T
 
 
-def check_rotation(T: np.ndarray, tol: float = 1e-9) -> None:
-    """Reject non-rigid transforms: rotation block must be orthonormal with
-    determinant +1."""
+def check_pose(T: np.ndarray, tol: float = 1e-9) -> None:
+    """Reject what is not a rigid transform: a 4x4 matrix of finite values
+    whose last row is (0, 0, 0, 1) and whose rotation block is orthonormal
+    with determinant +1."""
+    if T.shape != (4, 4):
+        raise ConfigurationError(f"pose must be a 4x4 matrix, got shape {T.shape}")
+    if not np.all(np.isfinite(T)):
+        raise ConfigurationError("pose must be finite")
+    if not np.array_equal(T[3], [0.0, 0.0, 0.0, 1.0]):
+        raise ConfigurationError(f"pose last row must be (0, 0, 0, 1), got {T[3]}")
     R = T[:3, :3]
     if not np.allclose(R @ R.T, np.eye(3), atol=tol):
         raise ConfigurationError("pose rotation is not orthonormal")

@@ -540,6 +540,21 @@ class TestFuse:
         assert code == 2, err
         assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_fractional_dims_exit_2(self, dataset, tmp_path, monkeypatch, capsys, path):
+        # dims of 10.5 voxels once became 10; now neither fusion path runs.
+        if path == "numpy":
+            monkeypatch.setattr(_native, "_lib", False)
+        cfg_path = config_into(dataset, tmp_path / "out")
+        cfg = yaml.safe_load(cfg_path.read_text())
+        cfg["grid"].update(bounds_min=None, bounds_max=None, dims=[10.5, 10, 10],
+                           origin=[0.0, 0.0, 0.0])
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        code, err = fail_in_process(monkeypatch, capsys, "fuse", "--config", cfg_path)
+        assert code == 2, err
+        assert err.startswith("error: ") and "dims" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("poses", [b"0.0 0 0 0\n", b"0.0 0 0 0 \xff 0 0 1\n",
                                        b"0.0 0 0 0 0 0 0 1\nnan 1 0 0 0 0 0 1\n"],
                              ids=["short-line", "non-utf8", "nan-time"])

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +65,26 @@ class TestNewGrid:
     def test_zero_threshold_rejected(self):
         with pytest.raises(ConfigurationError):
             new_grid((4, 4, 4), 0.1, t_occ=0)
+
+    @pytest.mark.parametrize("dims", [(10.7, 10, 10), (10, 10.0, 10), (True, 10, 10),
+                                      (10, 10), (10, 10, 10, 1)])
+    def test_dims_not_three_integers_rejected(self, dims):
+        with pytest.raises(ConfigurationError, match="dims"):
+            new_grid(dims, 0.1)
+
+    @pytest.mark.parametrize("change", [dict(t_occ=2.5, h_max=255.0), dict(h_max=255.0),
+                                        dict(t_occ=np.float64(2.0))])
+    def test_thresholds_not_integers_rejected(self, change):
+        # By new_grid and by dataclasses.replace, which runs VoxelGrid's check.
+        with pytest.raises(ConfigurationError, match="integers"):
+            new_grid((4, 4, 4), 0.1, **change)
+        with pytest.raises(ConfigurationError, match="integers"):
+            replace(new_grid((4, 4, 4), 0.1), **change)
+
+    def test_numpy_integers_accepted(self):
+        g = new_grid(np.array([3, 4, 5]), 0.1, h_max=np.uint8(9), t_occ=np.int64(4))
+        assert (g.dims, g.h_max, g.t_occ) == ((3, 4, 5), 9, 4)
+        assert all(type(v) is int for v in (*g.dims, g.h_max, g.t_occ))
 
     def test_thresholds_are_fixed(self):
         g = new_grid((4, 4, 4), 0.1, h_max=3, t_occ=1)

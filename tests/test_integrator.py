@@ -147,6 +147,25 @@ class TestMotionCompensate:
         with pytest.raises(ConfigurationError):
             ScanFrame(points=np.zeros((1, 3)), pose=bad)
 
+    @pytest.mark.parametrize("which", ["pose", "prev_pose"])
+    @pytest.mark.parametrize("bad", [
+        np.eye(3), np.eye(4)[:, :3], np.eye(4)[:3], np.eye(5),
+        np.diag([1.0, 1.0, 1.0, 2.0]), np.diag([1.0, 1.0, 1.0, 0.0]),
+        (3, 2, 0.5), (0, 3, np.nan),
+    ], ids=["3x3", "4x3", "3x4", "5x5", "scale-row", "zero-row", "shear-row",
+            "nan-translation"])
+    def test_pose_not_rigid_4x4_rejected(self, which, bad):
+        # A 3x3 or 4x3 pose once reached integrate_frame and failed there
+        # with an IndexError. A tuple (i, j, v) is the identity with entry
+        # (i, j) set to v.
+        if isinstance(bad, tuple):
+            i, j, v = bad
+            bad = np.eye(4)
+            bad[i, j] = v
+        poses = {"pose": identity_pose(), "prev_pose": identity_pose(), which: bad}
+        with pytest.raises(ConfigurationError, match="pose"):
+            ScanFrame(points=np.ones((3, 3)), **poses)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_point_rejected(self, bad):
         pts = np.ones((3, 3))

@@ -223,6 +223,21 @@ def nn_cases():
         ("line-far", rng.normal(size=(2000, 3)) * [30.0, 30.0, 1.0],
          np.column_stack([np.full(3000, 2.0), np.full(3000, -1.0),
                           rng.uniform(0, 1, 3000)])),
+        # Targets spanning less than 2^-1000: the grid is one cell.
+        ("one-cell", np.vstack([rng.normal(size=(500, 3)) * 1e-303,
+                                rng.normal(size=(500, 3))]),
+         rng.uniform(0, 1, (2000, 3)) * 1e-303),
+        # Targets spanning about 1e-160, so h < 2^-500: no bound settles a
+        # query, and the block rings run until they cover the grid.
+        ("tiny-extent", rng.normal(size=(1500, 3)) * [1e-160, 1e-160, 3e-160],
+         rng.normal(size=(2000, 3)) * 1e-160),
+        # A long, thin row of blocks, and queries beyond one end of it that
+        # read ring after ring of blocks along it.
+        ("long-thin", np.vstack([rng.uniform(0, 1, (1000, 3)) * [1.0, 0.6, 0.6]
+                                 + [100.0, -0.05, -0.05],
+                                 rng.uniform(0, 1, (500, 3)) * [30.0, 1.0, 1.0]
+                                 + [101.0, -0.25, -0.25]]),
+         rng.uniform(0, 1, (3000, 3)) * [100.0, 0.5, 0.5]),
     ]
 
 

@@ -7,12 +7,22 @@ when some code there reads it; a dataclass field, when some code there reads
 it as an attribute. Dunder methods and names, the public API in
 ``bitsdf.__all__``, the click commands and ``main`` are used from outside;
 the names below are kept on purpose.
+
+The compiled library exports only the entries that ``_native`` binds, so
+-Wunused-function, which sees only static functions, sees every other C
+function.
 """
 
 import ast
+import ctypes
+import shutil
+import subprocess
 from pathlib import Path
 
+import pytest
+
 import bitsdf
+from bitsdf import _native
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bitsdf"
 
@@ -121,3 +131,30 @@ def test_every_dataclass_field_is_read():
                     unread.append(f"{module}.{node.name}.{item.target.id} "
                                   f"(line {item.lineno})")
     assert not unread, "dataclass fields never read in src/bitsdf: " + ", ".join(unread)
+
+
+def test_library_exports_only_bound_entries(monkeypatch):
+    nm = shutil.which("nm")
+    if nm is None or shutil.which(_native.CC) is None:
+        pytest.skip("no nm or no C compiler")
+    path = _native.build(_native.SOURCE, _native.CACHE_DIR, _native.CC)
+    # The names _bind looks up in the library, read through a recording
+    # wrapper around it.
+    bound = set()
+    real = ctypes.CDLL
+
+    class Recording:
+        def __init__(self, name):
+            self.lib = real(name)
+
+        def __getattr__(self, name):
+            bound.add(name)
+            return getattr(self.lib, name)
+
+    monkeypatch.setattr(ctypes, "CDLL", Recording)
+    _native._bind(path)
+    listed = subprocess.run([nm, "-D", "--defined-only", str(path)],
+                            capture_output=True, text=True, check=True).stdout
+    exported = {line.split()[2] for line in listed.splitlines()
+                if line.split()[1:2] == ["T"]}
+    assert exported == bound
